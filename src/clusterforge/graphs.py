@@ -474,6 +474,13 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
 
 @dataclass(frozen=True)
 class ExplorationReport:
+    """Census of the exchange graph reachable from a seed.
+
+    ``mutations`` counts edge traversals from both ends, as a BFS that
+    mutates every seed in every direction would; the exchange division of
+    each edge is computed once, from the end the search reaches first.
+    """
+
     clusters: int
     variables: int
     mutations: int
@@ -490,33 +497,68 @@ class ExplorationReport:
         }
 
 
+def seed_permutation(a: Seed, b: Seed) -> list[int] | None:
+    """p with a.exprs[p[j]] == b.exprs[j] and a's matrix equal to b's under p.
+
+    None if the clusters differ or the matrices disagree anywhere: the
+    principal part is compared as a[p[i]][p[j]] == b[i][j], frozen rows
+    keep their place.  A match means a is b relabelled, so mutating a at
+    p[k] gives the seed of mutating b at k, relabelled.
+    """
+    if a.ctx != b.ctx or (a.n, a.m) != (b.n, b.m):
+        return None
+    where = {e.key(): i for i, e in enumerate(a.exprs)}
+    p = [where.get(e.key(), -1) for e in b.exprs]
+    if sorted(p) != list(range(b.n)):
+        return None
+    rows = p + list(range(b.n, b.m))
+    A, B = a.matrix.entries, b.matrix.entries
+    for i, r in enumerate(rows):
+        if any(A[r][p[j]] != B[i][j] for j in range(b.n)):
+            return None
+    return p
+
+
 def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:
     """BFS over seeds, deduplicating by the unordered cluster of expressions.
 
-    Every mutation goes through the exact exchange-relation division, so a
-    Laurent failure anywhere aborts the census with NotDivisible.
+    Mutation is an involution, so each seed remembers the directions known
+    to lead back into the visited set and skips their exchange division.
+    A new seed knows the direction it came from; a seed reached again
+    learns the reverse direction only when seed_permutation confirms that
+    the stored seed is the reached one relabelled.  Every other mutation
+    goes through the exact exchange-relation division, so a Laurent
+    failure anywhere aborts the census with NotDivisible.
     """
-    visited = {seed.cluster_key(): seed}
+    skip: set[int] = set()
+    visited = {seed.cluster_key(): (seed, skip)}
     vars_seen = {e.key() for e in seed.exprs}
-    queue = deque([(seed, 0)])
+    queue = deque([(seed, 0, skip)])
     mutations = 0
     max_depth = 0
     exhausted = True
     while queue:
-        s, depth = queue.popleft()
+        s, depth, skip = queue.popleft()
         max_depth = max(max_depth, depth)
         for k in range(s.n):
-            s2 = seed_mutate(s, k)
             mutations += 1
+            if k in skip:
+                continue
+            s2 = seed_mutate(s, k)
             key = s2.cluster_key()
             if key in visited:
+                stored, stored_skip = visited[key]
+                p = seed_permutation(stored, s2)
+                if p is not None:
+                    stored_skip.add(p[k])
                 continue
             if len(visited) >= max_seeds:
                 exhausted = False
                 continue
-            visited[key] = s2
+            back = {k}
+            visited[key] = (s2, back)
             vars_seen.update(e.key() for e in s2.exprs)
-            queue.append((s2, depth + 1))
+            queue.append((s2, depth + 1, back))
     return ExplorationReport(
         clusters=len(visited),
         variables=len(vars_seen),

@@ -9,14 +9,24 @@ Exponent vectors are ordered so that ``a`` precedes ``b`` when the first
 nonzero entry of ``b - a`` is positive.  That is exactly Python's tuple
 order, so ``min(support)`` is the leading exponent and sorting the term
 dict gives the canonical form.
+
+Multiplication and exact division run on packed exponents (Kronecker
+substitution, after Monagan and Pearce): each vector, shifted so that its
+entries are nonnegative, becomes one int with a slot per variable and the
+first variable in the most significant slot.  Exponent addition is then
+one int addition and int order is tuple order.  The slot width is derived
+from the operands' exponent ranges on every call, so no slot can overflow;
+the packed form never leaves the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 
@@ -73,6 +83,41 @@ def _check_ctx(a: "LaurentPoly", b: "LaurentPoly") -> None:
         raise ContextMismatch(f"{a.ctx.names} vs {b.ctx.names}")
 
 
+# -- packed exponents ---------------------------------------------------------
+
+
+def _box(terms: Mapping[tuple[int, ...], int]) -> tuple[list[int], list[int]]:
+    """Per-variable minimum and maximum exponent over a nonempty support."""
+    cols = list(zip(*terms))
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _weights(nvars: int, width: int) -> list[int]:
+    """Place values of the slots, first variable most significant."""
+    return [1 << (width * (nvars - 1 - i)) for i in range(nvars)]
+
+
+def _pack(
+    terms: Mapping[tuple[int, ...], int], low: Sequence[int], weights: list[int]
+) -> dict[int, int]:
+    """Terms keyed by the packed exponent ``e - low`` (every slot >= 0)."""
+    off = sum(map(mul, low, weights))
+    return {sum(map(mul, e, weights)) - off: c for e, c in terms.items()}
+
+
+def _unpack(
+    packed: Mapping[int, int], low: Sequence[int], width: int
+) -> dict[tuple[int, ...], int]:
+    """Inverse of _pack, dropping zero coefficients."""
+    slots = [(width * (len(low) - 1 - i), m) for i, m in enumerate(low)]
+    mask = (1 << width) - 1
+    return {
+        tuple([(k >> s & mask) + m for s, m in slots]): c
+        for k, c in packed.items()
+        if c
+    }
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial; ``terms`` maps exponent tuples to ints.
 
@@ -111,8 +156,7 @@ class LaurentPoly:
         """Per-variable minimum exponent over the support (zero poly: all 0)."""
         if not self.terms:
             return (0,) * self.ctx.nvars
-        cols = list(zip(*self.terms))
-        return tuple(min(col) for col in cols)
+        return tuple(_box(self.terms)[0])
 
     def leading_exponent(self) -> tuple[int, ...]:
         """The lexicographically first exponent of the support."""
@@ -147,16 +191,25 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_ctx(self, other)
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(e, 0) + ca * cb
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.ctx, out)
+        if not self.terms or not other.terms:
+            return self.ctx.zero()
+        alow, ahigh = _box(self.terms)
+        blow, bhigh = _box(other.terms)
+        span = max(
+            (ah - al + bh - bl for al, ah, bl, bh in zip(alow, ahigh, blow, bhigh)),
+            default=0,
+        )
+        width = span.bit_length()
+        weights = _weights(self.ctx.nvars, width)
+        pb = list(_pack(other.terms, blow, weights).items())
+        out: dict[int, int] = {}
+        get = out.get
+        for ea, ca in _pack(self.terms, alow, weights).items():
+            for eb, cb in pb:
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+        low = [a + b for a, b in zip(alow, blow)]
+        return LaurentPoly(self.ctx, _unpack(out, low, width))
 
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
@@ -166,14 +219,17 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ctx.one()
+        if n == 0:
+            return self.ctx.one()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def inverse(self) -> "LaurentPoly":
         if len(self.terms) != 1:
@@ -199,39 +255,51 @@ class LaurentPoly:
         Division is performed in the Laurent ring: num and den are shifted
         to honest polynomials with per-variable minimum exponent 0, where
         exact divisibility is equivalent, and the quotient is shifted back.
+        An exact quotient's exponents lie in the box [0, nspan - dspan],
+        so every quotient term is checked against that box; each slot has
+        a guard bit on top, and one subtraction checks all slots at once.
         """
         _check_ctx(self, den)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self.ctx.zero()
-        ns = self.min_exponents()
-        ds = den.min_exponents()
-        rem = {tuple(x - s for x, s in zip(e, ns)): c for e, c in self.terms.items()}
-        dhat = {tuple(x - s for x, s in zip(e, ds)): c for e, c in den.terms.items()}
+        nlow, nhigh = _box(self.terms)
+        dlow, dhigh = _box(den.terms)
+        qmax = [nh - nl - dh + dl for nl, nh, dl, dh in zip(nlow, nhigh, dlow, dhigh)]
+        if any(x < 0 for x in qmax):
+            raise NotDivisible("denominator spans more degrees than numerator")
+        nspan = max((nh - nl for nl, nh in zip(nlow, nhigh)), default=0)
+        width = nspan.bit_length() + 1
+        weights = _weights(self.ctx.nvars, width)
+        guards = sum(weights) << (width - 1)
+        qtop = sum(map(mul, qmax, weights)) | guards
+        rem = _pack(self.terms, nlow, weights)
+        dhat = _pack(den.terms, dlow, weights)
         dlead = max(dhat)
-        dlc = dhat[dlead]
-        quot: dict[tuple[int, ...], int] = {}
+        dlc = dhat.pop(dlead)
+        dtail = list(dhat.items())
+        quot: dict[int, int] = {}
         while rem:
             lead = max(rem)
-            c = rem[lead]
-            t = tuple(a - b for a, b in zip(lead, dlead))
-            if any(x < 0 for x in t) or c % dlc:
+            c = rem.pop(lead)
+            t = (lead | guards) - dlead
+            if t & guards != guards or c % dlc:
                 raise NotDivisible("leading term not divisible")
+            t ^= guards
+            if (qtop - t) & guards != guards:
+                raise NotDivisible("quotient term outside the exponent box")
             qc = c // dlc
             quot[t] = qc
-            for e, dc in dhat.items():
-                ne = tuple(a + b for a, b in zip(t, e))
+            for e, dc in dtail:
+                ne = t + e
                 v = rem.get(ne, 0) - qc * dc
                 if v:
                     rem[ne] = v
                 else:
-                    rem.pop(ne, None)
-        shift = tuple(a - b for a, b in zip(ns, ds))
-        return LaurentPoly(
-            self.ctx,
-            {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()},
-        )
+                    del rem[ne]
+        shift = [a - b for a, b in zip(nlow, dlow)]
+        return LaurentPoly(self.ctx, _unpack(quot, shift, width))
 
     def divides(self, num: "LaurentPoly") -> bool:
         try:
@@ -276,14 +344,15 @@ class LaurentPoly:
         if not self.terms:
             return values[0].ctx.zero() if values else self.ctx.zero()
         tgt = values[0].ctx
-        out = tgt.zero()
+        if any(v.ctx.names != tgt.names for v in values):
+            raise ContextMismatch("substitution values over different contexts")
+        out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
-            term = tgt.const(c)
-            for i, p in enumerate(e):
-                if p:
-                    term = term * (values[i] ** p)
-            out = out + term
-        return out
+            factors = [values[i] ** p for i, p in enumerate(e) if p]
+            term = reduce(mul, factors) if factors else tgt.one()
+            for f, v in term.terms.items():
+                out[f] = out.get(f, 0) + c * v
+        return LaurentPoly(tgt, out)
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         """Exact numeric evaluation at nonzero rationals."""
@@ -313,7 +382,19 @@ class LaurentPoly:
             ctx = Context(names)
         elif ctx.names != names:
             raise ContextMismatch(f"{ctx.names} vs {names}")
-        terms = {tuple(t["exp"]): int(t["coef"]) for t in data["terms"]}
+        terms: dict[tuple[int, ...], int] = {}
+        for t in data["terms"]:
+            exp, coef = t["exp"], t["coef"]
+            if not isinstance(exp, (list, tuple)) or len(exp) != ctx.nvars:
+                raise ValueError(f"exponent {exp!r} needs {ctx.nvars} entries")
+            if not all(type(x) is int for x in exp):
+                raise ValueError(f"exponent {exp!r} has a non-integer entry")
+            if type(coef) not in (int, str):
+                raise ValueError(f"coefficient {coef!r} is not an integer")
+            e = tuple(exp)
+            if e in terms:
+                raise ValueError(f"exponent {exp!r} is repeated")
+            terms[e] = int(coef)
         return LaurentPoly(ctx, terms)
 
     def __repr__(self) -> str:

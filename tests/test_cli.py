@@ -102,6 +102,13 @@ def test_upper_member_true_and_false(capsys):
     assert code == 1 and data["member"] is False
 
 
+def test_upper_member_short_exponent_exits_2(capsys):
+    short = {"vars": list(SL3_LABELS), "terms": [{"exp": [0, 1], "coef": "1"}]}
+    code = main(["upper-member", "--seed", seed_json(), "--num", json.dumps(short)])
+    assert code == 2
+    assert "entries" in capsys.readouterr().err
+
+
 def test_straighten_cli(capsys):
     vars_ = ["x1", "x2", "x3", "x1'", "x2'", "x3'", "p1+", "p2+", "p3+", "p1-", "p2-", "p3-"]
     poly = {

@@ -1,7 +1,12 @@
 import random
 
+import pytest
+
+from clusterforge import graphs
+from clusterforge.coxeter import cartan_data, dynkin_bipartition
 from clusterforge.graphs import (
     Diagram,
+    ExplorationReport,
     acyclic_order,
     canonical_key,
     classify_finite_type,
@@ -14,11 +19,18 @@ from clusterforge.graphs import (
     is_acyclic,
     realize_diagram,
     relabel_matrix,
+    seed_permutation,
     sign_graph_dot,
 )
-from clusterforge.seeds import ExchangeMatrix, initial_seed, matrix_mutate
+from clusterforge.seeds import (
+    ExchangeMatrix,
+    Seed,
+    initial_seed,
+    matrix_mutate,
+    seed_mutate,
+)
 
-from conftest import MARKOV, SL3_PRINCIPAL
+from conftest import MARKOV, SL3_LABELS, SL3_PRINCIPAL, SL3_ROWS
 from test_seeds import rand_symmetrizable
 
 
@@ -190,6 +202,71 @@ def test_explore_cap():
     rep = explore_exchange_graph(seed, max_seeds=5)
     assert not rep.exhausted
     assert rep.clusters == 5
+    assert rep == ExplorationReport(5, 8, 20, False, 1)
+
+
+def test_explore_sl3_full_report():
+    seed = initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS))
+    rep = explore_exchange_graph(seed)
+    assert rep == ExplorationReport(50, 16, 200, True, 5)
+
+
+def bipartite_seed(type_name):
+    """Initial seed of the bipartite orientation of a Dynkin tree."""
+    cartan = cartan_data(type_name)
+    minus, _ = dynkin_bipartition(cartan)
+    r = cartan.rank
+    sign = [1 if i + 1 in minus else -1 for i in range(r)]
+    rows = [
+        [0 if i == j else sign[i] * cartan.A[i][j] for j in range(r)] for i in range(r)
+    ]
+    return initial_seed(ExchangeMatrix.make(rows))
+
+
+def test_explore_divides_once_per_edge(monkeypatch):
+    calls = []
+
+    def counting_mutate(seed, k):
+        calls.append(k)
+        return seed_mutate(seed, k)
+
+    monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
+    rep = explore_exchange_graph(bipartite_seed("A3"))
+    assert rep == ExplorationReport(14, 9, 42, True, 4)
+    assert len(calls) == 21  # one per edge of the A3 associahedron
+
+
+def test_seed_permutation_accepts_relabelled_copy_only():
+    seed = seed_mutate(initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS)), 1)
+    p = [2, 0, 3, 1]  # position j of the copy holds seed variable p[j]
+    rows = [
+        [seed.matrix.entries[r][p[j]] for j in range(4)]
+        for r in p + list(range(4, seed.m))
+    ]
+    copy = Seed(
+        ExchangeMatrix(tuple(map(tuple, rows)), 4, seed.matrix.labels),
+        seed.ctx,
+        tuple(seed.exprs[i] for i in p),
+    )
+    assert seed_permutation(seed, copy) == p
+    assert seed_permutation(seed, seed) == [0, 1, 2, 3]
+    for r, c in ((0, 1), (5, 2)):  # one principal, one frozen entry
+        changed = [list(row) for row in rows]
+        changed[r][c] += 1
+        bad = Seed(
+            ExchangeMatrix(tuple(map(tuple, changed)), 4, seed.matrix.labels),
+            seed.ctx,
+            copy.exprs,
+        )
+        assert seed_permutation(seed, bad) is None
+    other = seed_mutate(seed, 0)
+    assert seed_permutation(seed, other) is None  # a different cluster
+
+
+@pytest.mark.slow
+def test_explore_e7_census():
+    rep = explore_exchange_graph(bipartite_seed("E7"))
+    assert rep == ExplorationReport(4160, 70, 29120, True, 14)
 
 
 def test_dot_outputs():

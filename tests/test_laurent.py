@@ -70,6 +70,12 @@ def test_divide_not_divisible():
         (x(0) + x(1)).divide_exact(x(0) - x(1))
     with pytest.raises(NotDivisible):
         (x(0) + x(1)).divide_exact(CTX3.const(2))
+    # x2 (x2^2 - x1^3) / (x1 (x2^2 - x1)): every leading term divides, but a
+    # quotient term leaves the exponent box an exact quotient would stay in
+    with pytest.raises(NotDivisible):
+        (x(1) ** 3 - x(0) ** 3 * x(1)).divide_exact(x(0) * x(1) ** 2 - x(0) ** 2)
+    with pytest.raises(NotDivisible):
+        x(0).divide_exact(x(1) + CTX3.one())
 
 
 def test_divide_by_monomial_factor():
@@ -204,3 +210,27 @@ def test_ratfunc_reduce_to_laurent():
 def test_pow_negative_monomial():
     m = CTX3.monomial({0: 2, 1: -1})
     assert m ** -2 == CTX3.monomial({0: -4, 1: 2})
+
+
+def test_pow_one_is_the_base_without_multiplying(monkeypatch):
+    p = x(0) + x(1)
+    monkeypatch.setattr(LaurentPoly, "__mul__", None)
+    assert p ** 1 is p
+
+
+@pytest.mark.parametrize(
+    "terms, why",
+    [
+        ([{"exp": [1], "coef": "1"}], "entries"),
+        ([{"exp": [1, 0, 0, 0], "coef": "1"}], "entries"),
+        ([{"exp": [1, 0.5, 0], "coef": "1"}], "non-integer"),
+        ([{"exp": [1, "0", 0], "coef": "1"}], "non-integer"),
+        (
+            [{"exp": [1, 0, 0], "coef": "2"}, {"exp": [1, 0, 0], "coef": "-2"}],
+            "repeated",
+        ),
+    ],
+)
+def test_from_json_rejects_malformed_terms(terms, why):
+    with pytest.raises(ValueError, match=why):
+        LaurentPoly.from_json({"vars": list(CTX3.names), "terms": terms})
