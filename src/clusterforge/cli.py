@@ -3,7 +3,7 @@
 Exit codes: 0 for success or verified-true, 1 for verified-false (a
 membership or check that came back negative), 2 for runtime errors and
 64 for usage errors.  All randomized commands take --rng-seed and are
-deterministic given the seed; the only environment knob is CF_THREADS.
+deterministic given the seed; no environment variable changes behaviour.
 """
 
 from __future__ import annotations
@@ -293,14 +293,8 @@ def main(argv=None) -> int:
         parser.error("tropical needs --nu or --delta")
     try:
         return args.fn(args)
-    except (
-        ValueError,
-        KeyError,
-        ArithmeticError,
-        OSError,
-        AssertionError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any failure is exit 2, never a traceback's exit 1
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

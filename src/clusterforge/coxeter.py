@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from .util import mat_mul, symmetrizer
+
 
 class NotFiniteType(ValueError):
     """Root closure exceeded its safety cap; the input is not finite type."""
@@ -107,33 +109,6 @@ class CartanData:
         )
 
 
-def _symmetrizer(A: Sequence[Sequence[int]]) -> tuple:
-    from fractions import Fraction
-    from math import gcd
-
-    r = len(A)
-    d = [None] * r
-    for root in range(r):
-        if d[root] is not None:
-            continue
-        d[root] = Fraction(1)
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(r):
-                if i != j and A[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(A[i][j], A[j][i])
-                    stack.append(j)
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in d]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints)
-
-
 def _positive_roots(A: Sequence[Sequence[int]], cap: int = _ROOT_CAP) -> tuple:
     r = len(A)
     simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
@@ -167,20 +142,12 @@ def cartan_data(type_name: str) -> CartanData:
         name=f"{family}{r}",
         rank=r,
         A=entries,
-        d=_symmetrizer(A),
+        d=symmetrizer(A),
         positive_roots=_positive_roots(A),
     )
 
 
 # -- Weyl elements -------------------------------------------------------------
-
-
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    r = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r))
-        for i in range(r)
-    )
 
 
 def _identity(r: int) -> tuple:
@@ -217,7 +184,7 @@ class WeylElement:
         perm = None
         if self.perm is not None and other.perm is not None:
             perm = tuple(self.perm[x - 1] for x in other.perm)
-        return WeylElement(self.cartan, _mat_mul(self.matrix, other.matrix), perm)
+        return WeylElement(self.cartan, mat_mul(self.matrix, other.matrix), perm)
 
     def apply_root(self, beta: Sequence[int]) -> tuple:
         r = self.cartan.rank

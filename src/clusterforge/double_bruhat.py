@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 from typing import Callable, Sequence
 
 from .coxeter import (
@@ -22,8 +24,9 @@ from .coxeter import (
     is_reduced,
     word_product,
 )
+from .graphs import exchange_seeds
 from .seeds import ExchangeMatrix, Seed, initial_seed
-from .util import parallel_map
+from .util import bareiss, mat_mul, parallel_map
 
 
 class InvalidWord(ValueError):
@@ -267,24 +270,15 @@ def minor_spec(iw: IndexedWord, cartan: CartanData, k: int) -> MinorSpec:
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    a = [list(map(Fraction, row)) for row in rows]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        out *= a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / a[col][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return out * sign
+    """Exact determinant: clear each row's denominators, then eliminate over Z."""
+    scale = 1
+    ints = []
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        scale *= s
+        ints.append([x.numerator * (s // x.denominator) for x in row])
+    rank, pivot = bareiss(ints)
+    return Fraction(pivot, scale) if rank == len(rows) else Fraction(0)
 
 
 def evaluate_minor(spec: MinorSpec, g: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -303,13 +297,6 @@ def _unitriangular(rng: random.Random, size: int, lower: bool) -> list[list[Frac
             if (i > j) if lower else (i < j):
                 m[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     return m
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
 
 
 def nonvanishing_conditions(
@@ -332,7 +319,7 @@ def sample_cell(
     rng: random.Random,
     extra_nonzero: Sequence[MinorSpec] = (),
     tries: int = 200,
-) -> list[list[Fraction]]:
+) -> Sequence[Sequence[Fraction]]:
     """Random rational determinant-one matrix meeting the nonvanishing minors.
 
     Built as lower-unitriangular x diagonal(det 1) x upper-unitriangular
@@ -355,7 +342,7 @@ def sample_cell(
             [diag[i] if i == j else Fraction(0) for j in range(size)]
             for i in range(size)
         ]
-        g = _mat_mul(_mat_mul(lo, d), up)
+        g = mat_mul(mat_mul(lo, d), up)
         assert det(g) == 1
         if all(evaluate_minor(s, g) != 0 for s in conditions):
             return g
@@ -373,7 +360,7 @@ def elementary(size: int, i: int, t: Fraction, upper: bool) -> list[list[Fractio
 
 def sample_totally_positive(
     cartan: CartanData, word: Sequence[int], rng: random.Random
-) -> list[list[Fraction]]:
+) -> Sequence[Sequence[Fraction]]:
     """Totally positive determinant-one sample via positive elementary factors.
 
     Multiplies a positive determinant-one diagonal by the elementary Jacobi
@@ -392,7 +379,7 @@ def sample_totally_positive(
     ]
     for letter in word:
         t = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        g = _mat_mul(g, elementary(size, abs(letter), t, upper=letter > 0))
+        g = mat_mul(g, elementary(size, abs(letter), t, upper=letter > 0))
     return g
 
 
@@ -563,25 +550,7 @@ def tp_criterion_check(
         k for k in bt.row_labels if k not in set(bt.col_labels)
     ]
 
-    # collect cluster expression tuples from a truncated exploration
-    from collections import deque
-
-    from .seeds import seed_mutate
-
-    found = [seed.exprs]
-    seen = {seed.cluster_key()}
-    queue = deque([seed])
-    while queue and len(found) < clusters:
-        s = queue.popleft()
-        for k in range(s.n):
-            s2 = seed_mutate(s, k)
-            key = s2.cluster_key()
-            if key not in seen:
-                seen.add(key)
-                found.append(s2.exprs)
-                queue.append(s2)
-                if len(found) >= clusters:
-                    break
+    found = [s.exprs for s, _ in islice(exchange_seeds(seed), max(1, clusters))]
 
     rng = random.Random(rng_seed)
     gs = [sample_totally_positive(cartan, word, rng) for _ in range(samples)]

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .seeds import (
     ExchangeMatrix,
@@ -25,6 +25,7 @@ from .seeds import (
     matrix_mutate,
     seed_mutate,
 )
+from .util import sqrt_fraction
 
 
 class UnrealizableDiagram(ValueError):
@@ -125,16 +126,6 @@ def relabel_matrix(B: ExchangeMatrix, sigma: Sequence[int]) -> ExchangeMatrix:
 # -- diagram realization and mutation ----------------------------------------
 
 
-def _is_square(fr: Fraction) -> bool:
-    return isqrt(fr.numerator) ** 2 == fr.numerator and (
-        isqrt(fr.denominator) ** 2 == fr.denominator
-    )
-
-
-def _sqrt_fraction(fr: Fraction) -> Fraction:
-    return Fraction(isqrt(fr.numerator), isqrt(fr.denominator))
-
-
 def realize_diagram(d: Diagram) -> ExchangeMatrix:
     """Some skew-symmetrizable matrix whose diagram is d, or raise.
 
@@ -171,11 +162,8 @@ def realize_diagram(d: Diagram) -> ExchangeMatrix:
     def consistent() -> bool:
         for e, w in und.items():
             i, j = sorted(e)
-            ratio = Fraction(w) * t[j] / t[i]
-            if not _is_square(ratio):
-                return False
-            p = _sqrt_fraction(ratio)
-            if p.denominator != 1 or w % p.numerator:
+            p = sqrt_fraction(Fraction(w) * t[j] / t[i])
+            if p is None or p.denominator != 1 or w % p.numerator:
                 return False
         return True
 
@@ -195,7 +183,7 @@ def realize_diagram(d: Diagram) -> ExchangeMatrix:
 
     entries = [[0] * n for _ in range(n)]
     for i, j, w in d.arrows:
-        p = int(_sqrt_fraction(Fraction(w) * t[j] / t[i]))
+        p = int(sqrt_fraction(Fraction(w) * t[j] / t[i]))
         entries[i][j] = p
         entries[j][i] = -(w // p)
     return ExchangeMatrix.make(entries)
@@ -476,9 +464,9 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
 class ExplorationReport:
     """Census of the exchange graph reachable from a seed.
 
-    ``mutations`` counts edge traversals from both ends, as a BFS that
-    mutates every seed in every direction would; the exchange division of
-    each edge is computed once, from the end the search reaches first.
+    ``mutations`` is clusters * n: the edge traversals, from both ends, of
+    a BFS that mutates every counted seed in every direction.  The
+    exchange division of each edge is computed at most once.
     """
 
     clusters: int
@@ -519,29 +507,26 @@ def seed_permutation(a: Seed, b: Seed) -> list[int] | None:
     return p
 
 
-def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:
-    """BFS over seeds, deduplicating by the unordered cluster of expressions.
+def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
+    """BFS over seeds: yield (seed, depth) per newly reached cluster, in order.
 
-    Mutation is an involution, so each seed remembers the directions known
-    to lead back into the visited set and skips their exchange division.
-    A new seed knows the direction it came from; a seed reached again
-    learns the reverse direction only when seed_permutation confirms that
-    the stored seed is the reached one relabelled.  Every other mutation
-    goes through the exact exchange-relation division, so a Laurent
-    failure anywhere aborts the census with NotDivisible.
+    Clusters are deduplicated as unordered sets of expressions, starting
+    with the initial seed at depth 0.  Mutation is an involution, so each
+    seed remembers the directions known to lead back into the visited set
+    and skips their exchange division.  A new seed knows the direction it
+    came from; a seed reached again learns the reverse direction only when
+    seed_permutation confirms that the stored seed is the reached one
+    relabelled.  Every other mutation goes through the exact
+    exchange-relation division, so a Laurent failure aborts the search
+    with NotDivisible.  Seeds are mutated only as far as the consumer reads.
     """
     skip: set[int] = set()
     visited = {seed.cluster_key(): (seed, skip)}
-    vars_seen = {e.key() for e in seed.exprs}
     queue = deque([(seed, 0, skip)])
-    mutations = 0
-    max_depth = 0
-    exhausted = True
+    yield seed, 0
     while queue:
         s, depth, skip = queue.popleft()
-        max_depth = max(max_depth, depth)
         for k in range(s.n):
-            mutations += 1
             if k in skip:
                 continue
             s2 = seed_mutate(s, k)
@@ -552,19 +537,26 @@ def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationRe
                 if p is not None:
                     stored_skip.add(p[k])
                 continue
-            if len(visited) >= max_seeds:
-                exhausted = False
-                continue
             back = {k}
             visited[key] = (s2, back)
-            vars_seen.update(e.key() for e in s2.exprs)
             queue.append((s2, depth + 1, back))
+            yield s2, depth + 1
+
+
+def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:
+    """Census of the first max_seeds clusters of exchange_seeds (at least one).
+
+    ``exhausted`` says that no further cluster exists.  Every counted seed
+    has all n directions, so ``mutations`` is clusters * n.
+    """
+    search = exchange_seeds(seed)
+    found = list(islice(search, max(1, max_seeds)))
     return ExplorationReport(
-        clusters=len(visited),
-        variables=len(vars_seen),
-        mutations=mutations,
-        exhausted=exhausted,
-        max_depth=max_depth,
+        clusters=len(found),
+        variables=len({e.key() for s, _ in found for e in s.exprs}),
+        mutations=len(found) * seed.n,
+        exhausted=next(search, None) is None,
+        max_depth=max(depth for _, depth in found),
     )
 
 

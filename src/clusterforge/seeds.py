@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .laurent import Context, LaurentPoly, NotDivisible
+from .util import bareiss, symmetrizer
 
 
 class SignSkewSymmetryLost(ArithmeticError):
@@ -88,40 +88,10 @@ def is_sign_skew_symmetric(B: ExchangeMatrix) -> bool:
 
 
 def skew_symmetrizer(B: ExchangeMatrix) -> tuple[int, ...] | None:
-    """Positive integer diagonal D with d_i b_ij = -d_j b_ji, or None.
-
-    Ratios are propagated along a spanning forest of the nonzero pattern
-    and every non-forest edge is verified.
-    """
+    """Positive integer diagonal D with d_i b_ij = -d_j b_ji, or None."""
     if not is_sign_skew_symmetric(B):
         return None
-    P = B.principal()
-    n = B.n
-    d: list[Fraction | None] = [None] * n
-    for root in range(n):
-        if d[root] is not None:
-            continue
-        d[root] = Fraction(1)
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if P[i][j] == 0:
-                    continue
-                ratio = Fraction(abs(P[i][j]), abs(P[j][i]))
-                if d[j] is None:
-                    d[j] = d[i] * ratio
-                    stack.append(j)
-                elif d[i] * P[i][j] != -d[j] * P[j][i]:
-                    return None
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints)
+    return symmetrizer(B.principal())
 
 
 def is_skew_symmetrizable(B: ExchangeMatrix) -> bool:
@@ -155,27 +125,7 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
 def rank(B: ExchangeMatrix) -> int:
     """Exact rank by fraction-free (Bareiss) elimination over Z."""
-    a = [list(row) for row in B.entries]
-    m, n = B.m, B.n
-    r = 0
-    prev = 1
-    row_order = list(range(m))
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[row_order[i]][col] != 0), None)
-        if piv is None:
-            continue
-        row_order[r], row_order[piv] = row_order[piv], row_order[r]
-        pr = row_order[r]
-        for i in range(r + 1, m):
-            ri = row_order[i]
-            for c in range(col + 1, n):
-                a[ri][c] = (a[ri][c] * a[pr][col] - a[ri][col] * a[pr][c]) // prev
-            a[ri][col] = 0
-        prev = a[pr][col]
-        r += 1
-        if r == m:
-            break
-    return r
+    return bareiss(B.entries)[0]
 
 
 def _proportional_odd_ratio(ci: tuple[int, ...], cj: tuple[int, ...]) -> bool:

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Sequence
 
 from .laurent import LaurentPoly
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, matrix_mutate, skew_symmetrizer
+from .util import sqrt_fraction
 
 
 class NotCyclicEverywhere(ValueError):
@@ -164,15 +164,6 @@ def _squarefree(n: int) -> int:
     return out * n
 
 
-def _sqrt_ratio(num: int, den: int) -> Fraction:
-    """sqrt(num/den) as an exact Fraction; raises if not a rational square."""
-    fr = Fraction(num, den)
-    a, b = isqrt(fr.numerator), isqrt(fr.denominator)
-    if a * a != fr.numerator or b * b != fr.denominator:
-        raise ArithmeticError(f"{num}/{den} is not a rational square")
-    return Fraction(a, b)
-
-
 @dataclass(frozen=True)
 class DeltaWitness:
     """Finite-radius certificate produced by the renormalized recursion.
@@ -233,10 +224,16 @@ def delta_witness(
         i, k = _others(j)
         rad.append(_squarefree(d[i] * d[k]))
 
+    def root_over(w: int, j: int) -> Fraction:
+        """sqrt(w / rad_j) exactly; raises if it is not a rational square."""
+        q = sqrt_fraction(Fraction(w, rad[j]))
+        if q is None:
+            raise ArithmeticError(f"{w}/{rad[j]} is not a rational square")
+        return q
+
     def s_of(P, j) -> Fraction:
         i, k = _others(j)
-        w = abs(P[i][k] * P[k][i])
-        return _sqrt_ratio(w, rad[j])  # s_j = q * sqrt(rad_j)
+        return root_over(abs(P[i][k] * P[k][i]), j)  # s_j = q * sqrt(rad_j)
 
     M0 = ExchangeMatrix.make([list(r) for r in P0])
     matrices = {"": M0}
@@ -257,7 +254,7 @@ def delta_witness(
         qj, qj2 = s_of(P, j), s_of(M2.principal(), j)
         # recursion check: s_i s_k = s_j + s_j', with sqrt(rad_i rad_k)
         # rewritten on the radicand of direction j
-        cross = _sqrt_ratio(rad[i] * rad[k], rad[j])
+        cross = root_over(rad[i] * rad[k], j)
         if s_of(P, i) * s_of(P, k) * cross != qj + qj2:
             raise AssertionError("square-root recursion mismatch")
         u_par = qj / (qj + qj2)

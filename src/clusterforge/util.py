@@ -1,29 +1,98 @@
-"""Small shared helpers."""
+"""The small exact core shared by the modules: symmetrizers, fraction-free
+elimination, matrix products and rational square roots, all over Z or Q."""
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
 
-def thread_count() -> int:
-    """Worker count from the CF_THREADS knob (default 1, never below 1)."""
-    try:
-        return max(1, int(os.environ.get("CF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map, threaded when CF_THREADS > 1.
+    """Order-preserving map over independent per-sample checks."""
+    return [fn(x) for x in items]
 
-    Results are aggregated in input order, so output never depends on the
-    thread count.
+
+def symmetrizer(P: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """Reduced positive integer d with d_i |p_ij| = d_j |p_ji| off the diagonal.
+
+    The ratios |p_ij| / |p_ji| are propagated along a spanning forest of
+    the nonzero pattern and every non-forest edge is verified; None if the
+    pattern is not symmetric or the ratios disagree.  Each component's
+    smallest index starts at 1 before the common scaling.
     """
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
+    n = len(P)
+    d: list[Fraction | None] = [None] * n
+    for root in range(n):
+        if d[root] is not None:
+            continue
+        d[root] = Fraction(1)
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i == j or P[i][j] == 0:
+                    continue
+                if P[j][i] == 0:
+                    return None
+                if d[j] is None:
+                    d[j] = d[i] * Fraction(abs(P[i][j]), abs(P[j][i]))
+                    stack.append(j)
+                elif d[i] * abs(P[i][j]) != d[j] * abs(P[j][i]):
+                    return None
+    scale = lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) echelon form of an integer matrix.
+
+    Returns the rank and the last pivot, signed by the row swaps.  Every
+    pivot is a minor of the input, so all divisions are exact; for a
+    square matrix of full rank the signed last pivot is the determinant.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    r, prev, sign = 0, 1, 1
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[col]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * p - f * top[c]) // prev
+            row[col] = 0
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r, sign * prev
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
+    """Exact matrix product as a tuple of row tuples, so it can be hashed."""
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def sqrt_fraction(x: Fraction | int) -> Fraction | None:
+    """Exact square root of a rational, or None if it is not a rational square."""
+    x = Fraction(x)
+    if x < 0:
+        return None
+    a, b = isqrt(x.numerator), isqrt(x.denominator)
+    if a * a != x.numerator or b * b != x.denominator:
+        return None
+    return Fraction(a, b)

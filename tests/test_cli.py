@@ -157,6 +157,20 @@ def test_error_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_out_of_range_direction_exits_2(capsys):
+    code = main(["mutate", "--matrix", "[[0,1],[-1,0]]", "--directions", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: IndexError: ")
+
+
+def test_non_type_a_cell_exits_2(capsys):
+    code = main(["verify-cell", "--type", "B2", "--word", "-1 -2 1 2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: SubsetFormOnlyTypeA: ")
+
+
 def test_json_roundtrip_mutate_explore(capsys):
     code, data = run(capsys, "mutate", "--matrix", seed_json(), "--directions", "1")
     assert code == 0

@@ -30,6 +30,9 @@ def test_symmetrizers():
     assert cartan_data("A3").d == (1, 1, 1)
     assert cartan_data("B2").d == (1, 2)
     assert cartan_data("G2").d == (3, 1)
+    assert cartan_data("C3").d == (2, 2, 1)
+    assert cartan_data("D4").d == (1, 1, 1, 1)
+    assert cartan_data("F4").d == (1, 1, 2, 2)
 
 
 def test_reduced_words_a2():

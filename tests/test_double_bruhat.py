@@ -14,6 +14,7 @@ from clusterforge.coxeter import (
 from clusterforge.double_bruhat import (
     InvalidWord,
     MinorSpec,
+    PositivityReport,
     SamplingExhausted,
     build_btilde,
     build_gamma_tilde,
@@ -34,8 +35,9 @@ from clusterforge.double_bruhat import (
     tp_criterion_check,
     verify_cell_identities,
 )
+from clusterforge import graphs
 from clusterforge.graphs import explore_exchange_graph
-from clusterforge.seeds import rank, skew_symmetrizer
+from clusterforge.seeds import rank, seed_mutate, skew_symmetrizer
 
 from conftest import SL3_ROWS
 
@@ -244,6 +246,56 @@ def test_det_exact():
     assert det(g) == 1
 
 
+def leibniz_det(rows):
+    """Oracle: sum over permutations of the signed diagonal products."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+        )
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def test_det_matches_leibniz_oracle():
+    rng = random.Random(83)
+    cases = [
+        [[Fraction(-7, 3)]],  # 1 x 1
+        [[Fraction(0), Fraction(2)], [Fraction(3, 5), Fraction(1)]],  # needs a swap
+        [
+            [Fraction(0), Fraction(0), Fraction(1, 2)],
+            [Fraction(0), Fraction(4, 3), Fraction(1)],
+            [Fraction(5), Fraction(1), Fraction(-2)],
+        ],  # swaps at two steps
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]],  # singular
+        [
+            [Fraction(1), Fraction(2), Fraction(3)],
+            [Fraction(2, 7), Fraction(4, 7), Fraction(6, 7)],
+            [Fraction(0), Fraction(1), Fraction(-1)],
+        ],  # singular, proportional rows
+    ]
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        cases.append([
+            [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                if rng.random() < 0.7 else Fraction(0)
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ])
+    singular = 0
+    for rows in cases:
+        expected = leibniz_det(rows)
+        singular += expected == 0
+        assert det(rows) == expected
+    assert singular >= 3
+
+
 def test_sample_cell_open_cell_conditions():
     rng = random.Random(61)
     w0, _ = longest_element(A2)
@@ -312,6 +364,28 @@ def test_tp_criterion_check_report():
     assert rep.clusters_checked == 4
 
 
+OPEN_CELL_A3 = (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)
+
+
+def test_tp_criterion_check_a3_forty_clusters(monkeypatch):
+    calls = []
+
+    def counting_mutate(seed, k):
+        calls.append(k)
+        return seed_mutate(seed, k)
+
+    monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
+    rep = tp_criterion_check(A3, OPEN_CELL_A3, samples=3, clusters=40, rng_seed=7)
+    assert rep == PositivityReport(3, 45, 40, ())
+    # the BFS without the edge memo made 45 divisions for the same 40 clusters
+    assert len(calls) == 41
+
+
+def test_tp_criterion_check_zero_clusters_keeps_initial():
+    rep = tp_criterion_check(A3, OPEN_CELL_A3, samples=2, clusters=0, rng_seed=7)
+    assert rep == PositivityReport(2, 30, 1, ())
+
+
 def test_negative_entry_breaks_positivity():
     iw = indexed_word(A2, OPEN_CELL_A2)
     g = [
@@ -335,19 +409,6 @@ def test_seed_from_btilde_matches_fixture():
 def test_gamma_tilde_dot_output():
     iw = indexed_word(A2, OPEN_CELL_A2)
     assert "->" in gamma_tilde_dot(build_gamma_tilde(iw, A2))
-
-
-def test_thread_knob_does_not_change_output(monkeypatch):
-    rep1 = verify_cell_identities(
-        A2, OPEN_CELL_A2, samples=8, rng_seed=21,
-        closed_forms=open_cell_a2_closed_forms(),
-    )
-    monkeypatch.setenv("CF_THREADS", "4")
-    rep4 = verify_cell_identities(
-        A2, OPEN_CELL_A2, samples=8, rng_seed=21,
-        closed_forms=open_cell_a2_closed_forms(),
-    )
-    assert rep1 == rep4
 
 
 def test_btilde_non_simply_laced_magnitudes():

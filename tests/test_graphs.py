@@ -14,6 +14,7 @@ from clusterforge.graphs import (
     diagram_mutate,
     diagram_of,
     dynkin_name,
+    exchange_seeds,
     explore_exchange_graph,
     gamma,
     is_acyclic,
@@ -203,6 +204,28 @@ def test_explore_cap():
     assert not rep.exhausted
     assert rep.clusters == 5
     assert rep == ExplorationReport(5, 8, 20, False, 1)
+
+
+def test_explore_keeps_initial_seed_under_tiny_caps():
+    a3 = initial_seed(ExchangeMatrix.make([[0, 1, 0], [-1, 0, -1], [0, 1, 0]]))
+    sl3 = initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS))
+    for max_seeds in (0, 1):
+        assert explore_exchange_graph(a3, max_seeds) == ExplorationReport(
+            1, 3, 3, False, 0
+        )
+        assert explore_exchange_graph(sl3, max_seeds) == ExplorationReport(
+            1, 4, 4, False, 0
+        )
+    assert explore_exchange_graph(sl3, 2) == ExplorationReport(2, 5, 8, False, 1)
+
+
+def test_exchange_seeds_discovery_order():
+    seed = bipartite_seed("A3")
+    found = list(exchange_seeds(seed))
+    assert found[0] == (seed, 0)
+    depths = [d for _, d in found]
+    assert depths == sorted(depths) and depths[-1] == 4
+    assert len({s.cluster_key() for s, _ in found}) == len(found) == 14
 
 
 def test_explore_sl3_full_report():

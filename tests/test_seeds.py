@@ -104,6 +104,21 @@ def test_rank_against_fraction_gauss():
         assert rank(B) == fraction_gauss_rank(rows)
 
 
+def test_rank_with_zero_columns_against_fraction_gauss():
+    rng = random.Random(17)
+    for _ in range(40):
+        m = rng.randint(3, 7)
+        n = rng.randint(2, m - 1)
+        zero = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        rows = [
+            [0 if j in zero else rng.randint(-3, 3) for j in range(n)]
+            for _ in range(m)
+        ]
+        assert rank(ExchangeMatrix.make(rows)) == fraction_gauss_rank(rows)
+    rows = [[0, 2, 0], [0, 0, 0], [0, 1, 0], [0, 3, 0]]
+    assert rank(ExchangeMatrix.make(rows)) == fraction_gauss_rank(rows) == 1
+
+
 def test_rank_zero_matrix():
     assert rank(ExchangeMatrix.make([[0, 0], [0, 0]])) == 0
 
