@@ -42,43 +42,18 @@ def generator_context(seed: Seed) -> Context:
     return Context(tuple(names))
 
 
-def _lift_to_generator_ctx(p: LaurentPoly, seed: Seed, gctx: Context) -> LaurentPoly:
-    """Insert a zero primed block into an ambient-context polynomial."""
-    n = seed.n
-    terms = {}
-    for e, c in p.terms.items():
-        terms[e[:n] + (0,) * n + e[n:]] = c
-    return LaurentPoly(gctx, terms)
-
-
 def generator_value(p: LaurentPoly, seed: Seed) -> LaurentPoly:
     """Evaluate a generator polynomial in the seed's ambient field.
 
     Substitutes x'_j = P_j / x_j exactly; the result is Laurent in the
     initial extended cluster.
     """
-    n, m = seed.n, seed.m
-    ctx = seed.ctx
-    P = [exchange_polynomial(seed, j) for j in range(n)]
-    out = ctx.zero()
-    for e, c in p.terms.items():
-        xpart = e[:n]
-        ypart = e[n : 2 * n]
-        fpart = e[2 * n :]
-        if any(x < 0 for x in xpart + ypart):
-            raise ValueError("generator polynomials have nonnegative exponents")
-        term = ctx.monomial(
-            {
-                **{i: xp for i, xp in enumerate(xpart)},
-                **{n + i: fp for i, fp in enumerate(fpart)},
-            },
-            c,
-        )
-        for j, yp in enumerate(ypart):
-            if yp:
-                term = term * (P[j] ** yp) * ctx.monomial({j: -yp})
-        out = out + term
-    return out
+    n, ctx = seed.n, seed.ctx
+    if any(x < 0 for e in p.terms for x in e[: 2 * n]):
+        raise ValueError("generator polynomials have nonnegative exponents")
+    xs = [ctx.var(i) for i in range(seed.m)]
+    primed = [exchange_polynomial(seed, j) * ctx.monomial({j: -1}) for j in range(n)]
+    return p.compose(xs[:n] + primed + xs[n:])
 
 
 def straighten(p: LaurentPoly, seed: Seed) -> LaurentPoly:
@@ -91,10 +66,9 @@ def straighten(p: LaurentPoly, seed: Seed) -> LaurentPoly:
     """
     n = seed.n
     gctx = p.ctx
-    P = [
-        _lift_to_generator_ctx(exchange_polynomial(seed, j), seed, gctx)
-        for j in range(n)
-    ]
+    # the ambient variables inside the generator context: x block, then frozen
+    ambient = [gctx.var(i if i < n else n + i) for i in range(seed.m)]
+    P = [exchange_polynomial(seed, j).compose(ambient) for j in range(n)]
     work = p
     while True:
         hit = None

@@ -27,6 +27,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _count(text: str) -> int:
+    """argparse type of the count, cap, radius and depth options: an int >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _load_json_arg(value: str):
     """Accept inline JSON or a path to a JSON file."""
     text = value
@@ -223,12 +230,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="finite type classification by BFS")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--node-cap", type=int, default=100_000)
+    p.add_argument("--node-cap", type=_count, default=100_000)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("explore", help="exchange graph census")
     p.add_argument("--seed", required=True)
-    p.add_argument("--max-seeds", type=int, default=10_000)
+    p.add_argument("--max-seeds", type=_count, default=10_000)
     p.set_defaults(fn=_cmd_explore)
 
     p = sub.add_parser("btilde", help="extended exchange matrix of a double word")
@@ -239,7 +246,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-cell", help="verify exchange identities on samples")
     p.add_argument("--type", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--rng-seed", type=int, default=1)
     p.add_argument(
         "--closed-forms",
@@ -251,8 +258,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tp-check", help="total positivity criteria on TP samples")
     p.add_argument("--type", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--clusters", type=int, default=10)
+    p.add_argument("--samples", type=_count, default=50)
+    p.add_argument("--clusters", type=_count, default=10)
     p.add_argument("--rng-seed", type=int, default=1)
     p.set_defaults(fn=_cmd_tp_check)
 
@@ -270,9 +277,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tropical", help="valuation propagation / delta witness")
     p.add_argument("--seed", required=True)
     p.add_argument("--nu", help="comma separated cluster weights")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_count, default=3)
     p.add_argument("--delta", help="comma separated initial delta triple")
-    p.add_argument("--radius", type=int, default=4)
+    p.add_argument("--radius", type=_count, default=4)
     p.set_defaults(fn=_cmd_tropical)
 
     p = sub.add_parser("diffcomb", help="verify the cyclic subset identity")

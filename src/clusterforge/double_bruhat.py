@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .coxeter import (
@@ -25,7 +25,7 @@ from .coxeter import (
     word_product,
 )
 from .graphs import exchange_seeds
-from .seeds import ExchangeMatrix, Seed, initial_seed
+from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
 from .util import bareiss, mat_mul, parallel_map
 
 
@@ -211,14 +211,17 @@ def btilde_direct(iw: IndexedWord, cartan: CartanData) -> BtildeMatrix:
     return BtildeMatrix(tuple(iw.positions()), tuple(ex), tuple(rows))
 
 
+def _seed_order(bt: BtildeMatrix) -> tuple:
+    """Word positions in seed order: the exchangeable ones, then the frozen ones."""
+    ex = set(bt.col_labels)
+    return bt.col_labels + tuple(k for k in bt.row_labels if k not in ex)
+
+
 def seed_from_btilde(bt: BtildeMatrix) -> Seed:
     """Reorder rows cluster-first and wrap as a seed (labels keep positions)."""
-    ex = list(bt.col_labels)
-    frozen = [k for k in bt.row_labels if k not in set(ex)]
-    order = ex + frozen
+    order = _seed_order(bt)
     rows = [bt.rows[bt.row_labels.index(k)] for k in order]
-    labels = [f"x{k}" for k in order]
-    return initial_seed(ExchangeMatrix.make(rows, labels))
+    return initial_seed(ExchangeMatrix.make(rows, [f"x{k}" for k in order]))
 
 
 def gamma_tilde_dot(g: GammaTilde) -> str:
@@ -239,8 +242,8 @@ def partial_products(
     iw: IndexedWord, cartan: CartanData, k: int
 ) -> tuple[WeylElement, WeylElement]:
     """The pair (u_{<=k}, v_{>k}); for sentinel positions (e, v^{-1})."""
-    v_full = word_product(cartan, [x for x in iw.word if x > 0])
     if k < 0:
+        v_full = word_product(cartan, [x for x in iw.word if x > 0])
         return WeylElement.identity(cartan), v_full.inverse()
     u = WeylElement.identity(cartan)
     for l in range(1, k + 1):
@@ -299,6 +302,12 @@ def _unitriangular(rng: random.Random, size: int, lower: bool) -> list[list[Frac
     return m
 
 
+def _det_one_diagonal(rng: random.Random, size: int, den_max: int) -> list[Fraction]:
+    """size - 1 random positive rationals and the entry that makes their product 1."""
+    diag = [Fraction(rng.randint(1, 3), rng.randint(1, den_max)) for _ in range(size - 1)]
+    return diag + [1 / prod(diag, start=Fraction(1))]
+
+
 def nonvanishing_conditions(
     cartan: CartanData, u: WeylElement, v: WeylElement
 ) -> list[MinorSpec]:
@@ -324,7 +333,8 @@ def sample_cell(
 
     Built as lower-unitriangular x diagonal(det 1) x upper-unitriangular
     with small random rational entries, resampled until every required
-    minor is nonzero.
+    minor is nonzero.  The diagonal scales the rows of the upper factor,
+    so each try makes one matrix product.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("cell sampling implemented for type A only")
@@ -333,29 +343,12 @@ def sample_cell(
     for _ in range(tries):
         lo = _unitriangular(rng, size, lower=True)
         up = _unitriangular(rng, size, lower=False)
-        diag = [Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(size - 1)]
-        prod = Fraction(1)
-        for x in diag:
-            prod *= x
-        diag.append(1 / prod)
-        d = [
-            [diag[i] if i == j else Fraction(0) for j in range(size)]
-            for i in range(size)
-        ]
-        g = mat_mul(mat_mul(lo, d), up)
+        diag = _det_one_diagonal(rng, size, 3)
+        g = mat_mul(lo, [[d * x for x in row] for d, row in zip(diag, up)])
         assert det(g) == 1
         if all(evaluate_minor(s, g) != 0 for s in conditions):
             return g
     raise SamplingExhausted(f"no valid sample in {tries} tries")
-
-
-def elementary(size: int, i: int, t: Fraction, upper: bool) -> list[list[Fraction]]:
-    m = [[Fraction(int(a == b)) for b in range(size)] for a in range(size)]
-    if upper:
-        m[i - 1][i] = t
-    else:
-        m[i][i - 1] = t
-    return m
 
 
 def sample_totally_positive(
@@ -364,23 +357,45 @@ def sample_totally_positive(
     """Totally positive determinant-one sample via positive elementary factors.
 
     Multiplies a positive determinant-one diagonal by the elementary Jacobi
-    matrices of a double word for (w0, w0) with positive parameters.
+    matrices x_i(t) (letter i > 0) and y_i(t) (letter -i) of a double word
+    for (w0, w0) with positive parameters.  Each factor acts on the right
+    as one column operation: x_i(t) adds t times column i-1 to column i,
+    y_i(t) adds t times column i to column i-1 (columns 0-based).
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("total positivity sampling is type A only")
     size = cartan.rank + 1
-    diag = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(size - 1)]
-    prod = Fraction(1)
-    for x in diag:
-        prod *= x
-    diag.append(1 / prod)
-    g = [
-        [diag[i] if i == j else Fraction(0) for j in range(size)] for i in range(size)
-    ]
+    diag = _det_one_diagonal(rng, size, 2)
+    g = [[diag[i] if i == j else Fraction(0) for j in range(size)] for i in range(size)]
     for letter in word:
         t = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        g = mat_mul(g, elementary(size, abs(letter), t, upper=letter > 0))
-    return g
+        i = abs(letter)
+        dst, src = (i, i - 1) if letter > 0 else (i - 1, i)
+        for row in g:
+            row[dst] += t * row[src]
+    return tuple(tuple(row) for row in g)
+
+
+# -- the shared check pipeline ----------------------------------------------------
+
+
+def _cell_setup(cartan: CartanData, word: Sequence[int]) -> tuple[Seed, tuple, tuple]:
+    """The seed of a double word, with the word position and the minor of
+    each ambient variable, both in the seed's order."""
+    iw = indexed_word(cartan, word)
+    bt = build_btilde(iw, cartan)
+    positions = _seed_order(bt)
+    specs = tuple(minor_spec(iw, cartan, k) for k in positions)
+    return seed_from_btilde(bt), positions, specs
+
+
+def _failures(check: Callable, gs: Sequence) -> tuple:
+    """Run a per-sample check; each message it returns is tagged with its sample."""
+    return tuple(
+        f"sample {i}: {msg}"
+        for i, messages in enumerate(parallel_map(check, gs))
+        for msg in messages
+    )
 
 
 # -- identity verification -------------------------------------------------------
@@ -422,54 +437,38 @@ def verify_cell_identities(
     supplied (a callable g -> Fraction).  Every minor of the family is
     required nonzero, so the quotients are well defined.
     """
-    iw = indexed_word(cartan, word)
-    bt = build_btilde(iw, cartan)
+    seed, positions, specs = _cell_setup(cartan, word)
     u = word_product(cartan, [-x for x in word if x < 0])
     v = word_product(cartan, [x for x in word if x > 0])
-    specs = {k: minor_spec(iw, cartan, k) for k in iw.positions()}
-    all_specs = list(specs.values())
     rng = random.Random(rng_seed)
     gs = [
-        sample_cell(cartan, u, v, rng, extra_nonzero=all_specs)
+        sample_cell(cartan, u, v, rng, extra_nonzero=specs)
         for _ in range(samples)
     ]
     closed_forms = closed_forms or {}
+    relations = [exchange_polynomial(seed, j) for j in range(seed.n)]
 
     def check(g) -> list[str]:
         local = []
-        values = {k: evaluate_minor(specs[k], g) for k in iw.positions()}
-        for l in bt.col_labels:
-            plus = Fraction(1)
-            minus = Fraction(1)
-            for k in bt.row_labels:
-                b = bt.entry(k, l)
-                if b > 0:
-                    plus *= values[k] ** b
-                elif b < 0:
-                    minus *= values[k] ** (-b)
-            quotient = (plus + minus) / values[l]
-            if l in closed_forms:
-                expected = closed_forms[l](g)
-                if quotient != expected:
-                    local.append(f"position {l}: quotient != closed form")
+        values = [evaluate_minor(spec, g) for spec in specs]
+        for j, P in enumerate(relations):
+            quotient = P.evaluate(values) / values[j]
+            l = positions[j]
+            if l in closed_forms and quotient != closed_forms[l](g):
+                local.append(f"position {l}: quotient != closed form")
         return local
 
-    failures = []
-    for i, result in enumerate(parallel_map(check, gs)):
-        failures.extend(f"sample {i}: {msg}" for msg in result)
     return CellCheckReport(
         samples=samples,
-        relations_checked=samples * len(bt.col_labels),
+        relations_checked=samples * seed.n,
         closed_forms_checked=samples * len(closed_forms),
-        failures=tuple(failures),
+        failures=_failures(check, gs),
     )
 
 
-def submatrix_minor(rows: Sequence[int], cols: Sequence[int]) -> Callable:
-    def f(g):
-        return det([[g[i - 1][j - 1] for j in sorted(cols)] for i in sorted(rows)])
-
-    return f
+def _minor(rows: Sequence[int], cols: Sequence[int]) -> Callable:
+    spec = MinorSpec(frozenset(rows), frozenset(cols))
+    return lambda g: evaluate_minor(spec, g)
 
 
 def open_cell_a2_closed_forms() -> dict:
@@ -478,7 +477,7 @@ def open_cell_a2_closed_forms() -> dict:
     Positions follow the word (1, 2, 1, -1, -2, -1).
     """
     return {
-        1: submatrix_minor([1, 2], [1, 3]),
+        1: _minor([1, 2], [1, 3]),
         2: lambda g: (
             g[0][1] * g[1][0] * g[2][2]
             - g[0][1] * g[1][2] * g[2][0]
@@ -486,7 +485,7 @@ def open_cell_a2_closed_forms() -> dict:
             + g[0][2] * g[1][1] * g[2][0]
         ),
         3: lambda g: g[1][1],
-        4: submatrix_minor([1, 3], [1, 2]),
+        4: _minor([1, 3], [1, 2]),
     }
 
 
@@ -499,7 +498,7 @@ def coxeter_cell_word(cartan: CartanData) -> tuple:
 def coxeter_cell_closed_forms(cartan: CartanData) -> dict:
     """For the (c, c) cell the exchange partner at j is the principal minor."""
     return {
-        j: submatrix_minor(range(1, j + 1), range(1, j + 1))
+        j: _minor(range(1, j + 1), range(1, j + 1))
         for j in range(1, cartan.rank + 1)
     }
 
@@ -542,14 +541,7 @@ def tp_criterion_check(
     variables (as Laurent polynomials in the initial minors), the frozen
     minors and the determinant must all evaluate positively.
     """
-    iw = indexed_word(cartan, word)
-    bt = build_btilde(iw, cartan)
-    seed = seed_from_btilde(bt)
-    specs = {k: minor_spec(iw, cartan, k) for k in iw.positions()}
-    order = list(bt.col_labels) + [
-        k for k in bt.row_labels if k not in set(bt.col_labels)
-    ]
-
+    seed, _, specs = _cell_setup(cartan, word)
     found = [s.exprs for s, _ in islice(exchange_seeds(seed), max(1, clusters))]
 
     rng = random.Random(rng_seed)
@@ -558,7 +550,7 @@ def tp_criterion_check(
 
     def check(g) -> list[str]:
         local = []
-        values = [evaluate_minor(specs[k], g) for k in order]
+        values = [evaluate_minor(spec, g) for spec in specs]
         if any(v <= 0 for v in values):
             local.append("a family minor is not positive")
         if det(g) <= 0:
@@ -572,12 +564,9 @@ def tp_criterion_check(
                 local.append("frozen minor not positive")
         return local
 
-    failures = []
-    for i, result in enumerate(parallel_map(check, gs)):
-        failures.extend(f"sample {i}: {msg}" for msg in result)
     return PositivityReport(
         samples=samples,
-        minors_checked=samples * len(order),
+        minors_checked=samples * len(specs),
         clusters_checked=len(found),
-        failures=tuple(failures),
+        failures=_failures(check, gs),
     )

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 from .seeds import (
     ExchangeMatrix,
     Seed,
-    is_sign_skew_symmetric,
     is_skew_symmetrizable,
     matrix_mutate,
     seed_mutate,
@@ -50,9 +49,6 @@ class Diagram:
 
     n: int
     arrows: tuple  # sorted tuples (i, j, w), one per directed edge
-
-    def weight_map(self) -> dict:
-        return {(i, j): w for i, j, w in self.arrows}
 
     def max_weight(self) -> int:
         return max((w for _, _, w in self.arrows), default=0)

@@ -140,9 +140,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
-
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.terms)
 
@@ -445,10 +442,6 @@ class RatFunc:
             num, den = -num, -den
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly) -> "RatFunc":
-        return RatFunc(p, p.ctx.one())
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(

@@ -38,15 +38,24 @@ class ExchangeMatrix:
     @staticmethod
     def make(rows: Sequence[Sequence[int]], labels: Sequence[str] | None = None
              ) -> "ExchangeMatrix":
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        entries = tuple(tuple(row) for row in rows)
         m = len(entries)
         n = len(entries[0]) if entries else 0
         if any(len(r) != n for r in entries):
             raise ValueError("ragged matrix")
         if n > m:
             raise ValueError("need at least as many rows as columns")
+        bad = [x for r in entries for x in r if type(x) is not int]
+        if bad:
+            raise ValueError(f"matrix entry {bad[0]!r} is not an integer")
         if labels is None:
             labels = tuple(f"x{i + 1}" for i in range(m))
+        if not isinstance(labels, (list, tuple)) or any(type(x) is not str for x in labels):
+            raise ValueError(f"labels {labels!r} are not a list of strings")
+        if len(labels) != m:
+            raise ValueError(f"{len(labels)} labels for {m} rows")
+        if len(set(labels)) != m:
+            raise ValueError(f"labels {list(labels)!r} repeat")
         return ExchangeMatrix(entries, n, tuple(labels))
 
     def principal(self) -> tuple[tuple[int, ...], ...]:
@@ -65,7 +74,8 @@ class ExchangeMatrix:
 
     @staticmethod
     def from_json(data) -> "ExchangeMatrix":
-        rows = [[int(x) for x in row] for row in data["btilde"]]
+        # decimal strings carry integers of any size, as in LaurentPoly JSON
+        rows = [[int(x) if type(x) is str else x for x in row] for row in data["btilde"]]
         labels = data.get("labels")
         mat = ExchangeMatrix.make(rows, labels)
         if mat.n != data.get("n", mat.n) or mat.m != data.get("m", mat.m):

@@ -93,9 +93,6 @@ class TreeAssignment:
     def at(self, address: str) -> tuple:
         return self.values[address]
 
-    def depth_values(self, depth: int) -> list:
-        return [v for a, v in self.values.items() if len(a) == depth]
-
     def to_json(self) -> dict:
         return {
             a: [str(x) for x in triple] for a, triple in sorted(self.values.items())
@@ -103,7 +100,11 @@ class TreeAssignment:
 
 
 def _tree_walk(depth: int):
-    """Yield (parent_address, direction) pairs in breadth-first order."""
+    """Yield (parent_address, direction) pairs in breadth-first order.
+
+    Each child address is reached from exactly one pair, so a walk never
+    meets an address twice.
+    """
     frontier = [""]
     for _ in range(depth):
         nxt = []
@@ -132,8 +133,6 @@ def propagate_valuation(seed: Seed, v0: Valuation, depth: int) -> TreeAssignment
     values = {"": nu0}
     for addr, j in _tree_walk(depth):
         child = addr + str(j + 1)
-        if child in values:
-            continue
         M = matrices[addr]
         P = M.principal()
         if not _is_cyclic3(P):
@@ -241,8 +240,6 @@ def delta_witness(
     edge_data = {}
     for addr, j in _tree_walk(radius + 1):
         child = addr + str(j + 1)
-        if child in deltas:
-            continue
         M = matrices[addr]
         P = M.principal()
         if not _is_cyclic3(P):

@@ -230,3 +230,35 @@ def test_membership_json(markov_seed):
     data = res.to_json()
     assert data["member"] is True
     assert data["certificates"]["1"][0]["power"] == 1
+
+
+def test_generator_value_term_by_term(sl3_seed):
+    """Each term x^a x'^b f^c maps to x^a (P_j / x_j)^b f^c, frozen c of any sign."""
+    seed = sl3_seed
+    n, m = seed.n, seed.m
+    gctx = generator_context(seed)
+    rng = random.Random(41)
+    P = [exchange_polynomial(seed, j) for j in range(n)]
+    for _ in range(15):
+        terms = {}
+        for _ in range(3):
+            e = [rng.randint(0, 2) for _ in range(2 * n)]
+            e += [rng.randint(-2, 2) for _ in range(m - n)]
+            terms[tuple(e)] = rng.randint(-3, 3)
+        p = LaurentPoly(gctx, terms)
+        expected = seed.ctx.zero()
+        for e, c in p.terms.items():
+            term = seed.ctx.monomial(
+                {**dict(enumerate(e[:n])), **{n + i: f for i, f in enumerate(e[2 * n:])}}, c
+            )
+            for j in range(n):
+                term = term * P[j] ** e[n + j] * seed.ctx.monomial({j: -e[n + j]})
+            expected = expected + term
+        assert generator_value(p, seed) == expected
+
+
+@pytest.mark.parametrize("slot", [0, 5])  # x_1 and x'_2 of the four-direction seed
+def test_generator_value_rejects_negative_exponents(sl3_seed, slot):
+    gctx = generator_context(sl3_seed)
+    with pytest.raises(ValueError, match="nonnegative"):
+        generator_value(gctx.monomial({slot: -1}), sl3_seed)

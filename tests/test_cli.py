@@ -176,3 +176,40 @@ def test_json_roundtrip_mutate_explore(capsys):
     assert code == 0
     code2, data2 = run(capsys, "explore", "--seed", json.dumps(data))
     assert code2 == 0 and data2["clusters"] == 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--seed", "[[0, 1.5], [-1, 0]]"],
+        ["explore", "--seed", "[[0, true], [-1, 0]]"],
+        ["mutate", "--matrix", '{"btilde": [[0, 1], [-1, 0]], "labels": ["a"]}',
+         "--directions", "1"],
+    ],
+    ids=["float-entry", "bool-entry", "label-count"],
+)
+def test_malformed_matrix_exits_2(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-cell", "--type", "A2", "--word", "1 2 1 -1 -2 -1", "--samples", "-5"],
+        ["tp-check", "--type", "A2", "--word", "1 2 1 -1 -2 -1", "--clusters", "-3"],
+        ["explore", "--seed", "[[0, 1], [-1, 0]]", "--max-seeds", "-4"],
+        ["classify", "--matrix", "[[0, 1], [-1, 0]]", "--node-cap", "-1"],
+        ["tropical", "--seed", json.dumps(MARKOV), "--delta", "0,0,1", "--radius", "-1"],
+        ["tropical", "--seed", json.dumps(MARKOV), "--nu", "1,1,1", "--depth", "-2"],
+    ],
+    ids=["samples", "clusters", "max-seeds", "node-cap", "radius", "depth"],
+)
+def test_negative_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert "expected an integer >= 0" in err

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -36,8 +38,10 @@ from clusterforge.double_bruhat import (
     verify_cell_identities,
 )
 from clusterforge import graphs
+from clusterforge.cli import main
 from clusterforge.graphs import explore_exchange_graph
 from clusterforge.seeds import rank, seed_mutate, skew_symmetrizer
+from clusterforge.util import mat_mul
 
 from conftest import SL3_ROWS
 
@@ -464,3 +468,109 @@ def test_minor_specs_refused_outside_type_a():
     with pytest.raises(Exception) as exc:
         minor_spec(iw, B2, 1)
     assert "type A" in str(exc.value)
+
+
+# -- the samplers against the full-matrix-product construction ------------------
+
+
+def diagonal_matrix(diag):
+    return [[diag[i] if i == j else Fraction(0) for j in range(len(diag))]
+            for i in range(len(diag))]
+
+
+def elementary_matrix(size, i, t, upper):
+    """The Jacobi factor x_i(t) (upper) or y_i(t) as a full matrix."""
+    m = [[Fraction(int(a == b)) for b in range(size)] for a in range(size)]
+    if upper:
+        m[i - 1][i] = t
+    else:
+        m[i][i - 1] = t
+    return m
+
+
+def reference_sample_cell(cartan, u, v, rng, extra_nonzero=(), tries=200):
+    """lower-unitriangular x diagonal x upper-unitriangular, multiplied out."""
+    size = cartan.rank + 1
+    conditions = nonvanishing_conditions(cartan, u, v) + list(extra_nonzero)
+    for _ in range(tries):
+        lo, up = (
+            [
+                [
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    if ((i > j) if lower else (i < j)) else Fraction(int(i == j))
+                    for j in range(size)
+                ]
+                for i in range(size)
+            ]
+            for lower in (True, False)
+        )
+        diag = [Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(size - 1)]
+        diag.append(1 / prod(diag, start=Fraction(1)))
+        g = mat_mul(mat_mul(lo, diagonal_matrix(diag)), up)
+        if all(evaluate_minor(s, g) != 0 for s in conditions):
+            return g
+    raise SamplingExhausted
+
+
+def reference_sample_totally_positive(cartan, word, rng):
+    """A det-one positive diagonal times the elementary matrices of the word."""
+    size = cartan.rank + 1
+    diag = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(size - 1)]
+    diag.append(1 / prod(diag, start=Fraction(1)))
+    g = diagonal_matrix(diag)
+    for letter in word:
+        t = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        g = mat_mul(g, elementary_matrix(size, abs(letter), t, upper=letter > 0))
+    return g
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_samplers_match_full_matrix_products(r):
+    cartan = cartan_data(f"A{r}")
+    w0, reduced = longest_element(cartan)
+    word = tuple(-x for x in reduced) + tuple(reduced)
+    iw = indexed_word(cartan, word)
+    specs = [minor_spec(iw, cartan, k) for k in iw.positions()]
+    for s in range(20):
+        rng, ref = random.Random(s), random.Random(s)
+        assert sample_cell(cartan, w0, w0, rng, extra_nonzero=specs) == (
+            reference_sample_cell(cartan, w0, w0, ref, extra_nonzero=specs)
+        )
+        assert sample_totally_positive(cartan, word, rng) == (
+            reference_sample_totally_positive(cartan, word, ref)
+        )
+        assert rng.getstate() == ref.getstate()  # the same draws, in the same order
+
+
+OPEN_CELL_A3_WORD = "-1 -3 -2 -1 -3 -2 1 3 2 1 3 2"
+
+# stdout of the three cell-numerics benchmark calls, as recorded before the
+# samplers and the exchange-relation check were rewritten
+CELL_NUMERICS_CALLS = [
+    (
+        ["verify-cell", "--type", "A3", "--word", OPEN_CELL_A3_WORD,
+         "--samples", "200", "--rng-seed", "11"],
+        {"closed_forms_checked": 0, "failures": [], "ok": True,
+         "relations_checked": 1800, "samples": 200},
+    ),
+    (
+        ["verify-cell", "--type", "A3", "--word", "-1 -2 -3 1 2 3",
+         "--samples", "200", "--closed-forms", "coxeter", "--rng-seed", "12"],
+        {"closed_forms_checked": 600, "failures": [], "ok": True,
+         "relations_checked": 600, "samples": 200},
+    ),
+    (
+        ["tp-check", "--type", "A3", "--word", OPEN_CELL_A3_WORD,
+         "--samples", "100", "--clusters", "40", "--rng-seed", "13"],
+        {"clusters_checked": 40, "failures": [], "minors_checked": 1500,
+         "ok": True, "samples": 100},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", CELL_NUMERICS_CALLS, ids=["open-cell", "coxeter", "tp-check"]
+)
+def test_cell_numerics_stdout_unchanged(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"

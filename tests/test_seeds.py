@@ -280,3 +280,32 @@ def test_matrix_json_rejects_inconsistent_shape():
     data = {"n": 3, "m": 2, "labels": ["a", "b"], "btilde": [[0, 1], [-1, 0]]}
     with pytest.raises(ValueError):
         ExchangeMatrix.from_json(data)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, False, None, [1]])
+def test_matrix_rejects_non_integer_entries(bad):
+    # no entry is truncated or coerced: 1.5 is not 1, True is not 1
+    with pytest.raises(ValueError, match="not an integer"):
+        ExchangeMatrix.make([[0, bad], [-1, 0]])
+    with pytest.raises(ValueError, match="not an integer"):
+        ExchangeMatrix.from_json({"btilde": [[0, bad], [-1, 0]]})
+
+
+def test_matrix_json_rejects_non_integer_decimal_string():
+    with pytest.raises(ValueError):
+        ExchangeMatrix.from_json({"btilde": [[0, "1.5"], [-1, 0]]})
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], []])
+def test_matrix_rejects_wrong_label_count(labels):
+    with pytest.raises(ValueError, match="labels for 2 rows"):
+        ExchangeMatrix.make([[0, 1], [-1, 0]], labels)
+    with pytest.raises(ValueError, match="labels for 2 rows"):
+        ExchangeMatrix.from_json({"btilde": [[0, 1], [-1, 0]], "labels": labels})
+
+
+@pytest.mark.parametrize("labels", ["ab", {"a": 0, "b": 1}, ["a", 2], ["a", "a"]])
+def test_matrix_rejects_malformed_labels(labels):
+    # a string is not split into characters, and no label may repeat
+    with pytest.raises(ValueError, match="labels"):
+        ExchangeMatrix.from_json({"btilde": [[0, 1], [-1, 0]], "labels": labels})
