@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import prod
+from typing import Iterator, Sequence
 
-from .graphs import acyclic_order, gamma, relabel_matrix
+from .graphs import acyclic_order, gamma, is_acyclic, relabel_matrix
 from .laurent import Context, LaurentPoly, NotDivisible, RatFunc
 from .seeds import Seed, exchange_polynomial, initial_seed
 
@@ -102,15 +103,9 @@ def standard_monomial_to_laurent(
     exponents: Sequence[int], seed: Seed
 ) -> LaurentPoly:
     """Exact Laurent expansion of x^<m>: positive entries use x_j, negative x'_j."""
-    ctx = seed.ctx
-    out = ctx.one()
-    for j, mj in enumerate(exponents):
-        if mj >= 0:
-            out = out * ctx.monomial({j: mj})
-        else:
-            P = exchange_polynomial(seed, j)
-            out = out * (P ** (-mj)) * ctx.monomial({j: mj})
-    return out
+    n = seed.n
+    powers = {j if mj >= 0 else n + j: abs(mj) for j, mj in enumerate(exponents)}
+    return generator_value(generator_context(seed).monomial(powers), seed)
 
 
 def leading_exponent(exponents: Sequence[int], seed: Seed) -> tuple:
@@ -134,8 +129,24 @@ def sorted_acyclic_seed(seed: Seed) -> Seed:
     return initial_seed(relabel_matrix(seed.matrix, sigma))
 
 
-def _box_exponents(n: int, box: int) -> Iterable[tuple]:
-    return itertools.product(range(-box, box + 1), repeat=n)
+def _cyclic_terms(u: Sequence[LaurentPoly], v: Sequence[LaurentPoly]) -> Iterator:
+    """Terms c * rest of the cyclic subset identity, which sum to prod u + prod v.
+
+    For each J with J and J+ = {t + 1 mod l} disjoint, yields (outside, c,
+    rest): the positions outside J and J+, c = (-1)^|J| prod_J u_t v_{t+1}
+    and rest = prod_outside (u_t + v_t).
+    """
+    l = len(u)
+    ctx = u[0].ctx
+    for bits in itertools.product((0, 1), repeat=l):
+        J = [t for t in range(l) if bits[t]]
+        Jplus = {(t + 1) % l for t in J}
+        if any(t in Jplus for t in J):
+            continue
+        outside = [t for t in range(l) if t not in J and t not in Jplus]
+        c = prod((u[t] * v[(t + 1) % l] for t in J), start=ctx.const((-1) ** len(J)))
+        rest = prod((u[t] + v[t] for t in outside), start=ctx.one())
+        yield outside, c, rest
 
 
 def cycle_dependency(seed: Seed, cycle: Sequence[int]) -> dict:
@@ -148,7 +159,6 @@ def cycle_dependency(seed: Seed, cycle: Sequence[int]) -> dict:
     the identity verified exactly before returning.
     """
     ctx = seed.ctx
-    l = len(cycle)
     u = []
     v = []
     for j in cycle:
@@ -157,53 +167,30 @@ def cycle_dependency(seed: Seed, cycle: Sequence[int]) -> dict:
         plus = {i: b for i, b in enumerate(col) if b > 0}
         u.append(ctx.monomial({**minus, j: minus.get(j, 0) - 1}))
         v.append(ctx.monomial({**plus, j: plus.get(j, 0) - 1}))
-    lhs = ctx.one()
-    for t in range(l):
-        lhs = lhs * (u[t] + v[t])  # u_t + v_t = x'_{cycle[t]}
+    # u_t + v_t = x'_{cycle[t]}; J = {} gives the product of the primes
     pieces: dict[tuple, LaurentPoly] = {}
-    rhs = ctx.zero()
-    for bits in itertools.product((0, 1), repeat=l):
-        J = [t for t in range(l) if bits[t]]
-        if not J:
-            continue
-        Jplus = {(t + 1) % l for t in J}
-        if any(t in Jplus for t in J):
-            continue
-        coeff = ctx.const((-1) ** (len(J) + 1))
-        for t in J:
-            coeff = coeff * u[t] * v[(t + 1) % l]
-        if any(x < 0 for e in coeff.terms for x in e):
+    total = ctx.zero()
+    for outside, c, rest in _cyclic_terms(u, v):
+        if any(x < 0 for e in c.terms for x in e):
             raise AssertionError("cycle rewriting produced a non-regular monomial")
-        outside = [t for t in range(l) if t not in J and t not in Jplus]
-        rest = ctx.one()
-        for t in outside:
-            rest = rest * (u[t] + v[t])
-        rhs = rhs + coeff * rest
-        key = tuple(cycle[t] for t in outside)
-        pieces[key] = pieces.get(key, ctx.zero()) + coeff
-    prod_u = ctx.one()
-    prod_v = ctx.one()
-    for t in range(l):
-        prod_u = prod_u * u[t]
-        prod_v = prod_v * v[t]
-    rhs = rhs + prod_u + prod_v
-    pieces[()] = pieces.get((), ctx.zero()) + prod_u + prod_v
-    if lhs != rhs:
+        total = total + c * rest
+        if len(outside) < len(cycle):
+            key = tuple(cycle[t] for t in outside)
+            pieces[key] = pieces.get(key, ctx.zero()) - c
+    ends = prod(u, start=ctx.one()) + prod(v, start=ctx.one())
+    pieces[()] = pieces.get((), ctx.zero()) + ends
+    if total != ends:
         raise AssertionError("cycle identity failed to verify")
     return {"cycle": tuple(cycle), "pieces": pieces}
 
 
 def _find_oriented_three_cycle(seed: Seed) -> tuple | None:
-    g = gamma(seed.matrix)
-    n = seed.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) < 3:
-                    continue
-                if (i, j) in g.edges and (j, k) in g.edges and (k, i) in g.edges:
-                    return (i, j, k)
-    return None
+    """The lexicographically first oriented 3-cycle (i, j, k) of the sign graph."""
+    E = gamma(seed.matrix).edges
+    return next(
+        ((i, j, k) for i, j in sorted(E) for k in range(seed.n) if {(j, k), (k, i)} <= E),
+        None,
+    )
 
 
 def check_independence(seed: Seed, box: int) -> bool:
@@ -214,11 +201,10 @@ def check_independence(seed: Seed, box: int) -> bool:
     3-cycle the cycle dependency is exhibited (and verified exactly), so
     the family is dependent and the answer is False.
     """
-    sigma = acyclic_order(seed.matrix)
-    if sigma is not None:
-        sorted_seed = initial_seed(relabel_matrix(seed.matrix, sigma))
+    if is_acyclic(seed.matrix):
+        sorted_seed = sorted_acyclic_seed(seed)
         seen = set()
-        for exps in _box_exponents(seed.n, box):
+        for exps in itertools.product(range(-box, box + 1), repeat=seed.n):
             lead = leading_exponent(exps, sorted_seed)
             if lead in seen:
                 return False
@@ -249,25 +235,9 @@ def diffcomb_check(size: int) -> bool:
     u = [ctx.var(i) for i in range(size)]
     v = [ctx.var(size + i) for i in range(size)]
     total = ctx.zero()
-    for bits in itertools.product((0, 1), repeat=size):
-        J = [i for i in range(size) if bits[i]]
-        Jplus = {(i + 1) % size for i in J}
-        if any(i in Jplus for i in J):
-            continue
-        outside = [i for i in range(size) if i not in J and i not in Jplus]
-        term = ctx.const((-1) ** len(J))
-        for i in outside:
-            term = term * (u[i] + v[i])
-        for j in J:
-            term = term * u[j] * v[(j + 1) % size]
-        total = total + term
-    expected = ctx.one()
-    for i in range(size):
-        expected = expected * u[i]
-    rhs = ctx.one()
-    for i in range(size):
-        rhs = rhs * v[i]
-    return total == expected + rhs
+    for _, c, rest in _cyclic_terms(u, v):
+        total = total + c * rest
+    return total == prod(u, start=ctx.one()) + prod(v, start=ctx.one())
 
 
 # -- upper bound membership -------------------------------------------------------

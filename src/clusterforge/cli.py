@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,14 @@ def _count(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _rationals(text: str) -> tuple:
+    """argparse type of --nu and --delta: comma separated exact rationals."""
+    entries = text.split(",")
+    if not all(re.fullmatch(r"-?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?", x) for x in entries):
+        raise argparse.ArgumentTypeError(f"expected exact rationals, got {text!r}")
+    return tuple(Fraction(x) for x in entries)
 
 
 def _load_json_arg(value: str):
@@ -185,13 +194,11 @@ def _cmd_tropical(args) -> int:
         witness = tropical.delta_witness(
             seed.matrix,
             radius=args.radius,
-            delta0=[Fraction(x) for x in args.delta.split(",")],
+            delta0=args.delta,
         )
         _emit(witness.to_json())
         return 0 if witness.valid else 1
-    v0 = tropical.Valuation.on_cluster(
-        seed, [Fraction(x) for x in args.nu.split(",")]
-    )
+    v0 = tropical.Valuation.on_cluster(seed, args.nu)
     out = tropical.propagate_valuation(seed, v0, depth=args.depth)
     _emit(out.to_json())
     return 0
@@ -276,9 +283,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tropical", help="valuation propagation / delta witness")
     p.add_argument("--seed", required=True)
-    p.add_argument("--nu", help="comma separated cluster weights")
+    p.add_argument("--nu", type=_rationals, help="comma separated cluster weights")
     p.add_argument("--depth", type=_count, default=3)
-    p.add_argument("--delta", help="comma separated initial delta triple")
+    p.add_argument(
+        "--delta", type=_rationals, help="comma separated initial delta triple"
+    )
     p.add_argument("--radius", type=_count, default=4)
     p.set_defaults(fn=_cmd_tropical)
 
@@ -298,6 +307,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "tropical" and args.nu is None and args.delta is None:
         parser.error("tropical needs --nu or --delta")
+    if args.command == "tropical" and args.delta is not None and len(args.delta) != 3:
+        parser.error(f"--delta needs 3 entries, got {len(args.delta)}")
     try:
         return args.fn(args)
     except Exception as exc:  # any failure is exit 2, never a traceback's exit 1

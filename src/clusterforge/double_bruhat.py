@@ -24,7 +24,7 @@ from .coxeter import (
     is_reduced,
     word_product,
 )
-from .graphs import exchange_seeds
+from .graphs import dot, exchange_seeds
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
 from .util import bareiss, mat_mul, parallel_map
 
@@ -225,14 +225,10 @@ def seed_from_btilde(bt: BtildeMatrix) -> Seed:
 
 
 def gamma_tilde_dot(g: GammaTilde) -> str:
-    lines = ["digraph G {"]
-    for v in g.vertices:
-        lines.append(f'  "{v}";')
-    for src, dst, horizontal in g.edges:
-        style = "solid" if horizontal else "dashed"
-        lines.append(f'  "{src}" -> "{dst}" [style={style}];')
-    lines.append("}")
-    return "\n".join(lines)
+    return dot(
+        g.vertices,
+        ((s, d, f"style={'solid' if h else 'dashed'}") for s, d, h in g.edges),
+    )
 
 
 # -- partial products and minors -----------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
+from .coxeter import cartan_data
 from .seeds import (
     ExchangeMatrix,
     Seed,
@@ -325,92 +326,57 @@ class Classification:
 
 
 def _component_name(verts: list[int], edges: dict) -> str | None:
-    nc = len(verts)
-    if nc == 1:
-        return "A1"
-    inc = {v: [] for v in verts}
-    for e, w in edges.items():
-        a, b = sorted(e)
-        inc[a].append((b, w))
-        inc[b].append((a, w))
-    if len(edges) != nc - 1:
-        return None  # not a tree
-    weights = sorted(edges.values())
-    degrees = sorted((len(inc[v]) for v in verts), reverse=True)
-    if weights[-1] == 1:
-        if degrees[0] <= 2:
-            return f"A{nc}"
-        if degrees[0] == 3 and degrees[1] <= 2:
-            center = next(v for v in verts if len(inc[v]) == 3)
-            lengths = []
-            for start, _ in inc[center]:
-                ln, prev, cur = 1, center, start
-                while len(inc[cur]) == 2:
-                    nxt = next(u for u, _ in inc[cur] if u != prev)
-                    prev, cur = cur, nxt
-                    ln += 1
-                lengths.append(ln)
-            a, b, c = sorted(lengths)
-            if (a, b) == (1, 1):
-                return f"D{nc}"
-            if (a, b, c) == (1, 2, 2):
-                return "E6"
-            if (a, b, c) == (1, 2, 3):
-                return "E7"
-            if (a, b, c) == (1, 2, 4):
-                return "E8"
-        return None
-    if weights == [1] * (nc - 2) + [2] and degrees[0] <= 2:
-        heavy = next(e for e, w in edges.items() if w == 2)
-        ends = [v for v in verts if len(inc[v]) == 1]
-        if any(v in heavy for v in ends):
-            return f"B{nc}"  # same weighted tree as C_nc
-        if nc == 4:
-            return "F4"
-        return None
-    if weights == [3] and nc == 2:
-        return "G2"
+    """The first diagram of coxeter's catalog with this weighted graph, or None.
+
+    Graphs compare by the canonical_key of their symmetric arrows, and the
+    catalog bond i - j weighs |a_ij * a_ji|.  The families are tried in the
+    order ABDEFG, skipping a rank that cartan_data rejects, so C_n is named
+    B_n and D3 is named A3.
+    """
+    n = len(verts)
+    index = {v: t for t, v in enumerate(verts)}
+
+    def key(bonds) -> tuple:
+        arrows = sorted(a for i, j, w in bonds for a in ((i, j, w), (j, i, w)))
+        return canonical_key(Diagram(n, tuple(arrows)))
+
+    own = None
+    for family in "ABDEFG":
+        try:
+            A = cartan_data(f"{family}{n}").A
+        except ValueError:
+            continue
+        if own is None:
+            own = key((index[a], index[b], w) for (a, b), w in edges.items())
+        bonds = [(i, j, abs(A[i][j] * A[j][i])) for i in range(n) for j in range(i)]
+        if key(x for x in bonds if x[2]) == own:
+            return f"{family}{n}"
     return None
 
 
 def dynkin_name(d: Diagram) -> str | None:
-    """Match the underlying weighted tree against the Dynkin catalog.
+    """Name each connected component from the Dynkin catalog, or None.
 
     B_n and C_n share one weighted diagram and are reported as B_n.
     Products of components are named like "A1^3" or "D4 x A1".
     """
     und = d.undirected()
-    seen = set()
     names = []
-    for root in range(d.n):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
+    left = set(range(d.n))
+    while left:
+        comp, stack = set(), [min(left)]
         while stack:
             v = stack.pop()
-            for e in und:
-                if v in e:
-                    (u,) = e - {v}
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-        seen |= comp
-        cedges = {e: w for e, w in und.items() if e <= comp}
-        name = _component_name(sorted(comp), cedges)
+            if v not in comp:
+                comp.add(v)
+                stack += [u for e in und if v in e for u in e]
+        left -= comp
+        name = _component_name(sorted(comp), {e: w for e, w in und.items() if e <= comp})
         if name is None:
             return None
         names.append(name)
-    counts = Counter(names)
-
-    def rank_of(nm: str) -> int:
-        return int(nm[1:])
-
-    parts = []
-    for nm in sorted(counts, key=lambda s: (-rank_of(s), s)):
-        c = counts[nm]
-        parts.append(f"{nm}^{c}" if c > 1 else nm)
-    return " x ".join(parts)
+    counts = sorted(Counter(names).items(), key=lambda t: (-int(t[0][1:]), t[0]))
+    return " x ".join(f"{nm}^{c}" if c > 1 else nm for nm, c in counts)
 
 
 def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classification:
@@ -559,23 +525,24 @@ def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationRe
 # -- DOT export ----------------------------------------------------------------
 
 
+def dot(names: Iterable, edges: Iterable[tuple]) -> str:
+    """Graphviz digraph with one line per vertex and one per (src, dst, attrs).
+
+    attrs is the text inside the edge's brackets, or empty for none.
+    """
+    lines = ["digraph G {"] + [f'  "{v}";' for v in names]
+    for src, dst, attrs in edges:
+        lines.append(f'  "{src}" -> "{dst}"' + (f" [{attrs}];" if attrs else ";"))
+    return "\n".join(lines + ["}"])
+
+
 def sign_graph_dot(g: SignGraph, labels: Sequence[str] | None = None) -> str:
     names = labels or [str(i + 1) for i in range(g.n)]
-    lines = ["digraph G {"]
-    for i in range(g.n):
-        lines.append(f'  "{names[i]}";')
-    for i, j in sorted(g.edges):
-        lines.append(f'  "{names[i]}" -> "{names[j]}";')
-    lines.append("}")
-    return "\n".join(lines)
+    return dot(names[: g.n], ((names[i], names[j], "") for i, j in sorted(g.edges)))
 
 
 def diagram_dot(d: Diagram, labels: Sequence[str] | None = None) -> str:
     names = labels or [str(i + 1) for i in range(d.n)]
-    lines = ["digraph G {"]
-    for i in range(d.n):
-        lines.append(f'  "{names[i]}";')
-    for i, j, w in d.arrows:
-        lines.append(f'  "{names[i]}" -> "{names[j]}" [label="{w}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    return dot(
+        names[: d.n], ((names[i], names[j], f'label="{w}"') for i, j, w in d.arrows)
+    )

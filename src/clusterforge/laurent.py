@@ -29,6 +29,8 @@ from math import gcd
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
+from .util import decimal_int
+
 
 class ContextMismatch(ValueError):
     """Operands live over different variable contexts."""
@@ -391,7 +393,7 @@ class LaurentPoly:
             e = tuple(exp)
             if e in terms:
                 raise ValueError(f"exponent {exp!r} is repeated")
-            terms[e] = int(coef)
+            terms[e] = decimal_int(coef) if type(coef) is str else coef
         return LaurentPoly(ctx, terms)
 
     def __repr__(self) -> str:

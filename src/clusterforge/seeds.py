@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .laurent import Context, LaurentPoly, NotDivisible
-from .util import bareiss, symmetrizer
+from .util import bareiss, decimal_int, symmetrizer
 
 
 class SignSkewSymmetryLost(ArithmeticError):
@@ -75,7 +75,7 @@ class ExchangeMatrix:
     @staticmethod
     def from_json(data) -> "ExchangeMatrix":
         # decimal strings carry integers of any size, as in LaurentPoly JSON
-        rows = [[int(x) if type(x) is str else x for x in row] for row in data["btilde"]]
+        rows = [[decimal_int(x) if type(x) is str else x for x in r] for r in data["btilde"]]
         labels = data.get("labels")
         mat = ExchangeMatrix.make(rows, labels)
         if mat.n != data.get("n", mat.n) or mat.m != data.get("m", mat.m):

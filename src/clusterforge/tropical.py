@@ -212,6 +212,8 @@ def delta_witness(
     recursion s_j(t') = s_i(t) s_k(t) - s_j(t) is cross-checked against
     the mutated matrix at every step.
     """
+    if len(delta0) != 3:
+        raise ValueError(f"delta0 needs 3 entries, got {len(delta0)}")
     P0 = _principal3(B)
     if not _is_cyclic3(P0):
         raise AcyclicSeedFound("the initial matrix is not cyclic")

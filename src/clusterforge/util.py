@@ -1,11 +1,20 @@
-"""The small exact core shared by the modules: symmetrizers, fraction-free
-elimination, matrix products and rational square roots, all over Z or Q."""
+"""The small exact core shared by the modules: decimal integer parsing,
+symmetrizers, fraction-free elimination, matrix products and rational
+square roots, all over Z or Q."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
+
+
+def decimal_int(text: str) -> int:
+    """int() of an ASCII -?[0-9]+ string; refuses "1_0", " 7 " and "١"."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
 
 
 def parallel_map(fn: Callable, items: Sequence) -> list:

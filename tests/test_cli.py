@@ -213,3 +213,51 @@ def test_negative_count_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert exc.value.code == 64 and out == ""
     assert "expected an integer >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--delta", "0,0"),
+        ("--delta", "0,0,1,5"),
+        ("--delta", "0,x,1"),
+        ("--nu", "1/0,1,1"),
+        ("--nu", "1_0,1,1"),
+        ("--nu", "1, 1,1"),
+        ("--nu", "١,1,1"),
+        ("--nu", "1e3,1,1"),
+        ("--nu", "1,,1"),
+    ],
+    ids=["delta-pair", "delta-four", "delta-letter", "zero-denominator",
+         "underscore", "space", "arabic-digit", "exponent", "empty-entry"],
+)
+def test_malformed_rationals_are_usage_errors(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["tropical", "--seed", json.dumps(MARKOV), option, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert option in err
+
+
+def test_exact_rationals_are_read_exactly(capsys):
+    code, data = run(
+        capsys, "tropical", "--seed", json.dumps(MARKOV), "--nu", "1/2,-3,0.25",
+        "--depth", "0",
+    )
+    assert code == 0 and data[""] == ["1/2", "-3", "1/4"]
+
+
+@pytest.mark.parametrize("text", ["1_0", " 7 ", "١", ""],
+                         ids=["underscore", "spaces", "arabic-digit", "empty"])
+@pytest.mark.parametrize("command", ["mutate", "upper-member"])
+def test_malformed_decimal_string_exits_2(capsys, command, text):
+    if command == "mutate":
+        matrix = {"btilde": [["0", text], ["-1", "0"]]}
+        argv = ["mutate", "--matrix", json.dumps(matrix), "--directions", "1"]
+    else:
+        num = {"vars": ["x1", "x2"], "terms": [{"exp": [1, 0], "coef": text}]}
+        argv = ["upper-member", "--seed", "[[0, 1], [-1, 0]]", "--num", json.dumps(num)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: ") and "decimal integer" in err

@@ -186,6 +186,61 @@ def test_dynkin_names():
     assert dynkin_name(mixed) == "A2 x A1"
 
 
+CATALOG = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_dynkin_catalog_named_under_orientation_and_relabelling(name):
+    rng = random.Random(name)
+    A = cartan_data(name).A
+    n = len(A)
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if A[i][j]:
+                s = rng.choice((1, -1))
+                B[i][j], B[j][i] = s * abs(A[i][j]), -s * abs(A[j][i])
+    p = list(range(n))
+    rng.shuffle(p)
+    M = ExchangeMatrix.make([[B[p[i]][p[j]] for j in range(n)] for i in range(n)])
+    assert dynkin_name(diagram_of(M)) == name.replace("C", "B")
+
+
+def _path(weights):
+    return [(i, i + 1, w) for i, w in enumerate(weights)]
+
+
+def _star(*arms):
+    edges, nxt = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt, 1))
+            prev, nxt = nxt, nxt + 1
+    return edges
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        _star(1, 1, 1, 1),
+        _star(2, 2, 2),
+        _star(1, 2, 5),
+        _path([1, 2, 1, 1]),
+        _path([1, 3]),
+    ],
+    ids=["D4-affine", "E6-affine", "T125", "rank5-middle-double", "rank3-triple"],
+)
+def test_non_dynkin_trees_have_no_name(edges):
+    n = 1 + max(max(i, j) for i, j, _ in edges)
+    assert dynkin_name(Diagram(n, tuple(sorted(edges)))) is None
+
+
 def test_explore_rank_one():
     seed = initial_seed(ExchangeMatrix.make([[0], [1]], ("x1", "y1")))
     rep = explore_exchange_graph(seed)

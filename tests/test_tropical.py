@@ -186,3 +186,9 @@ def test_certificate_negative_value_path(markov_seed):
     cert = not_in_lower_bound_certificate(ctx.monomial({0: -1}), markov_seed, v)
     assert cert.valid
     assert cert.value == -1
+
+
+@pytest.mark.parametrize("delta0", [(0, 0), (0, 0, 1, 5)])
+def test_delta_witness_needs_a_triple(delta0):
+    with pytest.raises(ValueError, match="3 entries"):
+        delta_witness(ExchangeMatrix.make(MARKOV), radius=1, delta0=delta0)
