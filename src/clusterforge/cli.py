@@ -29,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """argparse type of the count, cap, radius and depth options: an int >= 0."""
+    """argparse type of every integer option: ASCII digits, so an int >= 0."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
@@ -254,7 +254,7 @@ def build_parser() -> _Parser:
     p.add_argument("--type", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--samples", type=_count, default=100)
-    p.add_argument("--rng-seed", type=int, default=1)
+    p.add_argument("--rng-seed", type=_count, default=1)
     p.add_argument(
         "--closed-forms",
         choices=("auto", "open-cell-a2", "coxeter", "none"),
@@ -267,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--word", required=True)
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--clusters", type=_count, default=10)
-    p.add_argument("--rng-seed", type=int, default=1)
+    p.add_argument("--rng-seed", type=_count, default=1)
     p.set_defaults(fn=_cmd_tp_check)
 
     p = sub.add_parser("straighten", help="rewrite to standard monomials")
@@ -292,7 +292,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_tropical)
 
     p = sub.add_parser("diffcomb", help="verify the cyclic subset identity")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_count, required=True)
     p.set_defaults(fn=_cmd_diffcomb)
 
     p = sub.add_parser("roots", help="positive roots of a finite type")

@@ -33,7 +33,8 @@ class SubsetFormOnlyTypeA(TypeError):
 _ROOT_CAP = 512
 
 
-def _cartan_entries(family: str, r: int) -> list[list[int]]:
+def cartan_entries(family: str, r: int) -> list[list[int]]:
+    """Cartan matrix of the Dynkin diagram family + r; ValueError if none exists."""
     A = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
 
     def bond(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
@@ -136,7 +137,7 @@ def cartan_data(type_name: str) -> CartanData:
     if not m:
         raise ValueError(f"bad type descriptor {type_name!r}")
     family, r = m.group(1), int(m.group(2))
-    A = _cartan_entries(family, r)
+    A = cartan_entries(family, r)
     entries = tuple(tuple(row) for row in A)
     return CartanData(
         name=f"{family}{r}",

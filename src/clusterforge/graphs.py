@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .coxeter import cartan_data
+from .coxeter import cartan_entries
 from .seeds import (
     ExchangeMatrix,
     Seed,
@@ -30,10 +30,6 @@ from .util import sqrt_fraction
 
 class UnrealizableDiagram(ValueError):
     """No skew-symmetrizable matrix has this weighted diagram."""
-
-
-class CanonicalizationBlowup(RuntimeError):
-    """Too many candidate orderings survived refinement and twin pruning."""
 
 
 @dataclass(frozen=True)
@@ -194,111 +190,91 @@ def diagram_mutate(d: Diagram, k: int) -> Diagram:
 # -- canonical forms ----------------------------------------------------------
 
 
-def _refine_colors(adj: list[list[int]]) -> list[int]:
+def _refine_colors(adj: list[list[int]], colors: list[int]) -> list[int]:
+    """Coarsest equitable refinement of colors, numbered by signature rank.
+
+    A vertex's signature is its colour and the sorted (out weight, in
+    weight, colour) triples of its neighbours.  Each round recolours every
+    vertex by the rank of its signature, which refines the colouring and
+    keeps the order of the colours, until the number of cells stops growing.
+    """
     n = len(adj)
-    colors = [0] * n
-    for _ in range(n):
-        sigs = []
-        for v in range(n):
-            outs = tuple(sorted((adj[v][u], colors[u]) for u in range(n) if adj[v][u]))
-            ins = tuple(sorted((adj[u][v], colors[u]) for u in range(n) if adj[u][v]))
-            sigs.append((colors[v], outs, ins))
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+    cells = len(set(colors))
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(
+                (adj[v][u], adj[u][v], colors[u])
+                for u in range(n)
+                if adj[v][u] or adj[u][v]
+            )))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) in (cells, n):
+            return colors
+        cells = len(rank)
 
 
-def _twin_classes(adj: list[list[int]], colors: list[int]) -> list[int]:
-    """Union vertices whose transposition is a weight-preserving automorphism."""
+def _twin_classes(adj: list[list[int]]) -> list[int]:
+    """The least twin of each vertex.
+
+    Twins are vertices whose transposition is a weight-preserving
+    automorphism; being twins is an equivalence relation.
+    """
     n = len(adj)
-    parent = list(range(n))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def twins(u: int, v: int) -> bool:
+        return adj[u][v] == adj[v][u] and all(
+            adj[u][x] == adj[v][x] and adj[x][u] == adj[x][v]
+            for x in range(n)
+            if x not in (u, v)
+        )
 
-    for u in range(n):
-        for v in range(u + 1, n):
-            if colors[u] != colors[v]:
-                continue
-            if adj[u][v] != adj[v][u]:
-                continue
-            ok = all(
-                adj[u][x] == adj[v][x] and adj[x][u] == adj[x][v]
-                for x in range(n)
-                if x not in (u, v)
-            )
-            if ok:
-                parent[find(u)] = find(v)
-    return [find(v) for v in range(n)]
-
-
-def _orderings(cls: list[int], twin: list[int], cap: list[int]) -> Iterable[list[int]]:
-    """Distinct orderings of a color class up to permuting twins."""
-    if len(cls) == 1:
-        yield list(cls)
-        return
-    groups: dict[int, list[int]] = {}
-    for v in cls:
-        groups.setdefault(twin[v], []).append(v)
-    ids = sorted(groups)
-    counts = Counter(twin[v] for v in cls)
-
-    def rec(remaining: Counter, acc: list[int]):
-        if not remaining:
-            yield list(acc)
-            return
-        for g in sorted(remaining):
-            cap[0] -= 1
-            if cap[0] < 0:
-                raise CanonicalizationBlowup("ordering cap exceeded")
-            nxt = remaining.copy()
-            nxt[g] -= 1
-            if not nxt[g]:
-                del nxt[g]
-            acc.append(groups[g][sum(1 for x in acc if twin[x] == g)])
-            yield from rec(nxt, acc)
-            acc.pop()
-
-    yield from rec(counts, [])
+    return [next(u for u in range(v + 1) if twins(u, v)) for v in range(n)]
 
 
 def canonical_key(d: Diagram) -> tuple:
-    """Complete isomorphism invariant for small weighted digraphs.
+    """Complete isomorphism invariant: (n, least serialization of a leaf).
 
-    Color refinement, then twin collapsing, then minimization of the
-    serialized adjacency matrix over the surviving orderings.  Brute force
-    by design: every instance here has n <= 10.
+    An individualization-refinement search (McKay-Piperno, *Practical
+    graph isomorphism, II*, arXiv 1301.1493).  Each node refines its
+    colouring to an equitable one, then individualizes in turn each vertex
+    of the first cell with more than one vertex: the vertex gets colour 2c,
+    the rest of its cell 2c + 1.  A discrete leaf serializes the weighted
+    adjacency matrix with the vertices in colour order.  Refinement
+    commutes with relabelling, so the set of leaf serializations is an
+    invariant, and each one is the diagram relabelled, so equal keys mean
+    isomorphic diagrams.  A cell branches on one vertex per twin class:
+    swapping two twins is an automorphism that fixes the colouring, so the
+    skipped subtrees give the same leaves.
     """
     n = d.n
     adj = [[0] * n for _ in range(n)]
     for i, j, w in d.arrows:
         adj[i][j] = w
-    colors = _refine_colors(adj)
-    twin = _twin_classes(adj, colors)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    cap = [2_000_000]
     best: tuple | None = None
-    class_orders = [sorted(classes[c]) for c in sorted(classes)]
+    twin: list[int] | None = None
 
-    def rec(idx: int, perm: list[int]):
-        nonlocal best
-        if idx == len(class_orders):
-            ser = tuple(adj[perm[i]][perm[j]] for i in range(n) for j in range(n))
+    def search(colors: list[int]) -> None:
+        nonlocal best, twin
+        c = min((c for c, size in Counter(colors).items() if size > 1), default=None)
+        if c is None:
+            order = sorted(range(n), key=colors.__getitem__)
+            ser = tuple(adj[a][b] for a in order for b in order)
             if best is None or ser < best:
                 best = ser
             return
-        for ordering in _orderings(class_orders[idx], twin, cap):
-            rec(idx + 1, perm + ordering)
+        if twin is None:
+            twin = _twin_classes(adj)
+        branched = set()
+        for v in range(n):
+            if colors[v] == c and twin[v] not in branched:
+                branched.add(twin[v])
+                split = [2 * x + (x == c and u != v) for u, x in enumerate(colors)]
+                search(_refine_colors(adj, split))
 
-    rec(0, [])
+    search(_refine_colors(adj, [0] * n))
     assert best is not None
     return (n, best)
 
@@ -330,8 +306,8 @@ def _component_name(verts: list[int], edges: dict) -> str | None:
 
     Graphs compare by the canonical_key of their symmetric arrows, and the
     catalog bond i - j weighs |a_ij * a_ji|.  The families are tried in the
-    order ABDEFG, skipping a rank that cartan_data rejects, so C_n is named
-    B_n and D3 is named A3.
+    order ABDEFG, skipping a rank that cartan_entries rejects, so C_n is
+    named B_n and D3 is named A3.
     """
     n = len(verts)
     index = {v: t for t, v in enumerate(verts)}
@@ -343,7 +319,7 @@ def _component_name(verts: list[int], edges: dict) -> str | None:
     own = None
     for family in "ABDEFG":
         try:
-            A = cartan_data(f"{family}{n}").A
+            A = cartan_entries(family, n)
         except ValueError:
             continue
         if own is None:
@@ -385,6 +361,9 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     The search mutates matrices (any realization determines the mutated
     diagram) and deduplicates by canonical diagram form.  Weight checks
     happen before canonicalization so infinite-type witnesses are cheap.
+    Mutation is an involution, so a matrix is not mutated back in the
+    direction it came from: that gives its parent, already keyed and
+    weight-checked.
     """
     if not is_skew_symmetrizable(B):
         raise ValueError("classification requires a skew-symmetrizable matrix")
@@ -393,10 +372,12 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     if d0.max_weight() >= 4:
         return Classification("infinite", None, d0, d0.max_weight(), 0, 1)
     reps = {canonical_key(d0): P}
-    queue = deque([(P, 0)])
+    queue = deque([(P, 0, None)])
     while queue:
-        M, depth = queue.popleft()
+        M, depth, back = queue.popleft()
         for k in range(M.n):
+            if k == back:
+                continue
             M2 = matrix_mutate(M, k)
             d2 = diagram_of(M2)
             if d2.max_weight() >= 4:
@@ -410,7 +391,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
                         "inconclusive", None, None, None, None, len(reps)
                     )
                 reps[key] = M2
-                queue.append((M2, depth + 1))
+                queue.append((M2, depth + 1, k))
     for M in reps.values():
         if is_acyclic(M):
             name = dynkin_name(diagram_of(M))

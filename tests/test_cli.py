@@ -204,8 +204,15 @@ def test_malformed_matrix_exits_2(capsys, argv):
         ["classify", "--matrix", "[[0, 1], [-1, 0]]", "--node-cap", "-1"],
         ["tropical", "--seed", json.dumps(MARKOV), "--delta", "0,0,1", "--radius", "-1"],
         ["tropical", "--seed", json.dumps(MARKOV), "--nu", "1,1,1", "--depth", "-2"],
+        ["verify-cell", "--type", "A2", "--word", "1 2 1 -1 -2 -1", "--rng-seed", "-1"],
+        ["tp-check", "--type", "A2", "--word", "1 2 1 -1 -2 -1", "--rng-seed", "1_0"],
+        ["diffcomb", "--size", "1_0"],
+        ["diffcomb", "--size", " 1 "],
+        ["diffcomb", "--size", "-1"],
     ],
-    ids=["samples", "clusters", "max-seeds", "node-cap", "radius", "depth"],
+    ids=["samples", "clusters", "max-seeds", "node-cap", "radius", "depth",
+         "verify-cell-rng-seed", "tp-check-rng-seed", "size-underscore",
+         "size-spaces", "size-negative"],
 )
 def test_negative_count_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

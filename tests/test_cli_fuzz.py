@@ -1,9 +1,10 @@
 """Bounded fuzz of the CLI: every input honours the exit-code contract.
 
 Well-formed and malformed JSON and text go to mutate, acyclic, explore,
-classify, upper-member and tropical.  Whatever the input, the exit code is
-0, 1, 2 or 64, and exit 1 (verified false) always comes with JSON on
-stdout.  Skipped when hypothesis is not installed.
+classify, upper-member and tropical; small sizes, words, sample counts
+and seeds go to diffcomb, and to verify-cell and tp-check on A2.  Whatever
+the input, the exit code is 0, 1, 2 or 64, and exit 1 (verified false)
+always comes with JSON on stdout.  Skipped when hypothesis is not installed.
 """
 
 import contextlib
@@ -71,11 +72,30 @@ _rationals = st.one_of(_well_rationals, _well_rationals, st.text(max_size=8),
                        st.sampled_from(("0,0", "0,0,1,5", "1/0,1,1", "1_0,1,1")))
 
 
+_words = st.sampled_from(
+    ("1 2 1 -1 -2 -1", "-1 -2 1 2", "1 -1", "2 1 -2 -1 2", "", "1 1", "3", "x")
+)
+_a2_word = st.one_of(_words, _words, st.text(max_size=6))
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(
-        ("mutate", "acyclic", "explore", "classify", "upper-member", "tropical")
+        ("mutate", "acyclic", "explore", "classify", "upper-member", "tropical",
+         "diffcomb", "verify-cell", "tp-check")
     ))
+    if command == "diffcomb":
+        size = draw(st.integers(0, 6).map(str) | st.sampled_from(("1_0", "-1", " 1 ")))
+        return ["diffcomb", "--size", size]
+    if command == "verify-cell":
+        return ["verify-cell", "--type", "A2", "--word", draw(_a2_word),
+                "--samples", draw(_count), "--rng-seed", draw(_count),
+                "--closed-forms",
+                draw(st.sampled_from(("auto", "open-cell-a2", "coxeter", "none")))]
+    if command == "tp-check":
+        return ["tp-check", "--type", "A2", "--word", draw(_a2_word),
+                "--samples", draw(_count), "--clusters", draw(_count),
+                "--rng-seed", draw(_count)]
     if command == "mutate":
         directions = draw(st.lists(st.integers(1, 3) | st.integers(-1, 4), max_size=3))
         return ["mutate", "--matrix", draw(_matrix_arg()),
@@ -102,7 +122,7 @@ def _argv(draw):
     return argv + ["--nu", draw(_rationals), "--depth", draw(_count)]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=225, derandomize=True, deadline=None)
 @given(_argv())
 def test_cli_honours_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()

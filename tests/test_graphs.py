@@ -1,4 +1,7 @@
 import random
+import time
+from itertools import permutations
+from math import comb, gcd
 
 import pytest
 
@@ -132,6 +135,108 @@ def test_canonical_key_permutation_invariant():
 def test_canonical_key_edgeless_fast():
     d = Diagram(10, ())
     assert canonical_key(d) == (10, (0,) * 100)
+
+
+def _relabelled(d, rng):
+    p = list(range(d.n))
+    rng.shuffle(p)
+    return Diagram(d.n, tuple(sorted((p[i], p[j], w) for i, j, w in d.arrows)))
+
+
+@pytest.mark.parametrize(
+    "arrows, other",
+    [
+        ([(i, (i + 1) % 10, 1) for i in range(10)],
+         [(i, (i + 1) % 5 + 5 * (i // 5), 1) for i in range(10)]),
+        ([(2 * i, 2 * i + 1, 1) for i in range(5)],
+         [(0, 1, 1), (1, 2, 1)] + [(2 * i + 1, 2 * i + 2, 1) for i in range(1, 4)]),
+    ],
+    ids=["oriented-10-cycle", "five-arrows"],
+)
+def test_canonical_key_symmetric_ten_vertices(arrows, other):
+    d = Diagram(10, tuple(sorted(arrows)))
+    start = time.perf_counter()
+    key = canonical_key(d)
+    assert time.perf_counter() - start < 1.0
+    assert canonical_key(_relabelled(d, random.Random(59))) == key
+    assert canonical_key(Diagram(10, tuple(sorted(other)))) != key
+
+
+@pytest.mark.parametrize(
+    "arrows, name",
+    [
+        ([(i, i + 1, 1) for i in range(39)], "A40"),
+        ([(i, i + 1, 1) for i in range(38)] + [(39, 37, 1)], "D40"),
+        ([(i + 1, i, 1) for i in range(59)], "A60"),
+    ],
+    ids=["A40", "D40", "A60"],
+)
+def test_dynkin_name_past_rank_31(arrows, name):
+    n = int(name[1:])
+    d = _relabelled(Diagram(n, tuple(sorted(arrows))), random.Random(name))
+    start = time.perf_counter()
+    assert dynkin_name(d) == name
+    assert time.perf_counter() - start < 1.0
+
+
+def _oracle_key(d):
+    """Least adjacency serialization over all n! vertex orders."""
+    adj = [[0] * d.n for _ in range(d.n)]
+    for i, j, w in d.arrows:
+        adj[i][j] = w
+    orders = permutations(range(d.n))
+    return (d.n, min(tuple(adj[a][b] for a in p for b in p) for p in orders))
+
+
+def test_canonical_key_agrees_with_brute_force_oracle():
+    rng = random.Random(61)
+    diagrams = []
+    for _ in range(200):
+        n = rng.choice((2, 3, 4, 5, 5, 6, 6, 6))
+        density = rng.choice((0.2, 0.4, 0.6))
+        arrows = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    w = rng.choice((1, 1, 1, 2, 3))
+                    arrows.append((i, j, w) if rng.random() < 0.5 else (j, i, w))
+        d = Diagram(n, tuple(sorted(arrows)))
+        diagrams += [d, _relabelled(d, rng)]
+    # Oriented 3- and 4-cycles side by side, and a 7-cycle: refinement
+    # leaves one cell of 7, whose vertices lie in different orbits.
+    c3c4 = Diagram(7, ((0, 1, 1), (1, 2, 1), (2, 0, 1),
+                       (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 3, 1)))
+    c7 = Diagram(7, tuple(sorted((i, (i + 1) % 7, 1) for i in range(7))))
+    diagrams += [_relabelled(d, rng) for d in (c3c4, c7) for _ in range(4)]
+    keys = [canonical_key(d) for d in diagrams]
+    oracle = [_oracle_key(d) for d in diagrams]
+    # the two invariants partition the sample into the same classes
+    assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
+    assert len(set(oracle)) < 200  # some independent draws are isomorphic
+
+
+def _oriented_cycle(n):
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        B[i][(i + 1) % n], B[(i + 1) % n][i] = 1, -1
+    return ExchangeMatrix.make(B)
+
+
+@pytest.mark.parametrize("n, count", [(5, 26), (6, 80), (7, 246), (8, 810)])
+def test_oriented_cycle_class_has_buan_torkildsen_count(n, count):
+    # quivers in the mutation class of D_n, n >= 5, up to isomorphism:
+    # sum over d | n of phi(n/d) * C(2d, d), divided by 2n
+    phi = [sum(gcd(k, m) == 1 for k in range(1, m + 1)) for m in range(n + 1)]
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    assert sum(phi[n // d] * comb(2 * d, d) for d in divisors) == 2 * n * count
+    out = classify_finite_type(_oriented_cycle(n))
+    assert (out.verdict, out.type_name, out.nodes) == ("finite", f"D{n}", count)
+
+
+@pytest.mark.slow
+def test_classify_oriented_ten_cycle():
+    out = classify_finite_type(_oriented_cycle(10))
+    assert (out.verdict, out.type_name, out.nodes) == ("finite", "D10", 9252)
 
 
 def test_classify_d4():
