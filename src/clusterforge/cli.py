@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import bounds, coxeter, double_bruhat, graphs, seeds, tropical
 from .laurent import LaurentPoly, RatFunc
+from .util import decimal_int
 
 USAGE_ERROR = 64
 
@@ -43,6 +44,16 @@ def _rationals(text: str) -> tuple:
     return tuple(Fraction(x) for x in entries)
 
 
+def _word(text: str) -> tuple:
+    """argparse type of --word and --directions: -?[0-9]+ letters between spaces."""
+    try:
+        return tuple(decimal_int(x) for x in text.split(" ") if x)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integer letters, got {text!r}"
+        ) from None
+
+
 def _load_json_arg(value: str):
     """Accept inline JSON or a path to a JSON file."""
     text = value
@@ -62,17 +73,13 @@ def _load_matrix(value: str) -> seeds.ExchangeMatrix:
     return seeds.ExchangeMatrix.from_json(data)
 
 
-def _parse_word(text: str) -> tuple:
-    return tuple(int(x) for x in text.split())
-
-
 def _emit(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
 def _cmd_mutate(args) -> int:
     B = _load_matrix(args.matrix)
-    for k in _parse_word(args.directions):
+    for k in args.directions:
         B = seeds.matrix_mutate(B, k - 1)
     _emit(B.to_json())
     return 0
@@ -108,7 +115,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_btilde(args) -> int:
     cartan = coxeter.cartan_data(args.type)
-    iw = double_bruhat.indexed_word(cartan, _parse_word(args.word))
+    iw = double_bruhat.indexed_word(cartan, args.word)
     bt = double_bruhat.build_btilde(iw, cartan)
     check = double_bruhat.btilde_direct(iw, cartan)
     payload = bt.to_json()
@@ -128,9 +135,9 @@ def _closed_forms_for(cartan, word, choice):
     if choice == "coxeter":
         return double_bruhat.coxeter_cell_closed_forms(cartan)
     if choice == "auto":
-        if cartan.name == "A2" and tuple(word) == (1, 2, 1, -1, -2, -1):
+        if cartan.name == "A2" and word == (1, 2, 1, -1, -2, -1):
             return double_bruhat.open_cell_a2_closed_forms()
-        if tuple(word) == double_bruhat.coxeter_cell_word(cartan):
+        if word == double_bruhat.coxeter_cell_word(cartan):
             return double_bruhat.coxeter_cell_closed_forms(cartan)
         return None
     raise ValueError(f"unknown closed-form choice {choice!r}")
@@ -138,7 +145,7 @@ def _closed_forms_for(cartan, word, choice):
 
 def _cmd_verify_cell(args) -> int:
     cartan = coxeter.cartan_data(args.type)
-    word = _parse_word(args.word)
+    word = args.word
     rep = double_bruhat.verify_cell_identities(
         cartan,
         word,
@@ -154,7 +161,7 @@ def _cmd_tp_check(args) -> int:
     cartan = coxeter.cartan_data(args.type)
     rep = double_bruhat.tp_criterion_check(
         cartan,
-        _parse_word(args.word),
+        args.word,
         samples=args.samples,
         clusters=args.clusters,
         rng_seed=args.rng_seed,
@@ -228,7 +235,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mutate", help="apply matrix mutations (1-based directions)")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--directions", required=True)
+    p.add_argument("--directions", type=_word, required=True)
     p.set_defaults(fn=_cmd_mutate)
 
     p = sub.add_parser("acyclic", help="test acyclicity and report an order")
@@ -247,12 +254,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("btilde", help="extended exchange matrix of a double word")
     p.add_argument("--type", required=True)
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.set_defaults(fn=_cmd_btilde)
 
     p = sub.add_parser("verify-cell", help="verify exchange identities on samples")
     p.add_argument("--type", required=True)
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--rng-seed", type=_count, default=1)
     p.add_argument(
@@ -264,7 +271,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tp-check", help="total positivity criteria on TP samples")
     p.add_argument("--type", required=True)
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--clusters", type=_count, default=10)
     p.add_argument("--rng-seed", type=_count, default=1)

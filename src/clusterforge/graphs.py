@@ -15,6 +15,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .coxeter import cartan_entries
@@ -63,15 +64,14 @@ def gamma(B: ExchangeMatrix) -> SignGraph:
 
 
 def diagram_of(B: ExchangeMatrix) -> Diagram:
-    P = B.principal()
-    n = B.n
-    arrows = sorted(
-        (i, j, abs(P[i][j] * P[j][i]))
+    """The diagram of B's principal part; rows in order give sorted arrows."""
+    E, n = B.entries, B.n
+    return Diagram(n, tuple(
+        (i, j, abs(x * E[j][i]))
         for i in range(n)
-        for j in range(n)
-        if P[i][j] > 0
-    )
-    return Diagram(n, tuple(arrows))
+        for j, x in enumerate(E[i][:n])
+        if x > 0
+    ))
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:
@@ -190,24 +190,24 @@ def diagram_mutate(d: Diagram, k: int) -> Diagram:
 # -- canonical forms ----------------------------------------------------------
 
 
-def _refine_colors(adj: list[list[int]], colors: list[int]) -> list[int]:
+def _refine_colors(nbrs: list[dict], colors: list[int]) -> list[int]:
     """Coarsest equitable refinement of colors, numbered by signature rank.
 
-    A vertex's signature is its colour and the sorted (out weight, in
-    weight, colour) triples of its neighbours.  Each round recolours every
-    vertex by the rank of its signature, which refines the colouring and
-    keeps the order of the colours, until the number of cells stops growing.
+    nbrs[v] maps each neighbour u of v to a code (out weight * top + in
+    weight) * span, where top exceeds every weight and span every colour,
+    so that code + colour orders like the triple (out weight, in weight,
+    colour).  A vertex's signature is its colour and the sorted code +
+    colour of its neighbours.  Each round recolours every vertex by the
+    rank of its signature, which refines the colouring and keeps the order
+    of the colours, until the number of cells stops growing.
     """
-    n = len(adj)
+    n = len(nbrs)
     cells = len(set(colors))
     while True:
+        get = colors.__getitem__
         sigs = [
-            (colors[v], tuple(sorted(
-                (adj[v][u], adj[u][v], colors[u])
-                for u in range(n)
-                if adj[v][u] or adj[u][v]
-            )))
-            for v in range(n)
+            (colors[v], tuple(sorted(map(add, nv.values(), map(get, nv)))))
+            for v, nv in enumerate(nbrs)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [rank[s] for s in sigs]
@@ -216,13 +216,15 @@ def _refine_colors(adj: list[list[int]], colors: list[int]) -> list[int]:
         cells = len(rank)
 
 
-def _twin_classes(adj: list[list[int]]) -> list[int]:
+def _twin_classes(weights: dict, n: int) -> list[int]:
     """The least twin of each vertex.
 
     Twins are vertices whose transposition is a weight-preserving
     automorphism; being twins is an equivalence relation.
     """
-    n = len(adj)
+    adj = [[0] * n for _ in range(n)]
+    for (i, j), w in weights.items():
+        adj[i][j] = w
 
     def twins(u: int, v: int) -> bool:
         return adj[u][v] == adj[v][u] and all(
@@ -232,6 +234,22 @@ def _twin_classes(adj: list[list[int]]) -> list[int]:
         )
 
     return [next(u for u in range(v + 1) if twins(u, v)) for v in range(n)]
+
+
+def _orbits(n: int, gens: list) -> list[int]:
+    """The least vertex of each vertex's orbit under the group gens generate."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for g in gens:
+        for x in range(n):
+            a, b = find(x), find(g[x])
+            root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
 
 
 def canonical_key(d: Diagram) -> tuple:
@@ -245,38 +263,74 @@ def canonical_key(d: Diagram) -> tuple:
     adjacency matrix with the vertices in colour order.  Refinement
     commutes with relabelling, so the set of leaf serializations is an
     invariant, and each one is the diagram relabelled, so equal keys mean
-    isomorphic diagrams.  A cell branches on one vertex per twin class:
-    swapping two twins is an automorphism that fixes the colouring, so the
-    skipped subtrees give the same leaves.
+    isomorphic diagrams.
+
+    Subtrees that an automorphism maps onto explored ones give the same
+    leaves and are skipped.  A cell branches on one vertex per twin class,
+    since swapping two twins is an automorphism that fixes the colouring.
+    A leaf equal to the least one so far reveals the automorphism between
+    the two; it maps the one individualization sequence onto the other,
+    because a leaf's colouring determines its sequence.  It therefore maps
+    the explored subtree where the two sequences part onto the current
+    one, so the search returns to that node.  A node also skips a vertex
+    in the orbit of an explored one under the automorphisms found so far
+    that fix the node's individualized vertices.
     """
     n = d.n
-    adj = [[0] * n for _ in range(n)]
-    for i, j, w in d.arrows:
-        adj[i][j] = w
-    best: tuple | None = None
+    weights = {(i, j): w for i, j, w in d.arrows}
+    top = max(weights.values(), default=0) + 1
+    span = 2 * n + 2
+    nbrs: list[dict] = [{} for _ in range(n)]
+    for (i, j), w in weights.items():
+        if w:
+            nbrs[i][j] = nbrs[i].get(j, 0) + w * top * span
+            nbrs[j][i] = nbrs[j].get(i, 0) + w * span
+    best: list[int] | None = None
+    best_colors: list[int] = []
+    best_path: tuple = ()
+    autos: list[list[int]] = []
     twin: list[int] | None = None
 
-    def search(colors: list[int]) -> None:
-        nonlocal best, twin
-        c = min((c for c, size in Counter(colors).items() if size > 1), default=None)
-        if c is None:
-            order = sorted(range(n), key=colors.__getitem__)
-            ser = tuple(adj[a][b] for a in order for b in order)
+    def search(colors: list[int], path: tuple) -> int:
+        """Explore below path; return the depth of the node to resume at."""
+        nonlocal best, best_colors, best_path, twin
+        depth = len(path)
+        if max(colors, default=-1) == n - 1:  # colours are ranks: discrete
+            ser = [0] * (n * n)
+            for (i, j), w in weights.items():
+                ser[colors[i] * n + colors[j]] = w
             if best is None or ser < best:
-                best = ser
-            return
+                best, best_colors, best_path = ser, colors, path
+            elif ser == best:
+                order = sorted(range(n), key=colors.__getitem__)
+                autos.append([order[p] for p in best_colors])
+                return next(t for t, (a, b) in enumerate(zip(path, best_path)) if a != b)
+            return depth - 1
+        c = min(c for c, size in Counter(colors).items() if size > 1)
         if twin is None:
-            twin = _twin_classes(adj)
-        branched = set()
+            twin = _twin_classes(weights, n)
+        branched: set = set()
+        tried: list[int] = []
+        known = 0
         for v in range(n):
-            if colors[v] == c and twin[v] not in branched:
-                branched.add(twin[v])
-                split = [2 * x + (x == c and u != v) for u, x in enumerate(colors)]
-                search(_refine_colors(adj, split))
+            if colors[v] != c or twin[v] in branched:
+                continue
+            branched.add(twin[v])
+            if len(autos) > known:
+                known = len(autos)
+                orbit = _orbits(n, [g for g in autos if all(g[x] == x for x in path)])
+            if known and any(orbit[v] == orbit[u] for u in tried):
+                continue
+            tried.append(v)
+            split = [2 * x + (x == c and u != v) for u, x in enumerate(colors)]
+            resume = search(_refine_colors(nbrs, split), path + (v,))
+            if resume < depth:
+                return resume
+        return depth - 1
 
-    search(_refine_colors(adj, [0] * n))
+    search(_refine_colors(nbrs, [0] * n), ())
     assert best is not None
-    return (n, best)
+    return (n, tuple(best))
 
 
 # -- finite type classification -----------------------------------------------
@@ -363,7 +417,13 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     happen before canonicalization so infinite-type witnesses are cheap.
     Mutation is an involution, so a matrix is not mutated back in the
     direction it came from: that gives its parent, already keyed and
-    weight-checked.
+    weight-checked.  Mutations in directions i and j with b_ij = 0
+    commute, so one layer of the search often makes the same labelled
+    matrix twice; the entries made while mutating the current layer are
+    kept, and a repeat is dropped before its diagram is built.  That is
+    exact: the first copy had the same diagram and, as the search went on,
+    passed the weight check and left its key in the reps, so the repeat
+    would change nothing.
     """
     if not is_skew_symmetrizable(B):
         raise ValueError("classification requires a skew-symmetrizable matrix")
@@ -373,12 +433,18 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
         return Classification("infinite", None, d0, d0.max_weight(), 0, 1)
     reps = {canonical_key(d0): P}
     queue = deque([(P, 0, None)])
+    layer, made = 0, set()
     while queue:
         M, depth, back = queue.popleft()
+        if depth != layer:
+            layer, made = depth, set()
         for k in range(M.n):
             if k == back:
                 continue
             M2 = matrix_mutate(M, k)
+            if M2.entries in made:
+                continue
+            made.add(M2.entries)
             d2 = diagram_of(M2)
             if d2.max_weight() >= 4:
                 return Classification(

@@ -85,14 +85,14 @@ class ExchangeMatrix:
 
 def is_sign_skew_symmetric(B: ExchangeMatrix) -> bool:
     """Check b_ij = b_ji = 0 or b_ij*b_ji < 0 on the principal part."""
-    P = B.principal()
-    n = B.n
+    E, n = B.entries, B.n
     for i in range(n):
-        if P[i][i] != 0:
+        row = E[i]
+        if row[i]:
             return False
         for j in range(i + 1, n):
-            a, b = P[i][j], P[j][i]
-            if not ((a == 0 and b == 0) or a * b < 0):
+            a, b = row[j], E[j][i]
+            if (a or b) and a * b >= 0:
                 return False
     return True
 
@@ -111,22 +111,32 @@ def is_skew_symmetrizable(B: ExchangeMatrix) -> bool:
 def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation in direction k (0-based), extended to all m rows.
 
+    b'_ij = -b_ij if i = k or j = k, and otherwise b_ij + |b_ik| b_kj
+    where b_ik b_kj > 0, else b_ij.  So row k is negated, a row with
+    b_ik = 0 is kept as it is, and any other row changes only in column k
+    and where b_kj has the sign of b_ik.
+
     Raises SignSkewSymmetryLost if the mutated principal part violates
     sign-skew-symmetry; that reports a non-totally-mutable input rather
     than silently continuing.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"direction {k} out of range")
+    pivot = B.entries[k]
+    plus = [(j, x) for j, x in enumerate(pivot) if x > 0]
+    minus = [(j, x) for j, x in enumerate(pivot) if x < 0]
     new_rows = []
-    for i in range(B.m):
-        row = []
-        for j in range(B.n):
-            if i == k or j == k:
-                row.append(-B.entries[i][j])
-            else:
-                bik, bkj = B.entries[i][k], B.entries[k][j]
-                row.append(B.entries[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-        new_rows.append(tuple(row))
+    for i, row in enumerate(B.entries):
+        bik = row[k]
+        if i == k:
+            row = tuple(-x for x in row)
+        elif bik:
+            new = list(row)
+            for j, x in plus if bik > 0 else minus:
+                new[j] += abs(bik) * x
+            new[k] = -bik
+            row = tuple(new)
+        new_rows.append(row)
     out = ExchangeMatrix(tuple(new_rows), B.n, B.labels)
     if not is_sign_skew_symmetric(out):
         raise SignSkewSymmetryLost(f"mutation at direction {k}")

@@ -103,7 +103,7 @@ def _tree_walk(depth: int):
     """Yield (parent_address, direction) pairs in breadth-first order.
 
     Each child address is reached from exactly one pair, so a walk never
-    meets an address twice.
+    meets an address twice, and the pairs of one parent come together.
     """
     frontier = [""]
     for _ in range(depth):
@@ -210,7 +210,8 @@ def delta_witness(
     square roots s_j = sqrt of the opposite exchange weight, carried
     exactly as rational multiples of fixed square-free radicands; the
     recursion s_j(t') = s_i(t) s_k(t) - s_j(t) is cross-checked against
-    the mutated matrix at every step.
+    the mutated matrix at every step.  Each tree matrix is checked to be
+    cyclic, and its three roots computed, once, when it is made.
     """
     if len(delta0) != 3:
         raise ValueError(f"delta0 needs 3 entries, got {len(delta0)}")
@@ -220,10 +221,8 @@ def delta_witness(
     d = skew_symmetrizer(B)
     if d is None:
         raise ValueError("delta recursion requires a skew-symmetrizable matrix")
-    rad = []
-    for j in range(3):
-        i, k = _others(j)
-        rad.append(_squarefree(d[i] * d[k]))
+    pairs = [_others(j) for j in range(3)]
+    rad = [_squarefree(d[i] * d[k]) for i, k in pairs]
 
     def root_over(w: int, j: int) -> Fraction:
         """sqrt(w / rad_j) exactly; raises if it is not a rational square."""
@@ -232,36 +231,38 @@ def delta_witness(
             raise ArithmeticError(f"{w}/{rad[j]} is not a rational square")
         return q
 
-    def s_of(P, j) -> Fraction:
-        i, k = _others(j)
-        return root_over(abs(P[i][k] * P[k][i]), j)  # s_j = q * sqrt(rad_j)
+    def roots(P: tuple) -> tuple:
+        """(q_0, q_1, q_2) with s_j = sqrt|b_ik b_ki| = q_j sqrt(rad_j)."""
+        return tuple(
+            root_over(abs(P[i][k] * P[k][i]), j) for j, (i, k) in enumerate(pairs)
+        )
 
+    # sqrt(rad_i rad_k) rewritten on the radicand of direction j
+    cross = [root_over(rad[i] * rad[k], j) for j, (i, k) in enumerate(pairs)]
     M0 = ExchangeMatrix.make([list(r) for r in P0])
-    matrices = {"": M0}
+    unexpanded = {"": (M0, roots(P0))}
     deltas = {"": tuple(Fraction(x) for x in delta0)}
     edge_data = {}
+    parent = None
     for addr, j in _tree_walk(radius + 1):
         child = addr + str(j + 1)
-        M = matrices[addr]
-        P = M.principal()
-        if not _is_cyclic3(P):
-            raise AcyclicSeedFound(f"acyclic matrix at address {addr!r}")
-        i, k = _others(j)
+        if addr != parent:
+            parent, (M, s) = addr, unexpanded.pop(addr)
+        i, k = pairs[j]
         M2 = matrix_mutate(M, j)
-        if not _is_cyclic3(M2.principal()):
+        P2 = M2.principal()
+        if not _is_cyclic3(P2):
             raise AcyclicSeedFound(f"acyclic matrix at address {child!r}")
-        qj, qj2 = s_of(P, j), s_of(M2.principal(), j)
-        # recursion check: s_i s_k = s_j + s_j', with sqrt(rad_i rad_k)
-        # rewritten on the radicand of direction j
-        cross = root_over(rad[i] * rad[k], j)
-        if s_of(P, i) * s_of(P, k) * cross != qj + qj2:
+        s2 = roots(P2)
+        total = s[j] + s2[j]
+        # recursion check: s_i s_k = s_j + s_j'
+        if s[i] * s[k] * cross[j] != total:
             raise AssertionError("square-root recursion mismatch")
-        u_par = qj / (qj + qj2)
-        u_child = qj2 / (qj + qj2)
+        u_par, u_child = s[j] / total, s2[j] / total
         dl = deltas[addr]
         new_j = (min(dl[i], dl[k]) - u_par * dl[j]) / u_child
         deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
-        matrices[child] = M2
+        unexpanded[child] = (M2, s2)
         edge_data[child] = {"direction": j + 1, "u_parent": u_par, "u_child": u_child}
 
     sequence = []

@@ -268,3 +268,32 @@ def test_malformed_decimal_string_exits_2(capsys, command, text):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ValueError: ") and "decimal integer" in err
+
+
+_A2_OPEN = ("--type", "A2", "--word")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["btilde", *_A2_OPEN, "١ ٢ ١ -١ -٢ -١"],
+        ["btilde", *_A2_OPEN, "1_0"],
+        ["verify-cell", *_A2_OPEN, "١ ٢ ١ -١ -٢ -١", "--samples", "2"],
+        ["verify-cell", *_A2_OPEN, "1 2 1 -1 -2 +1", "--samples", "2"],
+        ["tp-check", *_A2_OPEN, "1 2 1_0", "--samples", "2"],
+        ["tp-check", *_A2_OPEN, "1 2 x", "--samples", "2"],
+        ["tp-check", *_A2_OPEN, "1\u20032 1", "--samples", "2"],
+        ["mutate", "--matrix", "[[0, 1], [-1, 0]]", "--directions", "1_0"],
+        ["mutate", "--matrix", "[[0, 1], [-1, 0]]", "--directions", "١"],
+        ["mutate", "--matrix", "[[0, 1], [-1, 0]]", "--directions", "1,2"],
+    ],
+    ids=["btilde-arabic-digits", "btilde-underscore", "verify-cell-arabic-digits",
+         "verify-cell-plus-sign", "tp-check-underscore", "tp-check-letter", "tp-check-em-space",
+         "mutate-underscore", "mutate-arabic-digit", "mutate-comma"],
+)
+def test_malformed_word_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert "expected integer letters" in err

@@ -73,7 +73,8 @@ _rationals = st.one_of(_well_rationals, _well_rationals, st.text(max_size=8),
 
 
 _words = st.sampled_from(
-    ("1 2 1 -1 -2 -1", "-1 -2 1 2", "1 -1", "2 1 -2 -1 2", "", "1 1", "3", "x")
+    ("1 2 1 -1 -2 -1", "-1 -2 1 2", "1 -1", "2 1 -2 -1 2", "", "1 1", "3", "x",
+     "١ ٢ ١ -١ -٢ -١", "1_0", "1 +2")
 )
 _a2_word = st.one_of(_words, _words, st.text(max_size=6))
 
@@ -97,9 +98,13 @@ def _argv(draw):
                 "--samples", draw(_count), "--clusters", draw(_count),
                 "--rng-seed", draw(_count)]
     if command == "mutate":
-        directions = draw(st.lists(st.integers(1, 3) | st.integers(-1, 4), max_size=3))
-        return ["mutate", "--matrix", draw(_matrix_arg()),
-                "--directions", " ".join(map(str, directions))]
+        directions = draw(
+            st.lists(st.integers(1, 3) | st.integers(-1, 4), max_size=3).map(
+                lambda ks: " ".join(map(str, ks))
+            )
+            | st.sampled_from(("1_0", "١", "1,2", "+1"))
+        )
+        return ["mutate", "--matrix", draw(_matrix_arg()), "--directions", directions]
     if command == "acyclic":
         return ["acyclic", "--matrix", draw(_matrix_arg(max_rank=4))]
     if command == "explore":

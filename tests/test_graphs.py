@@ -1,13 +1,16 @@
 import random
 import time
+from collections import Counter, deque
 from itertools import permutations
 from math import comb, gcd
 
 import pytest
 
 from clusterforge import graphs
-from clusterforge.coxeter import cartan_data, dynkin_bipartition
+from clusterforge.coxeter import bipartite_longest_word, cartan_data, dynkin_bipartition
+from clusterforge.double_bruhat import build_btilde, indexed_word, seed_from_btilde
 from clusterforge.graphs import (
+    Classification,
     Diagram,
     ExplorationReport,
     acyclic_order,
@@ -30,6 +33,7 @@ from clusterforge.seeds import (
     ExchangeMatrix,
     Seed,
     initial_seed,
+    is_skew_symmetrizable,
     matrix_mutate,
     seed_mutate,
 )
@@ -213,6 +217,204 @@ def test_canonical_key_agrees_with_brute_force_oracle():
     # the two invariants partition the sample into the same classes
     assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
     assert len(set(oracle)) < 200  # some independent draws are isomorphic
+
+
+def _dense_refine(adj, colors):
+    """Colour refinement that scans every vertex pair and compares triples."""
+    n = len(adj)
+    cells = len(set(colors))
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(
+                (adj[v][u], adj[u][v], colors[u])
+                for u in range(n)
+                if adj[v][u] or adj[u][v]
+            )))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) in (cells, n):
+            return colors
+        cells = len(rank)
+
+
+def _dense_key(d):
+    """The search tree of canonical_key on a dense matrix, pruned by twins only."""
+    n = d.n
+    adj = [[0] * n for _ in range(n)]
+    for i, j, w in d.arrows:
+        adj[i][j] = w
+
+    def twins(u, v):
+        return adj[u][v] == adj[v][u] and all(
+            adj[u][x] == adj[v][x] and adj[x][u] == adj[x][v]
+            for x in range(n) if x not in (u, v)
+        )
+
+    twin = [next(u for u in range(v + 1) if twins(u, v)) for v in range(n)]
+    leaves = []
+
+    def search(colors):
+        c = min((c for c, size in Counter(colors).items() if size > 1), default=None)
+        if c is None:
+            order = sorted(range(n), key=colors.__getitem__)
+            leaves.append(tuple(adj[a][b] for a in order for b in order))
+            return
+        branched = set()
+        for v in range(n):
+            if colors[v] == c and twin[v] not in branched:
+                branched.add(twin[v])
+                split = [2 * x + (x == c and u != v) for u, x in enumerate(colors)]
+                search(_dense_refine(adj, split))
+
+    search(_dense_refine(adj, [0] * n))
+    return (n, min(leaves))
+
+
+def _random_diagram(rng, n):
+    """Weights 1-4; some pairs get the symmetric double arrow of _component_name."""
+    arrows = []
+    density = rng.choice((0.15, 0.3, 0.5, 0.8))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                w = rng.randint(1, 4)
+                kind = rng.random()
+                if kind < 0.2:
+                    arrows += [(i, j, w), (j, i, w)]
+                else:
+                    arrows.append((i, j, w) if kind < 0.6 else (j, i, w))
+    return arrows
+
+
+def test_canonical_key_equals_dense_search():
+    rng = random.Random(67)
+    for _ in range(2000):
+        if rng.random() < 0.2:
+            # copies of one small diagram: the automorphism pruning works here
+            size, copies = rng.randint(1, 3), rng.randint(2, 3)
+            part = _random_diagram(rng, size)
+            n = size * copies
+            arrows = [(i + t * size, j + t * size, w) for t in range(copies) for i, j, w in part]
+        else:
+            n = rng.randint(1, 9)
+            arrows = _random_diagram(rng, n)
+        p = list(range(n))
+        rng.shuffle(p)
+        d = Diagram(n, tuple(sorted((p[i], p[j], w) for i, j, w in arrows)))
+        assert canonical_key(d) == _dense_key(d), d
+    six = Diagram(12, tuple((2 * i, 2 * i + 1, 1) for i in range(6)))
+    assert canonical_key(six) == _dense_key(six)
+    # oriented C3 + C4 + C4: refinement keeps all 11 vertices in one cell,
+    # and a search that ends a subtree too early misses the least leaf
+    cycles = [(i, (i + 1) % 3, 1) for i in range(3)] + [
+        (3 + 4 * t + i, 3 + 4 * t + (i + 1) % 4, 1) for t in range(2) for i in range(4)
+    ]
+    for _ in range(30):
+        d = _relabelled(Diagram(11, tuple(sorted(cycles))), rng)
+        assert canonical_key(d) == _dense_key(d), d
+
+
+def test_canonical_key_eight_disjoint_arrows():
+    d = Diagram(16, tuple((2 * i, 2 * i + 1, 1) for i in range(8)))
+    start = time.perf_counter()
+    key = canonical_key(d)
+    assert time.perf_counter() - start < 1.0
+    assert canonical_key(_relabelled(d, random.Random(73))) == key
+    seven = Diagram(16, tuple((2 * i, 2 * i + 1, 1) for i in range(7)) + ((14, 15, 2),))
+    assert canonical_key(seven) != key
+
+
+def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
+    """classify_finite_type's search with every mutated matrix keyed.
+
+    made, if given, receives (depth, entries) for each mutated matrix.
+    """
+    assert is_skew_symmetrizable(B)
+    P = ExchangeMatrix.make([list(r) for r in B.principal()])
+    d0 = diagram_of(P)
+    if d0.max_weight() >= 4:
+        return Classification("infinite", None, d0, d0.max_weight(), 0, 1)
+    reps = {canonical_key(d0): P}
+    queue = deque([(P, 0, None)])
+    while queue:
+        M, depth, back = queue.popleft()
+        for k in range(M.n):
+            if k == back:
+                continue
+            M2 = matrix_mutate(M, k)
+            if made is not None:
+                made.append((depth + 1, M2.entries))
+            d2 = diagram_of(M2)
+            if d2.max_weight() >= 4:
+                return Classification(
+                    "infinite", None, d2, d2.max_weight(), depth + 1, len(reps)
+                )
+            key = canonical_key(d2)
+            if key not in reps:
+                if len(reps) >= node_cap:
+                    return Classification("inconclusive", None, None, None, None, len(reps))
+                reps[key] = M2
+                queue.append((M2, depth + 1, k))
+    for M in reps.values():
+        if is_acyclic(M):
+            name = dynkin_name(diagram_of(M))
+            if name is not None:
+                return Classification("finite", name, None, None, None, len(reps))
+    return Classification("finite", "unrecognized", None, None, None, len(reps))
+
+
+def _cell_matrix(type_name, word=None):
+    cartan = cartan_data(type_name)
+    iw = indexed_word(cartan, word or bipartite_longest_word(cartan))
+    return seed_from_btilde(build_btilde(iw, cartan)).matrix
+
+
+@pytest.mark.parametrize(
+    "make, cap, summary",
+    [
+        (lambda: _cell_matrix("A5"), 100_000, ("infinite", 2385, 6)),
+        (lambda: _cell_matrix("A5"), 1000, ("inconclusive", 1000, None)),
+        (lambda: _cell_matrix("A3", (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)),
+         100_000, ("infinite", 398, 5)),
+        (lambda: bipartite_seed("E7").matrix, 100_000, ("finite", 416, None)),
+    ] + [(lambda n=n: _oriented_cycle(n), 100_000, ("finite", c, None))
+         for n, c in ((5, 26), (6, 80), (7, 246), (8, 810))],
+    ids=["base-affine-A5", "base-affine-A5-node-cap", "open-cell-A3", "bipartite-E7",
+         "cycle-5", "cycle-6", "cycle-7", "cycle-8"],
+)
+def test_classify_equals_search_keying_every_matrix(make, cap, summary):
+    B = make()
+    out = classify_finite_type(B, node_cap=cap)
+    assert out == _classify_keying_every_matrix(B, node_cap=cap)
+    assert (out.verdict, out.nodes, out.witness_depth) == summary
+
+
+@pytest.mark.parametrize(
+    "make, cap",
+    [
+        (lambda: _cell_matrix("A3", (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)), 100_000),
+        (lambda: _cell_matrix("A5"), 1000),
+    ],
+    ids=["open-cell-A3", "base-affine-A5-node-cap"],
+)
+def test_classify_builds_one_diagram_per_labelled_matrix_of_a_layer(monkeypatch, make, cap):
+    B = make()
+    made = []
+    _classify_keying_every_matrix(B, node_cap=cap, made=made)
+    first = list(dict.fromkeys(made))  # first copy of each within its layer
+    built = []
+
+    def recording_diagram_of(M):
+        built.append(M.entries)
+        return diagram_of(M)
+
+    monkeypatch.setattr(graphs, "diagram_of", recording_diagram_of)
+    classify_finite_type(B, node_cap=cap)
+    # the first diagram is the input's; both searches stop before naming a type
+    assert built[1:] == [entries for _, entries in first]
+    assert len(first) < len(made)
 
 
 def _oriented_cycle(n):

@@ -157,6 +157,35 @@ def test_single_mutation_can_lose_sign_skew_symmetry():
         matrix_mutate(B, 0)
 
 
+def _textbook_mutate(rows, n, k):
+    """b'_ij = -b_ij if k is i or j, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
+    return tuple(
+        tuple(
+            -rows[i][j] if k in (i, j)
+            else rows[i][j] + (abs(rows[i][k]) * rows[k][j] + rows[i][k] * abs(rows[k][j])) // 2
+            for j in range(n)
+        )
+        for i in range(len(rows))
+    )
+
+
+def test_matrix_mutate_matches_textbook_formula():
+    rng = random.Random(71)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        B = rand_symmetrizable(rng, n, frozen=rng.randint(1, 3), dmax=3)
+        for k in [rng.randrange(n) for _ in range(3)]:
+            M = matrix_mutate(B, k)
+            assert M.entries == _textbook_mutate(B.entries, n, k)
+            assert (M.n, M.labels) == (B.n, B.labels)
+            B = M
+    # not sign-skew-symmetric: the textbook formula puts 1 on the diagonal
+    bad = ExchangeMatrix.make([[0, 1], [1, 0], [1, -1]])
+    assert _textbook_mutate(bad.entries, 2, 0)[1][1] == 1
+    with pytest.raises(SignSkewSymmetryLost):
+        matrix_mutate(bad, 0)
+
+
 def test_coprime_checks(sl3_matrix):
     assert is_coprime(sl3_matrix)
     # columns (0,0,1,2) and (0,0,3,6): ratio 3 is odd/odd
