@@ -36,6 +36,13 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _radius(text: str) -> int:
+    """--radius and --depth: a tree of radius R has 3 * 2^(R+1) - 2 vertices."""
+    if _count(text) > 14:
+        raise argparse.ArgumentTypeError(f"expected at most 14, got {text!r}")
+    return int(text)
+
+
 def _rationals(text: str) -> tuple:
     """argparse type of --nu and --delta: comma separated exact rationals."""
     entries = text.split(",")
@@ -291,11 +298,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tropical", help="valuation propagation / delta witness")
     p.add_argument("--seed", required=True)
     p.add_argument("--nu", type=_rationals, help="comma separated cluster weights")
-    p.add_argument("--depth", type=_count, default=3)
+    p.add_argument("--depth", type=_radius, default=3)
     p.add_argument(
         "--delta", type=_rationals, help="comma separated initial delta triple"
     )
-    p.add_argument("--radius", type=_count, default=4)
+    p.add_argument("--radius", type=_radius, default=4)
     p.set_defaults(fn=_cmd_tropical)
 
     p = sub.add_parser("diffcomb", help="verify the cyclic subset identity")

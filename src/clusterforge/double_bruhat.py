@@ -10,7 +10,7 @@ All evaluation is exact over Q.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
@@ -409,13 +409,7 @@ class CellCheckReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "relations_checked": self.relations_checked,
-            "closed_forms_checked": self.closed_forms_checked,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "failures": list(self.failures), "ok": self.ok}
 
 
 def verify_cell_identities(
@@ -514,13 +508,7 @@ class PositivityReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "minors_checked": self.minors_checked,
-            "clusters_checked": self.clusters_checked,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "failures": list(self.failures), "ok": self.ok}
 
 
 def tp_criterion_check(

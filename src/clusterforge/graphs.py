@@ -12,7 +12,7 @@ and hitting the node cap is reported honestly as inconclusive.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import add
@@ -474,8 +474,8 @@ class ExplorationReport:
     """Census of the exchange graph reachable from a seed.
 
     ``mutations`` is clusters * n: the edge traversals, from both ends, of
-    a BFS that mutates every counted seed in every direction.  The
-    exchange division of each edge is computed at most once.
+    a BFS that mutates every counted seed in every direction.  Each
+    distinct exchange relation is divided once (see exchange_seeds).
     """
 
     clusters: int
@@ -485,71 +485,62 @@ class ExplorationReport:
     max_depth: int
 
     def to_json(self) -> dict:
-        return {
-            "clusters": self.clusters,
-            "variables": self.variables,
-            "mutations": self.mutations,
-            "exhausted": self.exhausted,
-            "max_depth": self.max_depth,
-        }
-
-
-def seed_permutation(a: Seed, b: Seed) -> list[int] | None:
-    """p with a.exprs[p[j]] == b.exprs[j] and a's matrix equal to b's under p.
-
-    None if the clusters differ or the matrices disagree anywhere: the
-    principal part is compared as a[p[i]][p[j]] == b[i][j], frozen rows
-    keep their place.  A match means a is b relabelled, so mutating a at
-    p[k] gives the seed of mutating b at k, relabelled.
-    """
-    if a.ctx != b.ctx or (a.n, a.m) != (b.n, b.m):
-        return None
-    where = {e.key(): i for i, e in enumerate(a.exprs)}
-    p = [where.get(e.key(), -1) for e in b.exprs]
-    if sorted(p) != list(range(b.n)):
-        return None
-    rows = p + list(range(b.n, b.m))
-    A, B = a.matrix.entries, b.matrix.entries
-    for i, r in enumerate(rows):
-        if any(A[r][p[j]] != B[i][j] for j in range(b.n)):
-            return None
-    return p
+        return asdict(self)
 
 
 def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     """BFS over seeds: yield (seed, depth) per newly reached cluster, in order.
 
-    Clusters are deduplicated as unordered sets of expressions, starting
-    with the initial seed at depth 0.  Mutation is an involution, so each
-    seed remembers the directions known to lead back into the visited set
-    and skips their exchange division.  A new seed knows the direction it
-    came from; a seed reached again learns the reverse direction only when
-    seed_permutation confirms that the stored seed is the reached one
-    relabelled.  Every other mutation goes through the exact
-    exchange-relation division, so a Laurent failure aborts the search
-    with NotDivisible.  Seeds are mutated only as far as the consumer reads.
+    Clusters are deduplicated as unordered sets of expression ids, starting
+    with the initial seed at depth 0.  Every edge runs matrix_mutate (and
+    its sign-skew-symmetry check), but each exchange relation is divided
+    once: x'_k = P_k / x_k, and P_k is the sum of the products of the other
+    ambient variables over the positive and over the negative entries of
+    column k, so x'_k is a function of x_k and that unordered pair of
+    factor sets; no theorem is assumed.  A miss runs seed_mutate (the exact
+    division, which raises NotDivisible on a Laurent failure) and stores
+    x'_k under (x_k, pair) and x_k under (x'_k, pair), exact as
+    P_k / x'_k = x_k; mutating back at k negates column k and keeps the
+    pair, so back edges hit.  Seeds are mutated only as far as the
+    consumer reads.
     """
-    skip: set[int] = set()
-    visited = {seed.cluster_key(): (seed, skip)}
-    queue = deque([(seed, 0, skip)])
+    ids: dict[tuple, int] = {}
+
+    def ident(e) -> int:
+        return ids.setdefault(e.key(), len(ids))
+
+    rows = tuple(map(ident, seed.all_exprs()))
+    frozen, cluster = rows[seed.n:], rows[: seed.n]
+    memo: dict[tuple, tuple] = {}
+    visited = {frozenset(cluster)}
+    queue = deque([(seed, 0, cluster)])
     yield seed, 0
     while queue:
-        s, depth, skip = queue.popleft()
+        s, depth, cluster = queue.popleft()
+        rows = cluster + frozen
         for k in range(s.n):
-            if k in skip:
-                continue
-            s2 = seed_mutate(s, k)
-            key = s2.cluster_key()
-            if key in visited:
-                stored, stored_skip = visited[key]
-                p = seed_permutation(stored, s2)
-                if p is not None:
-                    stored_skip.add(p[k])
-                continue
-            back = {k}
-            visited[key] = (s2, back)
-            queue.append((s2, depth + 1, back))
-            yield s2, depth + 1
+            col = [(r, row[k]) for r, row in zip(rows, s.matrix.entries) if row[k]]
+            pair = frozenset((frozenset((r, b) for r, b in col if b > 0),
+                              frozenset((r, -b) for r, b in col if b < 0)))
+            hit = memo.get((cluster[k], pair))
+            # seed_mutate refuses to mutate a formal-coefficient seed twice;
+            # only the way back, which needs no division, comes from the memo
+            if hit is None or s.general and s.history[-1:] != (k,):
+                s2 = seed_mutate(s, k)
+                x, xid = hit = s2.exprs[k], ident(s2.exprs[k])
+                memo[cluster[k], pair] = hit
+                memo[xid, pair] = s.exprs[k], cluster[k]
+            else:
+                x, xid = hit
+                s2 = Seed(matrix_mutate(s.matrix, k), s.ctx,
+                          s.exprs[:k] + (x,) + s.exprs[k + 1:],
+                          s.history + (k,), s.general)
+            reached = cluster[:k] + (xid,) + cluster[k + 1:]
+            key = frozenset(reached)
+            if key not in visited:
+                visited.add(key)
+                queue.append((s2, depth + 1, reached))
+                yield s2, depth + 1
 
 
 def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -257,6 +258,10 @@ class LaurentPoly:
         An exact quotient's exponents lie in the box [0, nspan - dspan],
         so every quotient term is checked against that box; each slot has
         a guard bit on top, and one subtraction checks all slots at once.
+        The leading remainder term is popped from a max-heap of remainder
+        exponents (Monagan and Pearce), each pushed when it first enters;
+        a cancelled term stays as a zero until popped.  A step adds only
+        exponents below the one it pops, so none is ever pushed twice.
         """
         _check_ctx(self, den)
         if den.is_zero():
@@ -278,10 +283,15 @@ class LaurentPoly:
         dlead = max(dhat)
         dlc = dhat.pop(dlead)
         dtail = list(dhat.items())
+        heap = [-e for e in rem]
+        heapify(heap)
+        get = rem.get
         quot: dict[int, int] = {}
-        while rem:
-            lead = max(rem)
+        while heap:
+            lead = -heappop(heap)
             c = rem.pop(lead)
+            if not c:
+                continue
             t = (lead | guards) - dlead
             if t & guards != guards or c % dlc:
                 raise NotDivisible("leading term not divisible")
@@ -292,11 +302,12 @@ class LaurentPoly:
             quot[t] = qc
             for e, dc in dtail:
                 ne = t + e
-                v = rem.get(ne, 0) - qc * dc
-                if v:
-                    rem[ne] = v
+                v = get(ne)
+                if v is None:
+                    rem[ne] = -qc * dc
+                    heappush(heap, -ne)
                 else:
-                    del rem[ne]
+                    rem[ne] = v - qc * dc
         shift = [a - b for a, b in zip(nlow, dlow)]
         return LaurentPoly(self.ctx, _unpack(quot, shift, width))
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from clusterforge import cli
 from clusterforge.cli import main
 
 from conftest import MARKOV, SL3_ROWS, SL3_LABELS
@@ -220,6 +221,18 @@ def test_negative_count_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert exc.value.code == 64 and out == ""
     assert "expected an integer >= 0" in err
+
+
+@pytest.mark.parametrize("option", ["--radius", "--depth"])
+def test_tropical_tree_size_is_bounded(capsys, option):
+    triple = "--delta" if option == "--radius" else "--nu"
+    with pytest.raises(SystemExit) as exc:
+        main(["tropical", "--seed", json.dumps(MARKOV), triple, "0,0,1", option, "15"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert "expected at most 14" in err
+    # 14 is accepted; running it would build about 98,000 tree vertices
+    assert cli._radius("14") == 14
 
 
 @pytest.mark.parametrize(

@@ -381,8 +381,8 @@ def test_tp_criterion_check_a3_forty_clusters(monkeypatch):
     monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
     rep = tp_criterion_check(A3, OPEN_CELL_A3, samples=3, clusters=40, rng_seed=7)
     assert rep == PositivityReport(3, 45, 40, ())
-    # the BFS without the edge memo made 45 divisions for the same 40 clusters
-    assert len(calls) == 41
+    # one division per exchange relation met while reaching 40 clusters
+    assert len(calls) == 21
 
 
 def test_tp_criterion_check_zero_clusters_keeps_initial():

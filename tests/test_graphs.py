@@ -26,12 +26,11 @@ from clusterforge.graphs import (
     is_acyclic,
     realize_diagram,
     relabel_matrix,
-    seed_permutation,
     sign_graph_dot,
 )
 from clusterforge.seeds import (
     ExchangeMatrix,
-    Seed,
+    general_seed,
     initial_seed,
     is_skew_symmetrizable,
     matrix_mutate,
@@ -608,7 +607,7 @@ def bipartite_seed(type_name):
     return initial_seed(ExchangeMatrix.make(rows))
 
 
-def test_explore_divides_once_per_edge(monkeypatch):
+def test_explore_divides_once_per_relation(monkeypatch):
     calls = []
 
     def counting_mutate(seed, k):
@@ -618,34 +617,104 @@ def test_explore_divides_once_per_edge(monkeypatch):
     monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
     rep = explore_exchange_graph(bipartite_seed("A3"))
     assert rep == ExplorationReport(14, 9, 42, True, 4)
-    assert len(calls) == 21  # one per edge of the A3 associahedron
+    # 21 edges of the A3 associahedron, but 15 exchange relations: one per
+    # exchangeable pair, a pair of crossing diagonals of the hexagon
+    assert len(calls) == 15
 
 
-def test_seed_permutation_accepts_relabelled_copy_only():
-    seed = seed_mutate(initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS)), 1)
-    p = [2, 0, 3, 1]  # position j of the copy holds seed variable p[j]
-    rows = [
-        [seed.matrix.entries[r][p[j]] for j in range(4)]
-        for r in p + list(range(4, seed.m))
-    ]
-    copy = Seed(
-        ExchangeMatrix(tuple(map(tuple, rows)), 4, seed.matrix.labels),
-        seed.ctx,
-        tuple(seed.exprs[i] for i in p),
+def _seed_permutation(a, b):
+    """p with a.exprs[p[j]] == b.exprs[j] and a's matrix b's under p, or None."""
+    where = {e.key(): i for i, e in enumerate(a.exprs)}
+    p = [where.get(e.key(), -1) for e in b.exprs]
+    if sorted(p) != list(range(b.n)):
+        return None
+    rows = p + list(range(b.n, b.m))
+    A, B = a.matrix.entries, b.matrix.entries
+    for i, r in enumerate(rows):
+        if any(A[r][p[j]] != B[i][j] for j in range(b.n)):
+            return None
+    return p
+
+
+def _edge_memo_seeds(seed):
+    """Reference BFS: divide every edge except the known ways back.
+
+    Each seed skips the direction it came from and the directions that a
+    confirmed relabelled revisit proves to lead back.
+    """
+    skip = set()
+    visited = {seed.cluster_key(): (seed, skip)}
+    queue = deque([(seed, 0, skip)])
+    yield seed, 0
+    while queue:
+        s, depth, skip = queue.popleft()
+        for k in range(s.n):
+            if k in skip:
+                continue
+            s2 = seed_mutate(s, k)
+            key = s2.cluster_key()
+            if key in visited:
+                stored, stored_skip = visited[key]
+                p = _seed_permutation(stored, s2)
+                if p is not None:
+                    stored_skip.add(p[k])
+                continue
+            back = {k}
+            visited[key] = (s2, back)
+            queue.append((s2, depth + 1, back))
+            yield s2, depth + 1
+
+
+def _first(search, count):
+    """The first count (cluster, depth, exprs, matrix, history) items, and
+    the type of the exception that ended the search early, if any."""
+    out = []
+    try:
+        for s, depth in search:
+            if len(out) == count:
+                break
+            out.append((s.cluster_key(), depth, s.exprs, s.matrix, s.history))
+    except ValueError as exc:
+        return out, type(exc)
+    return out, None
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "E6", "SL3",
+                                  "A3 open cell", "Markov", "general A1",
+                                  "general A1 x A1", "general Markov"])
+def test_exchange_seeds_equals_edge_memo_bfs(name):
+    count = {"A3 open cell": 40, "Markov": 150}.get(name, 10_000)
+    if name == "SL3":
+        seed = initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS))
+    elif name == "A3 open cell":
+        a3 = cartan_data("A3")
+        word = (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)
+        seed = seed_from_btilde(build_btilde(indexed_word(a3, word), a3))
+    elif name == "Markov":
+        seed = initial_seed(ExchangeMatrix.make(MARKOV))
+    elif name.startswith("general"):
+        seed = general_seed({"A1": [[0]], "A1 x A1": [[0, 0], [0, 0]],
+                             "Markov": MARKOV}[name.split(" ", 1)[1]])
+    else:
+        seed = bipartite_seed(name)
+    got = _first(exchange_seeds(seed), count)
+    assert got == _first(_edge_memo_seeds(seed), count)
+    if name in ("E6", "A3 open cell", "Markov", "general Markov"):
+        assert len(got[0]) == {"E6": 833, "general Markov": 4}.get(name, count)
+
+
+def test_explore_e6_census():
+    rep = explore_exchange_graph(bipartite_seed("E6"))
+    assert rep == ExplorationReport(833, 42, 4998, True, 11)
+
+
+def test_explore_refuses_second_mutation_of_general_seed():
+    with pytest.raises(ValueError, match="single mutations"):
+        explore_exchange_graph(general_seed(MARKOV))
+    # the only seed after the first mutation is the way back, which is known
+    assert explore_exchange_graph(general_seed([[0]])) == ExplorationReport(
+        2, 2, 2, True, 1
     )
-    assert seed_permutation(seed, copy) == p
-    assert seed_permutation(seed, seed) == [0, 1, 2, 3]
-    for r, c in ((0, 1), (5, 2)):  # one principal, one frozen entry
-        changed = [list(row) for row in rows]
-        changed[r][c] += 1
-        bad = Seed(
-            ExchangeMatrix(tuple(map(tuple, changed)), 4, seed.matrix.labels),
-            seed.ctx,
-            copy.exprs,
-        )
-        assert seed_permutation(seed, bad) is None
-    other = seed_mutate(seed, 0)
-    assert seed_permutation(seed, other) is None  # a different cluster
 
 
 @pytest.mark.slow

@@ -94,6 +94,33 @@ def test_divide_roundtrip_randomized():
         assert (a * b).divide_exact(b) == a
 
 
+def test_divide_cancelled_term_created_again():
+    # the x^2 term cancels after the first step and returns after the second
+    num = x(0) ** 4 + x(0) ** 2 + CTX3.one()
+    den = x(0) ** 2 - x(0) + CTX3.one()
+    assert num.divide_exact(den) == x(0) ** 2 + x(0) + CTX3.one()
+    assert (num * x(1) - num).divide_exact(den * (x(1) - CTX3.one())) == num.divide_exact(den)
+
+
+def test_divide_fails_on_a_term_only_the_division_creates():
+    # 2x^2 + 1 by 2x + 3: the first step leaves -3x, an exponent num lacks
+    num = (x(0) ** 2).scale(2) + CTX3.one()
+    with pytest.raises(NotDivisible, match="leading term"):
+        num.divide_exact(x(0).scale(2) + CTX3.const(3))
+
+
+def test_divide_roundtrip_large_product():
+    rng = random.Random(11)
+    a = rand_poly(rng, CTX3, nterms=45, deg=6, coeff=9)
+    b = rand_poly(rng, CTX3, nterms=45, deg=6, coeff=9)
+    product = a * b
+    assert len(product.terms) > 1000
+    assert product.divide_exact(b) == a
+    assert product.divide_exact(a) == b
+    with pytest.raises(NotDivisible):
+        (product + x(2) ** 20).divide_exact(b)
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(11)
     for _ in range(40):
