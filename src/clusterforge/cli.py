@@ -134,20 +134,39 @@ def _cmd_btilde(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A combination of valid options that does not make sense; exit 64."""
+
+
 def _closed_forms_for(cartan, word, choice):
+    """The closed forms --closed-forms names, checked against the word.
+
+    Each set of forms describes one word; ``auto`` takes the set whose
+    word is given, if any, and an explicit choice of another set is a
+    usage error.
+    """
     if choice == "none":
         return None
-    if choice == "open-cell-a2":
-        return double_bruhat.open_cell_a2_closed_forms()
-    if choice == "coxeter":
-        return double_bruhat.coxeter_cell_closed_forms(cartan)
+    forms = {
+        "open-cell-a2": (
+            ("A2", (1, 2, 1, -1, -2, -1)),
+            double_bruhat.open_cell_a2_closed_forms,
+        ),
+        "coxeter": (
+            (cartan.name, double_bruhat.coxeter_cell_word(cartan)),
+            lambda: double_bruhat.coxeter_cell_closed_forms(cartan),
+        ),
+    }
+    given = (cartan.name, word)
     if choice == "auto":
-        if cartan.name == "A2" and word == (1, 2, 1, -1, -2, -1):
-            return double_bruhat.open_cell_a2_closed_forms()
-        if word == double_bruhat.coxeter_cell_word(cartan):
-            return double_bruhat.coxeter_cell_closed_forms(cartan)
-        return None
-    raise ValueError(f"unknown closed-form choice {choice!r}")
+        return next((make() for owner, make in forms.values() if owner == given), None)
+    (type_name, owner_word), make = forms[choice]
+    if given != (type_name, owner_word):
+        raise _UsageError(
+            f"--closed-forms {choice} describes only --type {type_name} "
+            f"--word {' '.join(map(str, owner_word))!r}"
+        )
+    return make()
 
 
 def _cmd_verify_cell(args) -> int:
@@ -325,6 +344,8 @@ def main(argv=None) -> int:
         parser.error(f"--delta needs 3 entries, got {len(args.delta)}")
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except Exception as exc:  # any failure is exit 2, never a traceback's exit 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

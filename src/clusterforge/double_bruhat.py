@@ -268,8 +268,9 @@ def minor_spec(iw: IndexedWord, cartan: CartanData, k: int) -> MinorSpec:
     return MinorSpec(fundamental_subset(u, i), fundamental_subset(v, i))
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: clear each row's denominators, then eliminate over Z."""
+def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Exact determinant of a rational or integer matrix: clear each row's
+    denominators, then eliminate over Z."""
     scale = 1
     ints = []
     for row in rows:
@@ -280,7 +281,7 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(pivot, scale) if rank == len(rows) else Fraction(0)
 
 
-def evaluate_minor(spec: MinorSpec, g: Sequence[Sequence[Fraction]]) -> Fraction:
+def evaluate_minor(spec: MinorSpec, g: Sequence[Sequence[Fraction | int]]) -> Fraction:
     rows = sorted(spec.rows)
     cols = sorted(spec.cols)
     return det([[g[i - 1][j - 1] for j in cols] for i in rows])
@@ -289,13 +290,20 @@ def evaluate_minor(spec: MinorSpec, g: Sequence[Sequence[Fraction]]) -> Fraction
 # -- sampling -------------------------------------------------------------------
 
 
-def _unitriangular(rng: random.Random, size: int, lower: bool) -> list[list[Fraction]]:
-    m = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if (i > j) if lower else (i < j):
-                m[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return m
+def _unitriangular(rng: random.Random, size: int, lower: bool) -> tuple[list, int]:
+    """A random unitriangular factor with entries in [-3, 3] / [1, 3], as an
+    integer matrix and the denominator it is to be divided by."""
+    draws = [
+        (i, j, rng.randint(-3, 3), rng.randint(1, 3))
+        for i in range(size)
+        for j in range(size)
+        if ((i > j) if lower else (i < j))
+    ]
+    den = lcm(*(b for *_, b in draws))
+    m = [[den * (i == j) for j in range(size)] for i in range(size)]
+    for i, j, a, b in draws:
+        m[i][j] = a * (den // b)
+    return m, den
 
 
 def _det_one_diagonal(rng: random.Random, size: int, den_max: int) -> list[Fraction]:
@@ -329,21 +337,27 @@ def sample_cell(
 
     Built as lower-unitriangular x diagonal(det 1) x upper-unitriangular
     with small random rational entries, resampled until every required
-    minor is nonzero.  The diagonal scales the rows of the upper factor,
-    so each try makes one matrix product.
+    minor is nonzero.  Each try clears the denominators of the three
+    factors, so it works on the integer matrix h = den * g: one integer
+    matrix product, one determinant (which must be den^size) and integer
+    minors, nonzero exactly when those of g are.  Only the accepted h is
+    divided out into Fractions.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("cell sampling implemented for type A only")
     size = cartan.rank + 1
     conditions = list(nonvanishing_conditions(cartan, u, v)) + list(extra_nonzero)
     for _ in range(tries):
-        lo = _unitriangular(rng, size, lower=True)
-        up = _unitriangular(rng, size, lower=False)
+        lo, lo_den = _unitriangular(rng, size, lower=True)
+        up, up_den = _unitriangular(rng, size, lower=False)
         diag = _det_one_diagonal(rng, size, 3)
-        g = mat_mul(lo, [[d * x for x in row] for d, row in zip(diag, up)])
-        assert det(g) == 1
-        if all(evaluate_minor(s, g) != 0 for s in conditions):
-            return g
+        diag_den = lcm(*(d.denominator for d in diag))
+        ints = [d.numerator * (diag_den // d.denominator) for d in diag]
+        h = mat_mul(lo, [[d * x for x in row] for d, row in zip(ints, up)])
+        den = lo_den * diag_den * up_den
+        assert det(h) == den**size
+        if all(evaluate_minor(s, h) != 0 for s in conditions):
+            return tuple(tuple(Fraction(x, den) for x in row) for row in h)
     raise SamplingExhausted(f"no valid sample in {tries} tries")
 
 
@@ -353,8 +367,8 @@ def sample_totally_positive(
     """Totally positive determinant-one sample via positive elementary factors.
 
     Multiplies a positive determinant-one diagonal by the elementary Jacobi
-    matrices x_i(t) (letter i > 0) and y_i(t) (letter -i) of a double word
-    for (w0, w0) with positive parameters.  Each factor acts on the right
+    matrices x_i(t) (letter i > 0) and y_i(t) (letter -i) of any double
+    word, with positive parameters.  Each factor acts on the right
     as one column operation: x_i(t) adds t times column i-1 to column i,
     y_i(t) adds t times column i to column i-1 (columns 0-based).
     """
@@ -527,6 +541,10 @@ def tp_criterion_check(
     """
     seed, _, specs = _cell_setup(cartan, word)
     found = [s.exprs for s, _ in islice(exchange_seeds(seed), max(1, clusters))]
+    # clusters share variables: evaluate each distinct one once per sample
+    index: dict = {}
+    found_idx = [[index.setdefault(e, len(index)) for e in exprs] for exprs in found]
+    variables = list(index)
 
     rng = random.Random(rng_seed)
     gs = [sample_totally_positive(cartan, word, rng) for _ in range(samples)]
@@ -539,9 +557,10 @@ def tp_criterion_check(
             local.append("a family minor is not positive")
         if det(g) <= 0:
             local.append("determinant is not positive")
-        for ci, exprs in enumerate(found):
-            for e in exprs:
-                if e.evaluate(values) <= 0:
+        positive = [e.evaluate(values) > 0 for e in variables]
+        for ci, idx in enumerate(found_idx):
+            for i in idx:
+                if not positive[i]:
                     local.append(f"cluster {ci}: variable not positive")
         for i in frozen_idx:
             if values[i] <= 0:

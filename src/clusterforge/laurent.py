@@ -364,16 +364,40 @@ class LaurentPoly:
                 out[f] = out.get(f, 0) + c * v
         return LaurentPoly(tgt, out)
 
-    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        """Exact numeric evaluation at nonzero rationals."""
-        total = Fraction(0)
+    def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
+        """Exact numeric evaluation at rationals, over one common denominator.
+
+        With x_i = p_i / q_i and the support in the exponent box
+        [low, high], x^e = p^(e - low) q^(high - e) * p^low / q^high, so
+        the sum of the terms is an integer sum with nonnegative powers
+        times one fixed factor.  Exact for int and Fraction values, and
+        always a Fraction; a zero value at a negative exponent raises
+        ZeroDivisionError.
+        """
+        if not self.terms:
+            return Fraction(0)
+        low, high = _box(self.terms)
+        num = den = 1
+        active = []
+        for i, (lo, hi) in enumerate(zip(low, high)):
+            p, q = values[i].numerator, values[i].denominator
+            if lo < 0:
+                den *= p**-lo
+            else:
+                num *= p**lo
+            if hi < 0:
+                num *= q**-hi
+            else:
+                den *= q**hi
+            if lo < hi:
+                ks = range(hi - lo + 1)
+                active.append((i, lo, hi, [p**k for k in ks], [q**k for k in ks]))
+        total = 0
         for e, c in self.terms.items():
-            v = Fraction(c)
-            for i, p in enumerate(e):
-                if p:
-                    v *= values[i] ** p
-            total += v
-        return total
+            for i, lo, hi, ppow, qpow in active:
+                c *= ppow[e[i] - lo] * qpow[hi - e[i]]
+            total += c
+        return Fraction(total * num, den)
 
     # -- serialization and display ------------------------------------------
 

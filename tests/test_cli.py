@@ -310,3 +310,42 @@ def test_malformed_word_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert exc.value.code == 64 and out == ""
     assert "expected integer letters" in err
+
+
+@pytest.mark.parametrize(
+    "type_name, word, choice, owner",
+    [
+        ("A2", "-1 -2 1 2", "open-cell-a2", "--type A2 --word '1 2 1 -1 -2 -1'"),
+        ("A1", "-1 1", "open-cell-a2", "--type A2 --word '1 2 1 -1 -2 -1'"),
+        ("A2", "1 2 1 -1 -2 -1", "coxeter", "--type A2 --word '-1 -2 1 2'"),
+        ("A1", "1", "coxeter", "--type A1 --word '-1 1'"),
+    ],
+    ids=["open-cell-on-coxeter", "open-cell-on-a1", "coxeter-on-open-cell",
+         "coxeter-on-a1"],
+)
+def test_closed_forms_for_another_word_is_usage_error(
+    capsys, type_name, word, choice, owner
+):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-cell", "--type", type_name, "--word", word,
+              "--samples", "2", "--closed-forms", choice])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert f"--closed-forms {choice} describes only {owner}" in err
+
+
+@pytest.mark.parametrize(
+    "word, choice, checked",
+    [
+        ("-1 -2 1 2", "coxeter", 4),
+        ("-1 -2 1 2", "auto", 4),
+        ("1 2 1 -1 -2 -1", "open-cell-a2", 8),
+        ("2 1 -2 -1 2", "auto", 0),
+        ("-1 -2 1 2", "none", 0),
+    ],
+)
+def test_closed_forms_on_their_word(capsys, word, choice, checked):
+    code, data = run(capsys, "verify-cell", "--type", "A2", "--word", word,
+                     "--samples", "2", "--closed-forms", choice)
+    assert code == 0 and data["ok"] is True
+    assert data["closed_forms_checked"] == checked

@@ -139,3 +139,40 @@ def test_cli_honours_exit_codes(argv):
     assert code in (0, 1, 2, 64), (argv, code, err.getvalue())
     if code == 1:
         json.loads(out.getvalue())
+
+
+# every reduced word of A2; a double word interleaves one as the negative
+# subword with one as the positive subword
+_A2_REDUCED = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1), (2, 1, 2))
+
+
+@st.composite
+def _valid_a2_word(draw):
+    neg = [-x for x in draw(st.sampled_from(_A2_REDUCED))]
+    pos = list(draw(st.sampled_from(_A2_REDUCED)))
+    word = []
+    while neg or pos:
+        take_neg = bool(neg) and (not pos or draw(st.booleans()))
+        word.append((neg if take_neg else pos).pop(0))
+    return " ".join(map(str, word))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    _valid_a2_word(),
+    st.sampled_from(("auto", "open-cell-a2", "coxeter", "none")),
+    st.integers(1, 3),
+    st.integers(0, 50),
+)
+def test_verify_cell_never_false_on_valid_a2_words(word, choice, samples, rng_seed):
+    """The identities hold on every valid word, and closed forms meant for
+    another word are a usage error, so verify-cell never exits 1."""
+    argv = ["verify-cell", "--type", "A2", "--word", word, "--samples", str(samples),
+            "--rng-seed", str(rng_seed), "--closed-forms", choice]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 64), (argv, code, out.getvalue(), err.getvalue())

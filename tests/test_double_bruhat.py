@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 from math import prod
 
 import pytest
@@ -37,7 +38,7 @@ from clusterforge.double_bruhat import (
     tp_criterion_check,
     verify_cell_identities,
 )
-from clusterforge import graphs
+from clusterforge import double_bruhat, graphs
 from clusterforge.cli import main
 from clusterforge.graphs import explore_exchange_graph
 from clusterforge.seeds import rank, seed_mutate, skew_symmetrizer
@@ -383,6 +384,50 @@ def test_tp_criterion_check_a3_forty_clusters(monkeypatch):
     assert rep == PositivityReport(3, 45, 40, ())
     # one division per exchange relation met while reaching 40 clusters
     assert len(calls) == 21
+
+
+def reference_tp_failures(cartan, word, gs, clusters):
+    """The per-(cluster, variable) loop: one evaluation per variable per cluster."""
+    seed, _, specs = double_bruhat._cell_setup(cartan, word)
+    found = [s.exprs for s, _ in islice(graphs.exchange_seeds(seed), clusters)]
+    out = []
+    for i, g in enumerate(gs):
+        values = [evaluate_minor(spec, g) for spec in specs]
+        local = []
+        if any(v <= 0 for v in values):
+            local.append("a family minor is not positive")
+        if det(g) <= 0:
+            local.append("determinant is not positive")
+        for ci, exprs in enumerate(found):
+            for e in exprs:
+                if e.evaluate(values) <= 0:
+                    local.append(f"cluster {ci}: variable not positive")
+        for j in range(seed.n, seed.m):
+            if values[j] <= 0:
+                local.append("frozen minor not positive")
+        out += [f"sample {i}: {msg}" for msg in local]
+    return tuple(out)
+
+
+def test_tp_criterion_check_messages_match_per_cluster_loop(monkeypatch):
+    # det-one matrices with nonzero family minors, some of them negative:
+    # cell samples for the family, which are not totally positive
+    specs = double_bruhat._cell_setup(A3, OPEN_CELL_A3)[2]
+    w0, _ = longest_element(A3)
+    rng = random.Random(5)
+    gs = [sample_cell(A3, w0, w0, rng, extra_nonzero=specs) for _ in range(4)]
+    for g in gs:
+        minors = [evaluate_minor(spec, g) for spec in specs]
+        assert 0 not in minors and any(v < 0 for v in minors)
+    draws = iter(gs)
+    monkeypatch.setattr(
+        double_bruhat, "sample_totally_positive", lambda cartan, word, rng: next(draws)
+    )
+    rep = tp_criterion_check(A3, OPEN_CELL_A3, samples=4, clusters=40, rng_seed=1)
+    expected = reference_tp_failures(A3, OPEN_CELL_A3, gs, 40)
+    assert rep.failures == expected
+    variable_failures = [f for f in expected if "variable" in f]
+    assert 0 < len(variable_failures) < 4 * 40 * 9
 
 
 def test_tp_criterion_check_zero_clusters_keeps_initial():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -261,3 +262,15 @@ def test_pow_one_is_the_base_without_multiplying(monkeypatch):
 def test_from_json_rejects_malformed_terms(terms, why):
     with pytest.raises(ValueError, match=why):
         LaurentPoly.from_json({"vars": list(CTX3.names), "terms": terms})
+
+
+def test_evaluate_is_exact_for_int_values():
+    ctx = Context(("x", "y"))
+    p = ctx.var(0) ** -1 + ctx.var(1)
+    at_ints = p.evaluate([2, 3])
+    assert type(at_ints) is Fraction and at_ints == Fraction(7, 2)
+    assert p.evaluate([Fraction(2), Fraction(3)]) == at_ints
+    q = (ctx.var(0) ** 3 - ctx.var(1) ** -2) * ctx.var(0) ** -1
+    assert q.evaluate([-2, 5]) == q.evaluate([Fraction(-2), Fraction(5)]) == Fraction(
+        4 * 50 + 1, 50
+    )

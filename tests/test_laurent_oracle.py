@@ -4,10 +4,12 @@ The inputs cover negative exponents, exponents of 2**40 and more (far past
 any fixed slot width), coefficients of 2**100 and more, and contexts of
 1, 6 and 14 variables.  Divisibility of small-exponent inputs is decided by
 sympy's ``cancel``; large-exponent inputs are expanded only, never turned
-into dense sympy polynomials.
+into dense sympy polynomials.  Numeric evaluation is compared with
+sympy's exact rational substitution.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -174,3 +176,44 @@ def test_compose_matches_sympy(nvars):
             {s: to_sympy(v, tsyms) for s, v in zip(ssyms, values)}, simultaneous=True
         )
         assert p.compose(values).terms == from_sympy(expected, tsyms)
+
+
+def rand_value(rng):
+    """A rational with a numerator of either sign, never zero."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_evaluate_matches_sympy(nvars):
+    rng = random.Random(f"evaluate/{nvars}")
+    ctx = Context(tuple(f"x{i + 1}" for i in range(nvars)))
+    syms = symbols(ctx)
+    zeros = 0
+    for trial in range(20):
+        p = rand_poly(rng, ctx, rng.randint(1, 6), -3, 3)
+        if trial % 2:  # shift every other one to a polynomial, to admit zeros
+            p = p * ctx.monomial({i: -e for i, e in enumerate(p.min_exponents())})
+        values = [rand_value(rng) for _ in range(nvars)]
+        # a zero value only where the variable has no negative exponent
+        low = p.min_exponents()
+        for i in range(nvars):
+            if low[i] >= 0 and rng.random() < 0.3:
+                values[i] = Fraction(0)
+                zeros += 1
+        expected = to_sympy(p, syms).subs(
+            {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip(syms, values)}
+        )
+        got = p.evaluate(values)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (expected.p, expected.q)
+    assert zeros > 0
+
+
+def test_evaluate_zero_polynomial_and_zero_at_negative_exponent():
+    ctx = Context(("x1", "x2"))
+    assert ctx.zero().evaluate([Fraction(0), Fraction(3)]) == Fraction(0)
+    assert type(ctx.zero().evaluate([1, 2])) is Fraction
+    p = ctx.monomial({0: 2, 1: -1}, 5) + ctx.one()
+    with pytest.raises(ZeroDivisionError):
+        p.evaluate([Fraction(1, 2), Fraction(0)])
+    assert p.evaluate([Fraction(0), Fraction(-2)]) == 1
