@@ -132,19 +132,23 @@ def _positive_roots(A: Sequence[Sequence[int]], cap: int = _ROOT_CAP) -> tuple:
 
 @lru_cache(maxsize=None)
 def cartan_data(type_name: str) -> CartanData:
-    """Build CartanData from a descriptor like "A2", "B3", "D4", "G2"."""
-    m = re.fullmatch(r"([A-G])(\d+)", type_name.strip())
+    """Build CartanData from its exact name, like "A2", "B3", "D4", "G2": the
+    rank in ASCII digits, no leading zero, at most A31, B22, C22 or D23."""
+    m = re.fullmatch(r"([A-G])(0|[1-9][0-9]*)", type_name)
     if not m:
         raise ValueError(f"bad type descriptor {type_name!r}")
     family, r = m.group(1), int(m.group(2))
     A = cartan_entries(family, r)
-    entries = tuple(tuple(row) for row in A)
+    try:
+        roots = _positive_roots(A)
+    except NotFiniteType:
+        raise ValueError(f"{type_name} is over the {_ROOT_CAP}-root limit") from None
     return CartanData(
-        name=f"{family}{r}",
+        name=type_name,
         rank=r,
-        A=entries,
+        A=tuple(tuple(row) for row in A),
         d=symmetrizer(A),
-        positive_roots=_positive_roots(A),
+        positive_roots=roots,
     )
 
 

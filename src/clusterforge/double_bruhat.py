@@ -408,15 +408,8 @@ def _failures(check: Callable, gs: Sequence) -> tuple:
     )
 
 
-# -- identity verification -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellCheckReport:
-    samples: int
-    relations_checked: int
-    closed_forms_checked: int
-    failures: tuple
+class _Report:
+    """Counts of one check run and its per-sample failure messages."""
 
     @property
     def ok(self) -> bool:
@@ -424,6 +417,17 @@ class CellCheckReport:
 
     def to_json(self) -> dict:
         return {**asdict(self), "failures": list(self.failures), "ok": self.ok}
+
+
+# -- identity verification -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CellCheckReport(_Report):
+    samples: int
+    relations_checked: int
+    closed_forms_checked: int
+    failures: tuple
 
 
 def verify_cell_identities(
@@ -435,11 +439,12 @@ def verify_cell_identities(
 ) -> CellCheckReport:
     """Check the exchange structure on random cell samples, exactly.
 
-    For every exchangeable position l the exchange polynomial is evaluated
-    in the minors of the sample and divided by the minor at l; the quotient
-    must reproduce the independently evaluated closed form whenever one is
-    supplied (a callable g -> Fraction).  Every minor of the family is
-    required nonzero, so the quotients are well defined.
+    Samples come from ``sample_cell``, which asserts determinant one and
+    keeps every minor of the family nonzero.  At each exchangeable position
+    l with a closed form (a callable g -> Fraction), the exchange polynomial
+    is evaluated in the sample's minors and divided by the minor at l, and
+    must equal the closed form; other positions are not evaluated.
+    ``relations_checked`` is samples x exchangeable positions regardless.
     """
     seed, positions, specs = _cell_setup(cartan, word)
     u = word_product(cartan, [-x for x in word if x < 0])
@@ -450,17 +455,21 @@ def verify_cell_identities(
         for _ in range(samples)
     ]
     closed_forms = closed_forms or {}
-    relations = [exchange_polynomial(seed, j) for j in range(seed.n)]
+    compared = [
+        (j, l, exchange_polynomial(seed, j))
+        for j, l in enumerate(positions[: seed.n])
+        if l in closed_forms
+    ]
 
     def check(g) -> list[str]:
-        local = []
+        if not compared:
+            return []
         values = [evaluate_minor(spec, g) for spec in specs]
-        for j, P in enumerate(relations):
-            quotient = P.evaluate(values) / values[j]
-            l = positions[j]
-            if l in closed_forms and quotient != closed_forms[l](g):
-                local.append(f"position {l}: quotient != closed form")
-        return local
+        return [
+            f"position {l}: quotient != closed form"
+            for j, l, P in compared
+            if P.evaluate(values) / values[j] != closed_forms[l](g)
+        ]
 
     return CellCheckReport(
         samples=samples,
@@ -511,18 +520,11 @@ def coxeter_cell_closed_forms(cartan: CartanData) -> dict:
 
 
 @dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(_Report):
     samples: int
     minors_checked: int
     clusters_checked: int
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "failures": list(self.failures), "ok": self.ok}
 
 
 def tp_criterion_check(

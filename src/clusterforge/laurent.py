@@ -311,13 +311,6 @@ class LaurentPoly:
         shift = [a - b for a, b in zip(nlow, dlow)]
         return LaurentPoly(self.ctx, _unpack(quot, shift, width))
 
-    def divides(self, num: "LaurentPoly") -> bool:
-        try:
-            num.divide_exact(self)
-            return True
-        except NotDivisible:
-            return False
-
     def expand_in(self, j: int) -> list[tuple[int, "LaurentPoly"]]:
         """Write self as sum_p coeff_p * x_j^p with coefficients free of x_j.
 

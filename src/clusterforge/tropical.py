@@ -47,16 +47,21 @@ class Valuation:
         return Valuation(tuple(w))
 
 
-def valuate(y: LaurentPoly, v: Valuation) -> Fraction:
-    """min over the support of the weighted exponent sum; exact."""
+def _degrees(y: LaurentPoly, v: Valuation) -> set:
+    """The weighted exponent sums of y's terms, its degrees under v; exact."""
     if y.is_zero():
         raise ValueError("the zero polynomial has no valuation")
     if len(v.weights) != y.ctx.nvars:
         raise ValueError("weight count does not match the context")
-    return min(
+    return {
         sum((Fraction(e_i) * w_i for e_i, w_i in zip(e, v.weights)), Fraction(0))
         for e in y.terms
-    )
+    }
+
+
+def valuate(y: LaurentPoly, v: Valuation) -> Fraction:
+    """min over the support of the weighted exponent sum; exact."""
+    return min(_degrees(y, v))
 
 
 def _principal3(B: ExchangeMatrix) -> tuple:
@@ -90,32 +95,34 @@ class TreeAssignment:
     values: dict
     edge_data: dict
 
-    def at(self, address: str) -> tuple:
-        return self.values[address]
-
     def to_json(self) -> dict:
         return {
             a: [str(x) for x in triple] for a, triple in sorted(self.values.items())
         }
 
 
-def _tree_walk(depth: int):
-    """Yield (parent_address, direction) pairs in breadth-first order.
+def _mutation_tree(P0: tuple, depth: int):
+    """Walk the mutation tree of the 3x3 matrix P0 breadth first, to depth.
 
-    Each child address is reached from exactly one pair, so a walk never
-    meets an address twice, and the pairs of one parent come together.
+    Yields (addr, M, children) for each vertex of radius below depth, with
+    children the list of (j, child_addr, matrix_mutate(M, j)) over every
+    direction but the one that led to addr.  Only one layer of matrices is
+    kept.  The children are made before the caller checks M, which changes
+    no error: mutating an acyclic sign-skew-symmetric 3x3 matrix keeps it
+    sign-skew-symmetric, so only a cyclic M can make matrix_mutate raise.
     """
-    frontier = [""]
+    layer = [("", ExchangeMatrix.make([list(r) for r in P0]))]
     for _ in range(depth):
         nxt = []
-        for addr in frontier:
-            last = int(addr[-1]) - 1 if addr else None
-            for j in range(3):
-                if j == last:
-                    continue
-                nxt.append((addr, j))
-        yield from nxt
-        frontier = [a + str(j + 1) for a, j in nxt]
+        for addr, M in layer:
+            children = [
+                (j, addr + str(j + 1), matrix_mutate(M, j))
+                for j in range(3)
+                if addr[-1:] != str(j + 1)
+            ]
+            yield addr, M, children
+            nxt += [(child, C) for _, child, C in children]
+        layer = nxt
 
 
 def propagate_valuation(seed: Seed, v0: Valuation, depth: int) -> TreeAssignment:
@@ -128,21 +135,16 @@ def propagate_valuation(seed: Seed, v0: Valuation, depth: int) -> TreeAssignment
     P0 = _principal3(seed.matrix)
     if not _is_cyclic3(P0):
         raise NotCyclicEverywhere("the initial matrix is not cyclic")
-    nu0 = tuple(v0.weights[:3])
-    matrices = {"": ExchangeMatrix.make([list(r) for r in P0])}
-    values = {"": nu0}
-    for addr, j in _tree_walk(depth):
-        child = addr + str(j + 1)
-        M = matrices[addr]
+    values = {"": tuple(v0.weights[:3])}
+    for addr, M, children in _mutation_tree(P0, depth):
         P = M.principal()
         if not _is_cyclic3(P):
             raise NotCyclicEverywhere(f"acyclic matrix at address {addr!r}")
-        i, k = _others(j)
         nu = values[addr]
-        new_j = min(abs(P[i][j]) * nu[i], abs(P[k][j]) * nu[k]) - nu[j]
-        triple = tuple(new_j if t == j else nu[t] for t in range(3))
-        values[child] = triple
-        matrices[child] = matrix_mutate(M, j)
+        for j, child, _ in children:
+            i, k = _others(j)
+            new_j = min(abs(P[i][j]) * nu[i], abs(P[k][j]) * nu[k]) - nu[j]
+            values[child] = tuple(new_j if t == j else nu[t] for t in range(3))
     return TreeAssignment(values, {})
 
 
@@ -239,31 +241,26 @@ def delta_witness(
 
     # sqrt(rad_i rad_k) rewritten on the radicand of direction j
     cross = [root_over(rad[i] * rad[k], j) for j, (i, k) in enumerate(pairs)]
-    M0 = ExchangeMatrix.make([list(r) for r in P0])
-    unexpanded = {"": (M0, roots(P0))}
+    unexpanded = {"": roots(P0)}  # the roots of each vertex not yet expanded
     deltas = {"": tuple(Fraction(x) for x in delta0)}
     edge_data = {}
-    parent = None
-    for addr, j in _tree_walk(radius + 1):
-        child = addr + str(j + 1)
-        if addr != parent:
-            parent, (M, s) = addr, unexpanded.pop(addr)
-        i, k = pairs[j]
-        M2 = matrix_mutate(M, j)
-        P2 = M2.principal()
-        if not _is_cyclic3(P2):
-            raise AcyclicSeedFound(f"acyclic matrix at address {child!r}")
-        s2 = roots(P2)
-        total = s[j] + s2[j]
-        # recursion check: s_i s_k = s_j + s_j'
-        if s[i] * s[k] * cross[j] != total:
-            raise AssertionError("square-root recursion mismatch")
-        u_par, u_child = s[j] / total, s2[j] / total
+    for addr, _, children in _mutation_tree(P0, radius + 1):
+        s = unexpanded.pop(addr)
         dl = deltas[addr]
-        new_j = (min(dl[i], dl[k]) - u_par * dl[j]) / u_child
-        deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
-        unexpanded[child] = (M2, s2)
-        edge_data[child] = {"direction": j + 1, "u_parent": u_par, "u_child": u_child}
+        for j, child, M2 in children:
+            P2 = M2.principal()
+            if not _is_cyclic3(P2):
+                raise AcyclicSeedFound(f"acyclic matrix at address {child!r}")
+            s2 = unexpanded[child] = roots(P2)
+            i, k = pairs[j]
+            total = s[j] + s2[j]
+            # recursion check: s_i s_k = s_j + s_j'
+            if s[i] * s[k] * cross[j] != total:
+                raise AssertionError("square-root recursion mismatch")
+            u_par, u_child = s[j] / total, s2[j] / total
+            new_j = (min(dl[i], dl[k]) - u_par * dl[j]) / u_child
+            deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
+            edge_data[child] = {"direction": j + 1, "u_parent": u_par, "u_child": u_child}
 
     sequence = []
     for r in range(radius + 2):
@@ -272,15 +269,14 @@ def delta_witness(
     strict = all(a > b for a, b in zip(sequence, sequence[1:]))
     shift = sequence[radius]
     shifted = {a: tuple(x - shift for x in t) for a, t in deltas.items()}
-    negative_at = None
-    for a, t in sorted(shifted.items()):
-        if len(a) == radius + 1:
-            for idx, x in enumerate(t):
-                if x < 0:
-                    negative_at = (a, idx + 1)
-                    break
-        if negative_at:
-            break
+    negative_at = next(
+        (
+            (a, idx + 1)
+            for a, t in sorted(shifted.items()) if len(a) == radius + 1
+            for idx, x in enumerate(t) if x < 0
+        ),
+        None,
+    )
     ok_inside = all(
         x >= 0 for a, t in shifted.items() if len(a) <= radius for x in t
     )
@@ -331,14 +327,6 @@ class LowerBoundCertificate:
         }
 
 
-def _homogeneous_value(y: LaurentPoly, v: Valuation) -> Fraction | None:
-    vals = {
-        sum((Fraction(e_i) * w_i for e_i, w_i in zip(e, v.weights)), Fraction(0))
-        for e in y.terms
-    }
-    return vals.pop() if len(vals) == 1 else None
-
-
 def not_in_lower_bound_certificate(
     y: LaurentPoly, seed: Seed, v: Valuation
 ) -> LowerBoundCertificate:
@@ -349,16 +337,11 @@ def not_in_lower_bound_certificate(
             False, "frozen variables must have weight zero", None, (), v
         )
     n = seed.n
-    gen_vals = []
-    homogeneous = True
-    for j in range(n):
-        P = exchange_polynomial(seed, j)
-        pv = _homogeneous_value(P, v)
-        if pv is None:
-            homogeneous = False
-            pv = valuate(P, v)
-        gen_vals.append((v.weights[j], pv - v.weights[j]))
-    value = valuate(y, v)
+    degrees = [_degrees(exchange_polynomial(seed, j), v) for j in range(n)]
+    gen_vals = [(v.weights[j], min(d) - v.weights[j]) for j, d in enumerate(degrees)]
+    y_degrees = _degrees(y, v)
+    value = min(y_degrees)
+    homogeneous = all(len(d) == 1 for d in degrees + [y_degrees])
     all_gens = [x for pair in gen_vals for x in pair]
     if value < 0 and all(g >= 0 for g in all_gens):
         return LowerBoundCertificate(
@@ -366,11 +349,9 @@ def not_in_lower_bound_certificate(
             tuple(gen_vals), v,
         )
     nonconstant = any(any(e[:n]) for e in y.terms)
-    y_hom = _homogeneous_value(y, v)
     g_min = min(all_gens)
     if (
         homogeneous
-        and y_hom is not None
         and nonconstant
         and all(g > 0 for g in all_gens)
         and value < g_min
@@ -383,7 +364,7 @@ def not_in_lower_bound_certificate(
         reason = "element is constant over the coefficients"
     elif value >= g_min:
         reason = "value does not separate from the generators"
-    elif not homogeneous or y_hom is None:
+    elif not homogeneous:
         reason = "grading argument needs homogeneity"
     else:
         reason = "generators not strictly positive"

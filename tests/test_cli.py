@@ -349,3 +349,39 @@ def test_closed_forms_on_their_word(capsys, word, choice, checked):
                      "--samples", "2", "--closed-forms", choice)
     assert code == 0 and data["ok"] is True
     assert data["closed_forms_checked"] == checked
+
+
+@pytest.mark.parametrize("type_name", ["A٢", "A02", " A2 ", "A2\n", "a2", "A+2"])
+@pytest.mark.parametrize(
+    "command", [["roots"], ["btilde", "--word", "1 2"], ["verify-cell", "--word", "1 2"]]
+)
+def test_type_is_read_only_as_its_exact_name(capsys, command, type_name):
+    code = main([command[0], "--type", type_name, *command[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: ValueError: bad type descriptor {type_name!r}\n"
+
+
+@pytest.mark.parametrize(
+    "type_name, count", [("A31", 496), ("B22", 484), ("C22", 484), ("D23", 506)]
+)
+def test_largest_supported_types(capsys, type_name, count):
+    code, data = run(capsys, "roots", "--type", type_name)
+    assert code == 0 and data["type"] == type_name and data["count"] == count
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--type", "A32"],
+        ["roots", "--type", "B23"],
+        ["roots", "--type", "C23"],
+        ["roots", "--type", "D24"],
+        ["tp-check", "--type", "A32", "--word", "1"],
+    ],
+)
+def test_types_over_the_root_limit_exit_2(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: ValueError: {argv[2]} is over the 512-root limit\n"

@@ -41,6 +41,7 @@ from clusterforge.double_bruhat import (
 from clusterforge import double_bruhat, graphs
 from clusterforge.cli import main
 from clusterforge.graphs import explore_exchange_graph
+from clusterforge.laurent import LaurentPoly
 from clusterforge.seeds import rank, seed_mutate, skew_symmetrizer
 from clusterforge.util import mat_mul
 
@@ -351,6 +352,42 @@ def test_verify_detects_wrong_closed_form():
         closed_forms={3: lambda g: g[0][0]},  # wrong on purpose
     )
     assert not rep.ok
+
+
+def test_verify_reports_each_wrong_closed_form():
+    rep = verify_cell_identities(
+        A2, OPEN_CELL_A2, samples=3, rng_seed=3,
+        closed_forms={3: lambda g: g[1][1] + 1},  # off by one on every sample
+    )
+    assert rep.failures == tuple(
+        f"sample {i}: position 3: quotient != closed form" for i in range(3)
+    )
+
+
+@pytest.mark.parametrize(
+    "word, closed_forms, evaluations",
+    [
+        # no closed form: no exchange relation is evaluated
+        ((-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2), None, 0),
+        # the three Coxeter positions, on each of 5 samples
+        (coxeter_cell_word(A3), coxeter_cell_closed_forms(A3), 15),
+    ],
+)
+def test_verify_evaluates_only_compared_relations(
+    monkeypatch, word, closed_forms, evaluations
+):
+    calls = []
+    evaluate = LaurentPoly.evaluate
+
+    def counted(self, values):
+        calls.append(1)
+        return evaluate(self, values)
+
+    monkeypatch.setattr(LaurentPoly, "evaluate", counted)
+    rep = verify_cell_identities(A3, word, samples=5, rng_seed=11,
+                                 closed_forms=closed_forms)
+    assert rep.ok and rep.relations_checked == 5 * (len(word) - 3)
+    assert len(calls) == evaluations
 
 
 def test_tp_samples_all_minors_positive():
