@@ -226,13 +226,14 @@ def _cmd_tropical(args) -> int:
     if args.delta is not None:
         witness = tropical.delta_witness(
             seed.matrix,
-            radius=args.radius,
+            radius=4 if args.radius is None else args.radius,
             delta0=args.delta,
         )
         _emit(witness.to_json())
         return 0 if witness.valid else 1
     v0 = tropical.Valuation.on_cluster(seed, args.nu)
-    out = tropical.propagate_valuation(seed, v0, depth=args.depth)
+    depth = 3 if args.depth is None else args.depth
+    out = tropical.propagate_valuation(seed, v0, depth=depth)
     _emit(out.to_json())
     return 0
 
@@ -317,11 +318,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tropical", help="valuation propagation / delta witness")
     p.add_argument("--seed", required=True)
     p.add_argument("--nu", type=_rationals, help="comma separated cluster weights")
-    p.add_argument("--depth", type=_radius, default=3)
+    p.add_argument("--depth", type=_radius, help="with --nu; default 3")
     p.add_argument(
         "--delta", type=_rationals, help="comma separated initial delta triple"
     )
-    p.add_argument("--radius", type=_radius, default=4)
+    p.add_argument("--radius", type=_radius, help="with --delta; default 4")
     p.set_defaults(fn=_cmd_tropical)
 
     p = sub.add_parser("diffcomb", help="verify the cyclic subset identity")
@@ -338,10 +339,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "tropical" and args.nu is None and args.delta is None:
-        parser.error("tropical needs --nu or --delta")
-    if args.command == "tropical" and args.delta is not None and len(args.delta) != 3:
-        parser.error(f"--delta needs 3 entries, got {len(args.delta)}")
+    if args.command == "tropical":
+        if (args.nu is None) == (args.delta is None):
+            parser.error("tropical needs one of --nu and --delta")
+        if (args.depth if args.nu is None else args.radius) is not None:
+            parser.error("--nu goes with --depth and --delta with --radius")
+        if args.delta is not None and len(args.delta) != 3:
+            parser.error(f"--delta needs 3 entries, got {len(args.delta)}")
     try:
         return args.fn(args)
     except _UsageError as exc:

@@ -444,7 +444,9 @@ def verify_cell_identities(
     l with a closed form (a callable g -> Fraction), the exchange polynomial
     is evaluated in the sample's minors and divided by the minor at l, and
     must equal the closed form; other positions are not evaluated.
-    ``relations_checked`` is samples x exchangeable positions regardless.
+    ``relations_checked`` is samples x exchangeable positions regardless;
+    ``closed_forms_checked`` is samples x compared positions, so a form
+    keyed by a position that is not exchangeable is not counted.
     """
     seed, positions, specs = _cell_setup(cartan, word)
     u = word_product(cartan, [-x for x in word if x < 0])
@@ -474,7 +476,7 @@ def verify_cell_identities(
     return CellCheckReport(
         samples=samples,
         relations_checked=samples * seed.n,
-        closed_forms_checked=samples * len(closed_forms),
+        closed_forms_checked=samples * len(compared),
         failures=_failures(check, gs),
     )
 

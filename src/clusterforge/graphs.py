@@ -252,7 +252,7 @@ def _orbits(n: int, gens: list) -> list[int]:
     return [find(x) for x in range(n)]
 
 
-def canonical_key(d: Diagram) -> tuple:
+def canonical_key(d: Diagram, leaf: list | None = None) -> tuple:
     """Complete isomorphism invariant: (n, least serialization of a leaf).
 
     An individualization-refinement search (McKay-Piperno, *Practical
@@ -275,6 +275,8 @@ def canonical_key(d: Diagram) -> tuple:
     one, so the search returns to that node.  A node also skips a vertex
     in the orbit of an explored one under the automorphisms found so far
     that fix the node's individualized vertices.
+    A list passed as leaf receives the least leaf's colouring: relabelling
+    d by v -> leaf[v] reproduces the key.
     """
     n = d.n
     weights = {(i, j): w for i, j, w in d.arrows}
@@ -330,6 +332,8 @@ def canonical_key(d: Diagram) -> tuple:
 
     search(_refine_colors(nbrs, [0] * n), ())
     assert best is not None
+    if leaf is not None:
+        leaf[:] = best_colors
     return (n, tuple(best))
 
 
@@ -415,15 +419,23 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     The search mutates matrices (any realization determines the mutated
     diagram) and deduplicates by canonical diagram form.  Weight checks
     happen before canonicalization so infinite-type witnesses are cheap.
-    Mutation is an involution, so a matrix is not mutated back in the
-    direction it came from: that gives its parent, already keyed and
-    weight-checked.  Mutations in directions i and j with b_ij = 0
-    commute, so one layer of the search often makes the same labelled
-    matrix twice; the entries made while mutating the current layer are
-    kept, and a repeat is dropped before its diagram is built.  That is
-    exact: the first copy had the same diagram and, as the search went on,
-    passed the weight check and left its key in the reps, so the repeat
-    would change nothing.
+    Each class keeps its first matrix X as rep, with pos, the map from
+    canonical positions to X's vertices, and a set of known directions.
+    A child mu_k(M) keyed to X's class maps onto X by v -> pos[leaf[v]],
+    leaf being the colouring canonical_key hands back.  The diagram of a
+    mutation is a function of the diagram and the direction (Fomin-
+    Zelevinsky, *Cluster algebras II*, Prop. 8.1) and mutation is an
+    involution, so X mutated at pos[leaf[k]] has M's diagram up to
+    isomorphism: that direction of X is known (for a new rep, the way
+    back).  Expanding a rep skips its known directions.  That is exact: a
+    skipped child lies in a class already in the reps, with all weights
+    below 4, so it changes neither the reps nor the witness.  Mutations in
+    directions i and j with b_ij = 0 commute, so one layer of the search
+    often makes the same labelled matrix twice; the entries made while
+    mutating the current layer are kept, and a repeat is dropped before
+    its diagram is built.  That is exact too: the first copy had the same
+    diagram and, as the search went on, passed the weight check and left
+    its key in the reps, so the repeat would change nothing.
     """
     if not is_skew_symmetrizable(B):
         raise ValueError("classification requires a skew-symmetrizable matrix")
@@ -431,15 +443,17 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     d0 = diagram_of(P)
     if d0.max_weight() >= 4:
         return Classification("infinite", None, d0, d0.max_weight(), 0, 1)
-    reps = {canonical_key(d0): P}
-    queue = deque([(P, 0, None)])
+    leaf: list = []
+    key = canonical_key(d0, leaf)
+    reps = {key: (P, sorted(range(P.n), key=leaf.__getitem__), set())}
+    queue = deque([(reps[key], 0)])
     layer, made = 0, set()
     while queue:
-        M, depth, back = queue.popleft()
+        (M, _, known), depth = queue.popleft()
         if depth != layer:
             layer, made = depth, set()
         for k in range(M.n):
-            if k == back:
+            if k in known:
                 continue
             M2 = matrix_mutate(M, k)
             if M2.entries in made:
@@ -450,15 +464,17 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
                 return Classification(
                     "infinite", None, d2, d2.max_weight(), depth + 1, len(reps)
                 )
-            key = canonical_key(d2)
-            if key not in reps:
+            key = canonical_key(d2, leaf)
+            X = reps.get(key)
+            if X is None:
                 if len(reps) >= node_cap:
                     return Classification(
                         "inconclusive", None, None, None, None, len(reps)
                     )
-                reps[key] = M2
-                queue.append((M2, depth + 1, k))
-    for M in reps.values():
+                X = reps[key] = (M2, sorted(range(M2.n), key=leaf.__getitem__), set())
+                queue.append((X, depth + 1))
+            X[2].add(X[1][leaf[k]])
+    for M, _, _ in reps.values():
         if is_acyclic(M):
             name = dynkin_name(diagram_of(M))
             if name is not None:

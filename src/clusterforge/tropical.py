@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .laurent import LaurentPoly
@@ -106,17 +107,22 @@ def _mutation_tree(P0: tuple, depth: int):
 
     Yields (addr, M, children) for each vertex of radius below depth, with
     children the list of (j, child_addr, matrix_mutate(M, j)) over every
-    direction but the one that led to addr.  Only one layer of matrices is
-    kept.  The children are made before the caller checks M, which changes
-    no error: mutating an acyclic sign-skew-symmetric 3x3 matrix keeps it
-    sign-skew-symmetric, so only a cyclic M can make matrix_mutate raise.
+    direction but the one that led to addr.  The children are made before
+    the caller checks M, which changes no error: mutating an acyclic
+    sign-skew-symmetric 3x3 matrix keeps it sign-skew-symmetric, so only a
+    cyclic M can make matrix_mutate raise.  A mutation and its
+    sign-skew-symmetry check are a function of the pair (M, j), so
+    matrix_mutate runs once per distinct pair, and every edge is still
+    checked: Markov's tree, with two matrices, mutates 6 times.  The cache
+    keeps each distinct matrix, so a tree without repeats holds them all.
     """
+    mutate = cache(matrix_mutate)
     layer = [("", ExchangeMatrix.make([list(r) for r in P0]))]
     for _ in range(depth):
         nxt = []
         for addr, M in layer:
             children = [
-                (j, addr + str(j + 1), matrix_mutate(M, j))
+                (j, addr + str(j + 1), mutate(M, j))
                 for j in range(3)
                 if addr[-1:] != str(j + 1)
             ]
@@ -212,8 +218,10 @@ def delta_witness(
     square roots s_j = sqrt of the opposite exchange weight, carried
     exactly as rational multiples of fixed square-free radicands; the
     recursion s_j(t') = s_i(t) s_k(t) - s_j(t) is cross-checked against
-    the mutated matrix at every step.  Each tree matrix is checked to be
-    cyclic, and its three roots computed, once, when it is made.
+    the mutated matrix at every step.  The cyclicity and recursion checks
+    and (u_parent, u_child) are functions of the edge's (entries, j), so
+    they run once per distinct pair and still check every edge; the roots
+    run once per distinct matrix, and only the deltas once per edge.
     """
     if len(delta0) != 3:
         raise ValueError(f"delta0 needs 3 entries, got {len(delta0)}")
@@ -233,6 +241,7 @@ def delta_witness(
             raise ArithmeticError(f"{w}/{rad[j]} is not a rational square")
         return q
 
+    @cache
     def roots(P: tuple) -> tuple:
         """(q_0, q_1, q_2) with s_j = sqrt|b_ik b_ki| = q_j sqrt(rad_j)."""
         return tuple(
@@ -241,31 +250,33 @@ def delta_witness(
 
     # sqrt(rad_i rad_k) rewritten on the radicand of direction j
     cross = [root_over(rad[i] * rad[k], j) for j, (i, k) in enumerate(pairs)]
-    unexpanded = {"": roots(P0)}  # the roots of each vertex not yet expanded
+    roots(P0)  # a root that is not rational raises before any mutation
+    weights: dict = {}  # (entries, j) -> (u_parent, u_child) of a checked edge
     deltas = {"": tuple(Fraction(x) for x in delta0)}
+    lowest = {0: min(deltas[""])}  # radius -> least delta value there
     edge_data = {}
-    for addr, _, children in _mutation_tree(P0, radius + 1):
-        s = unexpanded.pop(addr)
+    for addr, M, children in _mutation_tree(P0, radius + 1):
+        s = roots(M.entries)
         dl = deltas[addr]
         for j, child, M2 in children:
-            P2 = M2.principal()
-            if not _is_cyclic3(P2):
-                raise AcyclicSeedFound(f"acyclic matrix at address {child!r}")
-            s2 = unexpanded[child] = roots(P2)
             i, k = pairs[j]
-            total = s[j] + s2[j]
-            # recursion check: s_i s_k = s_j + s_j'
-            if s[i] * s[k] * cross[j] != total:
-                raise AssertionError("square-root recursion mismatch")
-            u_par, u_child = s[j] / total, s2[j] / total
+            if (M.entries, j) not in weights:
+                P2 = M2.principal()
+                if not _is_cyclic3(P2):
+                    raise AcyclicSeedFound(f"acyclic matrix at address {child!r}")
+                s2 = roots(P2)
+                total = s[j] + s2[j]
+                # recursion check: s_i s_k = s_j + s_j'
+                if s[i] * s[k] * cross[j] != total:
+                    raise AssertionError("square-root recursion mismatch")
+                weights[M.entries, j] = s[j] / total, s2[j] / total
+            u_par, u_child = weights[M.entries, j]
             new_j = (min(dl[i], dl[k]) - u_par * dl[j]) / u_child
             deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
+            lowest[len(child)] = min(lowest.get(len(child), new_j), *deltas[child])
             edge_data[child] = {"direction": j + 1, "u_parent": u_par, "u_child": u_child}
 
-    sequence = []
-    for r in range(radius + 2):
-        layer = [min(t) for a, t in deltas.items() if len(a) == r]
-        sequence.append(min(layer))
+    sequence = list(lowest.values())
     strict = all(a > b for a, b in zip(sequence, sequence[1:]))
     shift = sequence[radius]
     shifted = {a: tuple(x - shift for x in t) for a, t in deltas.items()}

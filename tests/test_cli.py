@@ -145,6 +145,28 @@ def test_tropical_delta_witness(capsys):
     assert data["sequence"] == ["0", "-1", "-2", "-4", "-7"]
 
 
+@pytest.mark.parametrize(
+    "mode, message",
+    [(["--delta", "0,0,1", "--nu", "1,1,1"], "one of --nu and --delta"),
+     (["--delta", "0,0,1", "--depth", "2"], "--delta with --radius"),
+     (["--nu", "1,1,1", "--radius", "2"], "--nu goes with --depth")],
+    ids=["nu-with-delta", "depth-with-delta", "radius-with-nu"],
+)
+def test_tropical_mixed_modes_are_usage_errors(capsys, mode, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["tropical", "--seed", json.dumps(MARKOV), *mode])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert message in err
+
+
+def test_tropical_defaults_per_mode(capsys):
+    code, data = run(capsys, "tropical", "--seed", json.dumps(MARKOV), "--delta", "0,0,1")
+    assert code == 0 and data["radius"] == 4 and len(data["sequence"]) == 6
+    code, data = run(capsys, "tropical", "--seed", json.dumps(MARKOV), "--nu", "1,1,1")
+    assert code == 0 and max(map(len, data)) == 3
+
+
 def test_usage_error_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mutate"])  # missing required flags

@@ -334,6 +334,15 @@ def test_verify_open_cell_identities_small():
     assert rep.closed_forms_checked == 40
 
 
+def test_closed_forms_checked_counts_only_compared_forms():
+    # position 6 of the open cell word is frozen, so its form is never compared
+    rep = verify_cell_identities(
+        A2, OPEN_CELL_A2, samples=3, closed_forms={6: lambda g: 12345}
+    )
+    assert rep.ok
+    assert rep.closed_forms_checked == 0
+
+
 def test_verify_coxeter_cell_identities_small():
     for cartan in (A2, A3):
         rep = verify_cell_identities(

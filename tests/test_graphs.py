@@ -325,6 +325,25 @@ def test_canonical_key_eight_disjoint_arrows():
     assert canonical_key(seven) != key
 
 
+def test_canonical_key_leaf_relabels_to_the_key():
+    rng = random.Random(79)
+    diagrams = [Diagram(n, tuple(sorted(_random_diagram(rng, n))))
+                for n in (rng.randint(1, 8) for _ in range(300))]
+    diagrams += [
+        Diagram(10, tuple(sorted((i, (i + 1) % 10, 1) for i in range(10)))),
+        Diagram(10, tuple((2 * i, 2 * i + 1, 1) for i in range(5))),
+        Diagram(16, tuple((2 * i, 2 * i + 1, 1) for i in range(8))),
+    ]
+    for d in diagrams + [_relabelled(d, rng) for d in diagrams]:
+        leaf = []
+        key = canonical_key(d, leaf)
+        assert sorted(leaf) == list(range(d.n))
+        ser = [0] * (d.n * d.n)
+        for i, j, w in d.arrows:
+            ser[leaf[i] * d.n + leaf[j]] = w
+        assert key == (d.n, tuple(ser)), d
+
+
 def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
     """classify_finite_type's search with every mutated matrix keyed.
 
@@ -398,22 +417,58 @@ def test_classify_equals_search_keying_every_matrix(make, cap, summary):
     ],
     ids=["open-cell-A3", "base-affine-A5-node-cap"],
 )
-def test_classify_builds_one_diagram_per_labelled_matrix_of_a_layer(monkeypatch, make, cap):
+def test_classify_builds_each_matrix_once_per_layer(monkeypatch, make, cap):
     B = make()
     made = []
     _classify_keying_every_matrix(B, node_cap=cap, made=made)
     first = list(dict.fromkeys(made))  # first copy of each within its layer
-    built = []
+    popped, built = [], []
+
+    class RecordingQueue(deque):
+        def popleft(self):
+            item = super().popleft()
+            popped.append(item[-1])  # the depth of the rep being expanded
+            return item
 
     def recording_diagram_of(M):
-        built.append(M.entries)
+        built.append((popped[-1] + 1 if popped else 0, M.entries))
         return diagram_of(M)
 
+    monkeypatch.setattr(graphs, "deque", RecordingQueue)
     monkeypatch.setattr(graphs, "diagram_of", recording_diagram_of)
     classify_finite_type(B, node_cap=cap)
-    # the first diagram is the input's; both searches stop before naming a type
-    assert built[1:] == [entries for _, entries in first]
-    assert len(first) < len(made)
+    # the first diagram is the input's; both searches stop before naming a
+    # type.  The search mutates the reference's reps in the reference's
+    # order but skips known directions and repeats, so it builds a
+    # subsequence of the reference's mutated matrices.  That is not always
+    # a subsequence of the first copies: a matrix whose first copy came
+    # from a skipped direction is built at its next copy in the layer.
+    rest = iter(made)
+    assert all(x in rest for x in built[1:])
+    assert len(set(built)) == len(built)
+    assert len(built) - 1 < len(first) < len(made)
+
+
+@pytest.mark.parametrize(
+    "make, keys",
+    [
+        (lambda: _cell_matrix("A5"), 6184),
+        (lambda: _cell_matrix("A3", (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)), 1155),
+        (lambda: bipartite_seed("E7").matrix, 1318),
+    ],
+    ids=["base-affine-A5", "open-cell-A3", "bipartite-E7"],
+)
+def test_classify_skips_known_directions(monkeypatch, make, keys):
+    # keying every child but the way back takes 7,943, 1,454 and 1,795 keys
+    calls = []
+
+    def counting_canonical_key(d, leaf=None):
+        calls.append(d.n)
+        return canonical_key(d, leaf)
+
+    monkeypatch.setattr(graphs, "canonical_key", counting_canonical_key)
+    classify_finite_type(make())
+    assert len(calls) <= keys
 
 
 def _oriented_cycle(n):

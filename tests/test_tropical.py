@@ -425,6 +425,26 @@ def test_mutation_tree_walk_matches_reference_delta_witness():
     assert {"value", AcyclicSeedFound, ValueError}.issubset(kinds)
 
 
+def test_markov_tree_mutates_each_distinct_pair_once(monkeypatch):
+    # 6,141 tree edges at radius 10, but only M and -M occur in the tree
+    calls = []
+
+    def counting_matrix_mutate(M, j):
+        calls.append(j)
+        return matrix_mutate(M, j)
+
+    monkeypatch.setattr(tropical, "matrix_mutate", counting_matrix_mutate)
+    B = ExchangeMatrix.make(MARKOV)
+    got = delta_witness(B, 10)
+    assert len(calls) <= 6
+    assert got == reference_delta_witness(B, 10)
+    seed = general_seed(MARKOV)
+    v0 = w(seed, (1, 2, 3))
+    calls.clear()
+    assert propagate_valuation(seed, v0, 6) == reference_propagate_valuation(seed, v0, 6)
+    assert len(calls) <= 6
+
+
 def test_one_degree_map_matches_reference_certificate():
     rng = random.Random(2026)
     reasons = set()
