@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import lcm, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coxeter import (
     CartanData,
@@ -287,6 +287,18 @@ def evaluate_minor(spec: MinorSpec, g: Sequence[Sequence[Fraction | int]]) -> Fr
     return det([[g[i - 1][j - 1] for j in cols] for i in rows])
 
 
+def integer_minors(specs: Sequence[MinorSpec], h: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The minor of the integer matrix h at each spec, in order and lazily:
+    a 1x1 minor is read off, a larger one is Bareiss on its submatrix."""
+    for spec in specs:
+        rows, cols = sorted(spec.rows), sorted(spec.cols)
+        if len(rows) == 1:
+            yield h[rows[0] - 1][cols[0] - 1]
+        else:
+            rank, pivot = bareiss([[h[i - 1][j - 1] for j in cols] for i in rows])
+            yield pivot if rank == len(rows) else 0
+
+
 # -- sampling -------------------------------------------------------------------
 
 
@@ -306,10 +318,13 @@ def _unitriangular(rng: random.Random, size: int, lower: bool) -> tuple[list, in
     return m, den
 
 
-def _det_one_diagonal(rng: random.Random, size: int, den_max: int) -> list[Fraction]:
-    """size - 1 random positive rationals and the entry that makes their product 1."""
+def _det_one_diagonal(rng: random.Random, size: int, den_max: int) -> tuple[list, int]:
+    """size - 1 random positive rationals and the entry that makes their
+    product 1, as integers and the common denominator they are over."""
     diag = [Fraction(rng.randint(1, 3), rng.randint(1, den_max)) for _ in range(size - 1)]
-    return diag + [1 / prod(diag, start=Fraction(1))]
+    diag.append(1 / prod(diag, start=Fraction(1)))
+    den = lcm(*(d.denominator for d in diag))
+    return [d.numerator * (den // d.denominator) for d in diag], den
 
 
 def nonvanishing_conditions(
@@ -332,31 +347,42 @@ def sample_cell(
     rng: random.Random,
     extra_nonzero: Sequence[MinorSpec] = (),
     tries: int = 200,
+    minors: list | None = None,
 ) -> Sequence[Sequence[Fraction]]:
     """Random rational determinant-one matrix meeting the nonvanishing minors.
 
     Built as lower-unitriangular x diagonal(det 1) x upper-unitriangular
     with small random rational entries, resampled until every required
-    minor is nonzero.  Each try clears the denominators of the three
+    minor (the open-cell ones and ``extra_nonzero``, each distinct one
+    once) is nonzero.  Each try clears the denominators of the three
     factors, so it works on the integer matrix h = den * g: one integer
-    matrix product, one determinant (which must be den^size) and integer
-    minors, nonzero exactly when those of g are.  Only the accepted h is
-    divided out into Fractions.
+    matrix product, one determinant, which must be den^size (else
+    ``ArithmeticError``, also under ``python -O``), and integer minors
+    until one vanishes.  Only the accepted h is divided into Fractions.
+    A list ``minors`` is extended with the minors of g at
+    ``extra_nonzero``, as Fraction(m, den^k) for each k x k minor m of h;
+    the draws are the same without it.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("cell sampling implemented for type A only")
     size = cartan.rank + 1
-    conditions = list(nonvanishing_conditions(cartan, u, v)) + list(extra_nonzero)
+    conditions = list(
+        dict.fromkeys([*nonvanishing_conditions(cartan, u, v), *extra_nonzero])
+    )
     for _ in range(tries):
         lo, lo_den = _unitriangular(rng, size, lower=True)
         up, up_den = _unitriangular(rng, size, lower=False)
-        diag = _det_one_diagonal(rng, size, 3)
-        diag_den = lcm(*(d.denominator for d in diag))
-        ints = [d.numerator * (diag_den // d.denominator) for d in diag]
+        ints, diag_den = _det_one_diagonal(rng, size, 3)
         h = mat_mul(lo, [[d * x for x in row] for d, row in zip(ints, up)])
         den = lo_den * diag_den * up_den
-        assert det(h) == den**size
-        if all(evaluate_minor(s, h) != 0 for s in conditions):
+        d = det(h)
+        if d != den**size:
+            raise ArithmeticError(f"cell sample has determinant {d / den**size}, not 1")
+        values = list(takewhile(bool, integer_minors(conditions, h)))
+        if len(values) == len(conditions):
+            if minors is not None:
+                value = dict(zip(conditions, values))
+                minors.extend(Fraction(value[s], den ** len(s.rows)) for s in extra_nonzero)
             return tuple(tuple(Fraction(x, den) for x in row) for row in h)
     raise SamplingExhausted(f"no valid sample in {tries} tries")
 
@@ -370,20 +396,26 @@ def sample_totally_positive(
     matrices x_i(t) (letter i > 0) and y_i(t) (letter -i) of any double
     word, with positive parameters.  Each factor acts on the right
     as one column operation: x_i(t) adds t times column i-1 to column i,
-    y_i(t) adds t times column i to column i-1 (columns 0-based).
+    y_i(t) adds t times column i to column i-1 (columns 0-based).  The
+    product is an integer matrix over one running denominator: for
+    t = a/b, the matrix is scaled by b and a times the old source column
+    is added to the destination column.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("total positivity sampling is type A only")
     size = cartan.rank + 1
-    diag = _det_one_diagonal(rng, size, 2)
-    g = [[diag[i] if i == j else Fraction(0) for j in range(size)] for i in range(size)]
+    ints, den = _det_one_diagonal(rng, size, 2)
+    h = [[ints[i] if i == j else 0 for j in range(size)] for i in range(size)]
     for letter in word:
-        t = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
         i = abs(letter)
         dst, src = (i, i - 1) if letter > 0 else (i - 1, i)
-        for row in g:
-            row[dst] += t * row[src]
-    return tuple(tuple(row) for row in g)
+        den *= b
+        for row in h:
+            add = a * row[src]
+            row[:] = [b * x for x in row]
+            row[dst] += add
+    return tuple(tuple(Fraction(x, den) for x in row) for row in h)
 
 
 # -- the shared check pipeline ----------------------------------------------------
@@ -439,34 +471,34 @@ def verify_cell_identities(
 ) -> CellCheckReport:
     """Check the exchange structure on random cell samples, exactly.
 
-    Samples come from ``sample_cell``, which asserts determinant one and
+    Samples come from ``sample_cell``, which checks determinant one and
     keeps every minor of the family nonzero.  At each exchangeable position
     l with a closed form (a callable g -> Fraction), the exchange polynomial
     is evaluated in the sample's minors and divided by the minor at l, and
-    must equal the closed form; other positions are not evaluated.
-    ``relations_checked`` is samples x exchangeable positions regardless;
-    ``closed_forms_checked`` is samples x compared positions, so a form
-    keyed by a position that is not exchangeable is not counted.
+    must equal the closed form; other positions are not evaluated.  The
+    minors are those the sampler computed to accept the sample, asked for
+    only when a position is compared.  ``relations_checked`` is samples x
+    exchangeable positions regardless; ``closed_forms_checked`` is samples
+    x compared positions, so a form keyed by a position that is not
+    exchangeable is not counted.
     """
     seed, positions, specs = _cell_setup(cartan, word)
     u = word_product(cartan, [-x for x in word if x < 0])
     v = word_product(cartan, [x for x in word if x > 0])
-    rng = random.Random(rng_seed)
-    gs = [
-        sample_cell(cartan, u, v, rng, extra_nonzero=specs)
-        for _ in range(samples)
-    ]
     closed_forms = closed_forms or {}
     compared = [
         (j, l, exchange_polynomial(seed, j))
         for j, l in enumerate(positions[: seed.n])
         if l in closed_forms
     ]
+    rng = random.Random(rng_seed)
+    draws = []
+    for _ in range(samples):
+        values = [] if compared else None
+        draws.append((sample_cell(cartan, u, v, rng, specs, minors=values), values))
 
-    def check(g) -> list[str]:
-        if not compared:
-            return []
-        values = [evaluate_minor(spec, g) for spec in specs]
+    def check(draw) -> list[str]:
+        g, values = draw
         return [
             f"position {l}: quotient != closed form"
             for j, l, P in compared
@@ -477,7 +509,7 @@ def verify_cell_identities(
         samples=samples,
         relations_checked=samples * seed.n,
         closed_forms_checked=samples * len(compared),
-        failures=_failures(check, gs),
+        failures=_failures(check, draws),
     )
 
 
@@ -541,7 +573,9 @@ def tp_criterion_check(
     Each totally positive sample must make every minor of the family
     positive; additionally, for ``clusters`` explored clusters, the cluster
     variables (as Laurent polynomials in the initial minors), the frozen
-    minors and the determinant must all evaluate positively.
+    minors and the determinant must all evaluate positively.  A sample's
+    family minors are read from one integer matrix, g times the common
+    denominator of its entries.
     """
     seed, _, specs = _cell_setup(cartan, word)
     found = [s.exprs for s, _ in islice(exchange_seeds(seed), max(1, clusters))]
@@ -556,7 +590,10 @@ def tp_criterion_check(
 
     def check(g) -> list[str]:
         local = []
-        values = [evaluate_minor(spec, g) for spec in specs]
+        den = lcm(*(x.denominator for row in g for x in row))
+        h = [[x.numerator * (den // x.denominator) for x in row] for row in g]
+        ms = integer_minors(specs, h)
+        values = [Fraction(m, den ** len(s.rows)) for s, m in zip(specs, ms)]
         if any(v <= 0 for v in values):
             local.append("a family minor is not positive")
         if det(g) <= 0:

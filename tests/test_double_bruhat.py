@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import prod
@@ -28,6 +31,7 @@ from clusterforge.double_bruhat import (
     evaluate_minor,
     gamma_tilde_dot,
     indexed_word,
+    integer_minors,
     minor_spec,
     nonvanishing_conditions,
     open_cell_a2_closed_forms,
@@ -38,6 +42,7 @@ from clusterforge.double_bruhat import (
     tp_criterion_check,
     verify_cell_identities,
 )
+import clusterforge
 from clusterforge import double_bruhat, graphs
 from clusterforge.cli import main
 from clusterforge.graphs import explore_exchange_graph
@@ -302,6 +307,85 @@ def test_det_matches_leibniz_oracle():
     assert singular >= 3
 
 
+def test_integer_minors_match_det():
+    # every square submatrix of seeded random integer matrices, some of
+    # them singular and some with a zero leading entry
+    rng = random.Random(89)
+    singular = zero_lead = 0
+    for t in range(40):
+        n = rng.randint(1, 4)
+        h = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if t % 4 == 0 and n > 1:
+            h[-1] = [2 * x for x in h[0]]
+        if t % 4 == 1:
+            h[0][0] = 0
+        specs = [
+            MinorSpec(frozenset(rows), frozenset(cols))
+            for k in range(1, n + 1)
+            for rows in itertools.combinations(range(1, n + 1), k)
+            for cols in itertools.combinations(range(1, n + 1), k)
+        ]
+        assert list(integer_minors(specs, h)) == [evaluate_minor(s, h) for s in specs]
+        singular += det(h) == 0
+        zero_lead += h[0][0] == 0
+    assert singular >= 10 and zero_lead >= 10
+
+
+def _cell(cartan, word):
+    """(u, v, family specs) of a double word, as the cell checks use them."""
+    u = word_product(cartan, [-x for x in word if x < 0])
+    v = word_product(cartan, [x for x in word if x > 0])
+    return u, v, double_bruhat._cell_setup(cartan, word)[2]
+
+
+def _longest_word_cell(cartan):
+    _, reduced = longest_element(cartan)
+    return tuple(-x for x in reduced) + tuple(reduced)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("cell", ["longest", "coxeter"])
+def test_sample_cell_hands_back_family_minors(r, cell):
+    cartan = cartan_data(f"A{r}")
+    word = _longest_word_cell(cartan) if cell == "longest" else coxeter_cell_word(cartan)
+    u, v, specs = _cell(cartan, word)
+    for s in range(10):
+        rng, plain = random.Random(s), random.Random(s)
+        minors = []
+        g = sample_cell(cartan, u, v, rng, extra_nonzero=specs, minors=minors)
+        assert minors == [evaluate_minor(spec, g) for spec in specs]
+        assert all(type(m) is Fraction for m in minors)
+        # asking for the minors changes neither the sample nor the draws
+        assert sample_cell(cartan, u, v, plain, extra_nonzero=specs) == g
+        assert plain.getstate() == rng.getstate()
+
+
+def test_sample_cell_determinant_check_survives_python_O():
+    # a product that is off by a factor 2 has determinant 8 on A2; under -O
+    # an assert would let it through
+    code = "\n".join([
+        "import random, sys",
+        "from clusterforge import double_bruhat",
+        "from clusterforge.coxeter import cartan_data, longest_element",
+        "from clusterforge.util import mat_mul",
+        "if not sys.flags.optimize: sys.exit('not run under -O')",
+        "double_bruhat.mat_mul = lambda a, b: tuple(",
+        "    tuple(2 * x for x in row) for row in mat_mul(a, b))",
+        "A2 = cartan_data('A2')",
+        "w0, _ = longest_element(A2)",
+        "double_bruhat.sample_cell(A2, w0, w0, random.Random(1))",
+    ])
+    src = os.path.dirname(os.path.dirname(clusterforge.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr.rstrip().endswith(
+        "ArithmeticError: cell sample has determinant 8, not 1"
+    )
+
+
 def test_sample_cell_open_cell_conditions():
     rng = random.Random(61)
     w0, _ = longest_element(A2)
@@ -376,9 +460,10 @@ def test_verify_reports_each_wrong_closed_form():
 @pytest.mark.parametrize(
     "word, closed_forms, evaluations",
     [
-        # no closed form: no exchange relation is evaluated
+        # no closed form: no exchange relation and no minor is evaluated
         ((-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2), None, 0),
-        # the three Coxeter positions, on each of 5 samples
+        # the three Coxeter positions, on each of 5 samples; the minors
+        # evaluated are the closed forms' only
         (coxeter_cell_word(A3), coxeter_cell_closed_forms(A3), 15),
     ],
 )
@@ -392,11 +477,37 @@ def test_verify_evaluates_only_compared_relations(
         calls.append(1)
         return evaluate(self, values)
 
+    # the sampler's minors are handed back, so the only det call a try makes
+    # is its determinant check, and only the closed forms evaluate minors
+    dets, minors, factors = [], [], []
+    det_, evaluate_minor_, unitriangular = (
+        double_bruhat.det, double_bruhat.evaluate_minor, double_bruhat._unitriangular
+    )
+
+    def counted_det(rows):
+        dets.append(sys._getframe(1).f_code.co_name)
+        return det_(rows)
+
+    def counted_minor(spec, g):
+        minors.append(1)
+        return evaluate_minor_(spec, g)
+
+    def counted_factor(*args, **kwargs):
+        factors.append(1)
+        return unitriangular(*args, **kwargs)
+
     monkeypatch.setattr(LaurentPoly, "evaluate", counted)
+    monkeypatch.setattr(double_bruhat, "det", counted_det)
+    monkeypatch.setattr(double_bruhat, "evaluate_minor", counted_minor)
+    monkeypatch.setattr(double_bruhat, "_unitriangular", counted_factor)
     rep = verify_cell_identities(A3, word, samples=5, rng_seed=11,
                                  closed_forms=closed_forms)
     assert rep.ok and rep.relations_checked == 5 * (len(word) - 3)
     assert len(calls) == evaluations
+    assert len(minors) == evaluations
+    tries = len(factors) // 2  # two unitriangular factors per try
+    assert tries >= 5
+    assert sorted(dets) == ["evaluate_minor"] * evaluations + ["sample_cell"] * tries
 
 
 def test_tp_samples_all_minors_positive():
