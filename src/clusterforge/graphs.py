@@ -518,14 +518,17 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     x'_k under (x_k, pair) and x_k under (x'_k, pair), exact as
     P_k / x'_k = x_k; mutating back at k negates column k and keeps the
     pair, so back edges hit.  Seeds are mutated only as far as the
-    consumer reads.
+    consumer reads.  Expressions are interned: every yielded seed holds the
+    first object found for each distinct expression, so a quotient equal to
+    a known variable is dropped with its packed form.
     """
-    ids: dict[tuple, int] = {}
+    ids: dict[tuple, tuple] = {}
 
-    def ident(e) -> int:
-        return ids.setdefault(e.key(), len(ids))
+    def intern(e) -> tuple:
+        """(first object with e's key, its id)."""
+        return ids.setdefault(e.key(), (e, len(ids)))
 
-    rows = tuple(map(ident, seed.all_exprs()))
+    rows = tuple(intern(e)[1] for e in seed.all_exprs())
     frozen, cluster = rows[seed.n:], rows[: seed.n]
     memo: dict[tuple, tuple] = {}
     visited = {frozenset(cluster)}
@@ -543,14 +546,15 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
             # only the way back, which needs no division, comes from the memo
             if hit is None or s.general and s.history[-1:] != (k,):
                 s2 = seed_mutate(s, k)
-                x, xid = hit = s2.exprs[k], ident(s2.exprs[k])
+                matrix = s2.matrix
+                x, xid = hit = intern(s2.exprs[k])
                 memo[cluster[k], pair] = hit
                 memo[xid, pair] = s.exprs[k], cluster[k]
             else:
                 x, xid = hit
-                s2 = Seed(matrix_mutate(s.matrix, k), s.ctx,
-                          s.exprs[:k] + (x,) + s.exprs[k + 1:],
-                          s.history + (k,), s.general)
+                matrix = matrix_mutate(s.matrix, k)
+            s2 = Seed(matrix, s.ctx, s.exprs[:k] + (x,) + s.exprs[k + 1:],
+                      s.history + (k,), s.general)
             reached = cluster[:k] + (xid,) + cluster[k + 1:]
             key = frozenset(reached)
             if key not in visited:

@@ -10,13 +10,17 @@ nonzero entry of ``b - a`` is positive.  That is exactly Python's tuple
 order, so ``min(support)`` is the leading exponent and sorting the term
 dict gives the canonical form.
 
-Multiplication and exact division run on packed exponents (Kronecker
-substitution, after Monagan and Pearce): each vector, shifted so that its
-entries are nonnegative, becomes one int with a slot per variable and the
-first variable in the most significant slot.  Exponent addition is then
-one int addition and int order is tuple order.  The slot width is derived
-from the operands' exponent ranges on every call, so no slot can overflow;
-the packed form never leaves the kernel.
+Multiplication, exact division and composition run on packed exponents
+(Kronecker substitution, after Monagan and Pearce): each vector, shifted by
+the exponent box's lower corner so that its entries are nonnegative,
+becomes one int with a slot per variable and the first variable in the
+most significant slot.  Exponent addition is then one int addition and int
+order is tuple order.  Each call sizes its slots from the operands'
+exponent boxes, so no slot can overflow, and rounds the width up to a
+multiple of 8 bits so that consecutive calls agree on it.  A result keeps
+its packed terms and its exact exponent box; the next call reuses that
+packing when the widths agree, and the exponent tuples of ``terms`` are
+built only when something reads them.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from math import gcd
-from operator import mul
-from typing import Iterator, Mapping, Sequence
+from operator import mul, sub
+from typing import Mapping, Sequence
 
 from .util import decimal_int
 
@@ -95,6 +98,11 @@ def _box(terms: Mapping[tuple[int, ...], int]) -> tuple[list[int], list[int]]:
     return [min(c) for c in cols], [max(c) for c in cols]
 
 
+def _width(bits: int) -> int:
+    """Slot width for values of ``bits`` bits: a multiple of 8, at least 8."""
+    return max(8, -(-bits // 8) * 8)
+
+
 def _weights(nvars: int, width: int) -> list[int]:
     """Place values of the slots, first variable most significant."""
     return [1 << (width * (nvars - 1 - i)) for i in range(nvars)]
@@ -121,24 +129,59 @@ def _unpack(
     }
 
 
+def _packed_result(
+    ctx: Context, width: int, packed: dict[int, int], box: tuple
+) -> "LaurentPoly":
+    """A nonzero kernel result: its nonzero terms keyed by packed ``e - low``.
+
+    ``box`` must be the exact (low, high) exponent box of the terms.
+    """
+    p = object.__new__(LaurentPoly)
+    p.ctx, p._terms, p._key = ctx, None, None
+    p._packed, p._bounds = (width, packed), box
+    return p
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial; ``terms`` maps exponent tuples to ints.
 
     Zero coefficients are never stored; the zero polynomial has an empty
     term dict.  Instances are hashable and compare by exact term equality.
+    A kernel result holds its packed terms and exponent box, and builds
+    ``terms`` from them on first read.
     """
 
-    __slots__ = ("ctx", "terms", "_key")
+    __slots__ = ("ctx", "_terms", "_key", "_packed", "_bounds")
 
     def __init__(self, ctx: Context, terms: Mapping[tuple[int, ...], int]):
         self.ctx = ctx
-        self.terms = {e: int(c) for e, c in terms.items() if c != 0}
-        self._key = None
+        self._terms = {e: int(c) for e, c in terms.items() if c != 0}
+        self._key = self._packed = self._bounds = None
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        if self._terms is None:
+            width, packed = self._packed
+            self._terms = _unpack(packed, self._bounds[0], width)
+        return self._terms
+
+    def _exponent_box(self) -> tuple[list[int], list[int]]:
+        """Per-variable minimum and maximum exponent (nonzero poly), cached."""
+        if self._bounds is None:
+            self._bounds = _box(self.terms)
+        return self._bounds
+
+    def _packing(self, width: int) -> dict[int, int]:
+        """Terms keyed by packed ``e - low`` at this slot width (do not mutate)."""
+        if self._packed is not None and self._packed[0] == width:
+            return self._packed[1]
+        weights = _weights(self.ctx.nvars, width)
+        return _pack(self.terms, self._exponent_box()[0], weights)
 
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self._terms is not None and not self._terms
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -154,9 +197,9 @@ class LaurentPoly:
 
     def min_exponents(self) -> tuple[int, ...]:
         """Per-variable minimum exponent over the support (zero poly: all 0)."""
-        if not self.terms:
+        if self.is_zero():
             return (0,) * self.ctx.nvars
-        return tuple(_box(self.terms)[0])
+        return tuple(self._exponent_box()[0])
 
     def leading_exponent(self) -> tuple[int, ...]:
         """The lexicographically first exponent of the support."""
@@ -191,25 +234,25 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_ctx(self, other)
-        if not self.terms or not other.terms:
+        if self.is_zero() or other.is_zero():
             return self.ctx.zero()
-        alow, ahigh = _box(self.terms)
-        blow, bhigh = _box(other.terms)
-        span = max(
-            (ah - al + bh - bl for al, ah, bl, bh in zip(alow, ahigh, blow, bhigh)),
-            default=0,
-        )
-        width = span.bit_length()
-        weights = _weights(self.ctx.nvars, width)
-        pb = list(_pack(other.terms, blow, weights).items())
+        # the box of a product over Z is the sum of the boxes: the terms
+        # at each extreme exponent of a variable cannot all cancel
+        alow, ahigh = self._exponent_box()
+        blow, bhigh = other._exponent_box()
+        low = [a + b for a, b in zip(alow, blow)]
+        high = [a + b for a, b in zip(ahigh, bhigh)]
+        width = _width(max(map(sub, high, low), default=0).bit_length())
+        pb = list(other._packing(width).items())
         out: dict[int, int] = {}
         get = out.get
-        for ea, ca in _pack(self.terms, alow, weights).items():
+        for ea, ca in self._packing(width).items():
             for eb, cb in pb:
                 e = ea + eb
                 out[e] = get(e, 0) + ca * cb
-        low = [a + b for a, b in zip(alow, blow)]
-        return LaurentPoly(self.ctx, _unpack(out, low, width))
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return _packed_result(self.ctx, width, out, (low, high))
 
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
@@ -268,21 +311,21 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self.ctx.zero()
-        nlow, nhigh = _box(self.terms)
-        dlow, dhigh = _box(den.terms)
+        nlow, nhigh = self._exponent_box()
+        dlow, dhigh = den._exponent_box()
         qmax = [nh - nl - dh + dl for nl, nh, dl, dh in zip(nlow, nhigh, dlow, dhigh)]
         if any(x < 0 for x in qmax):
             raise NotDivisible("denominator spans more degrees than numerator")
-        nspan = max((nh - nl for nl, nh in zip(nlow, nhigh)), default=0)
-        width = nspan.bit_length() + 1
+        nspan = max(map(sub, nhigh, nlow), default=0)
+        width = _width(nspan.bit_length() + 1)
         weights = _weights(self.ctx.nvars, width)
         guards = sum(weights) << (width - 1)
         qtop = sum(map(mul, qmax, weights)) | guards
-        rem = _pack(self.terms, nlow, weights)
-        dhat = _pack(den.terms, dlow, weights)
+        rem = dict(self._packing(width))
+        dhat = den._packing(width)
         dlead = max(dhat)
-        dlc = dhat.pop(dlead)
-        dtail = list(dhat.items())
+        dlc = dhat[dlead]
+        dtail = [(e, c) for e, c in dhat.items() if e != dlead]
         heap = [-e for e in rem]
         heapify(heap)
         get = rem.get
@@ -308,8 +351,9 @@ class LaurentPoly:
                     heappush(heap, -ne)
                 else:
                     rem[ne] = v - qc * dc
-        shift = [a - b for a, b in zip(nlow, dlow)]
-        return LaurentPoly(self.ctx, _unpack(quot, shift, width))
+        # exact: q * den == self, so the box of self is q's box plus den's
+        box = list(map(sub, nlow, dlow)), list(map(sub, nhigh, dhigh))
+        return _packed_result(self.ctx, width, quot, box)
 
     def expand_in(self, j: int) -> list[tuple[int, "LaurentPoly"]]:
         """Write self as sum_p coeff_p * x_j^p with coefficients free of x_j.
@@ -349,13 +393,26 @@ class LaurentPoly:
         tgt = values[0].ctx
         if any(v.ctx.names != tgt.names for v in values):
             raise ContextMismatch("substitution values over different contexts")
-        out: dict[tuple[int, ...], int] = {}
+        parts = []
         for e, c in self.terms.items():
             factors = [values[i] ** p for i, p in enumerate(e) if p]
-            term = reduce(mul, factors) if factors else tgt.one()
-            for f, v in term.terms.items():
-                out[f] = out.get(f, 0) + c * v
-        return LaurentPoly(tgt, out)
+            parts.append((c, reduce(mul, factors) if factors else tgt.one()))
+        boxes = [term._exponent_box() for _, term in parts]
+        low = [min(col) for col in zip(*(lo for lo, _ in boxes))]
+        high = [max(col) for col in zip(*(hi for _, hi in boxes))]
+        width = _width(max(map(sub, high, low), default=0).bit_length())
+        weights = _weights(tgt.nvars, width)
+        out: dict[int, int] = {}
+        get = out.get
+        for (c, term), (tlow, _) in zip(parts, boxes):
+            off = sum(map(mul, map(sub, tlow, low), weights))
+            for f, v in term._packing(width).items():
+                f += off
+                out[f] = get(f, 0) + c * v
+        if 0 in out.values():
+            # a cancellation can shrink the box, so rebuild it from the terms
+            return LaurentPoly(tgt, _unpack(out, low, width))
+        return _packed_result(tgt, width, out, (low, high))
 
     def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
         """Exact numeric evaluation at rationals, over one common denominator.
@@ -369,7 +426,7 @@ class LaurentPoly:
         """
         if not self.terms:
             return Fraction(0)
-        low, high = _box(self.terms)
+        low, high = self._exponent_box()
         num = den = 1
         active = []
         for i, (lo, hi) in enumerate(zip(low, high)):
@@ -501,93 +558,3 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"({self.num!r}) / ({self.den!r})"
-
-
-# -- Newton polytopes --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NewtonPolytope:
-    """Extreme points of the convex hull of a support, as exponent tuples."""
-
-    vertices: frozenset
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(sorted(self.vertices))
-
-
-def _solve_convex_combination(
-    pts: Sequence[tuple[int, ...]], target: tuple[int, ...]
-) -> bool:
-    """Does target lie in the convex hull of pts, with pts affinely independent?
-
-    Solves sum(l_i * p_i) = target, sum(l_i) = 1 exactly over Q and checks
-    nonnegativity.  Underdetermined systems (affinely dependent pts) return
-    False; Caratheodory guarantees an independent witness subset exists.
-    """
-    k = len(pts)
-    dim = len(target)
-    rows = [[Fraction(p[c]) for p in pts] + [Fraction(target[c])] for c in range(dim)]
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            return False  # dependent column: some smaller subset covers this case
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return False  # inconsistent
-    lams = [rows[i][-1] for i in range(len(pivots))]
-    return all(l >= 0 for l in lams)
-
-
-def point_in_hull(target: tuple[int, ...], pts: Sequence[tuple[int, ...]]) -> bool:
-    """Exact rational membership test: target in conv(pts)."""
-    if not pts:
-        return False
-    if target in pts:
-        return True
-    dim = len(target)
-    for size in range(1, min(len(pts), dim + 1) + 1):
-        for subset in combinations(pts, size):
-            if _solve_convex_combination(subset, target):
-                return True
-    return False
-
-
-def newton_polytope(p: LaurentPoly) -> NewtonPolytope:
-    """Extreme points of the convex hull of the support, exactly over Q.
-
-    Brute force by design: supports of exchange polynomials are binomials
-    and every other use keeps supports tiny.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has no Newton polytope")
-    pts = p.support()
-    if len(pts) > 24:
-        raise ValueError("support too large for the brute-force hull")
-    verts = [
-        q for q in pts if not point_in_hull(q, [r for r in pts if r != q])
-    ]
-    return NewtonPolytope(frozenset(verts))
-
-
-def minkowski_sum(a: NewtonPolytope, b: NewtonPolytope) -> NewtonPolytope:
-    """Vertices of the Minkowski sum of two polytopes given by vertices."""
-    pts = sorted(
-        {tuple(x + y for x, y in zip(p, q)) for p in a.vertices for q in b.vertices}
-    )
-    verts = [q for q in pts if not point_in_hull(q, [r for r in pts if r != q])]
-    return NewtonPolytope(frozenset(verts))

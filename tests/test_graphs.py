@@ -763,6 +763,25 @@ def test_explore_e6_census():
     assert rep == ExplorationReport(833, 42, 4998, True, 11)
 
 
+def test_e6_census_unpacks_only_quotients_and_interns_expressions(monkeypatch):
+    from clusterforge import laurent
+
+    unpacks = []
+    unpack = laurent._unpack
+
+    def counting_unpack(*args):
+        unpacks.append(1)
+        return unpack(*args)
+
+    monkeypatch.setattr(laurent, "_unpack", counting_unpack)
+    found = list(exchange_seeds(bipartite_seed("E6")))
+    assert len(found) == 833
+    # one unpack per exact division (the quotient's key); no product or
+    # composed numerator ever leaves the packed form
+    assert len(unpacks) == 385
+    assert len({id(e) for s, _ in found for e in s.exprs}) == 42
+
+
 def test_explore_refuses_second_mutation_of_general_seed():
     with pytest.raises(ValueError, match="single mutations"):
         explore_exchange_graph(general_seed(MARKOV))

@@ -1,4 +1,5 @@
 import random
+from operator import add
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,7 @@ from clusterforge.laurent import (
     LaurentPoly,
     NotDivisible,
     RatFunc,
-    minkowski_sum,
-    newton_polytope,
-    point_in_hull,
+    _box,
 )
 
 
@@ -173,38 +172,123 @@ def test_leading_term_constant():
     assert CTX3.const(5).leading_term_in(0) == CTX3.const(5)
 
 
-def test_newton_polytope_simplex():
-    np_ = newton_polytope(x(0) + x(1))
-    assert np_.vertices == frozenset({(1, 0, 0), (0, 1, 0)})
+# -- packed kernel results against an eager tuple reference ------------------
 
 
-def test_newton_polytope_drops_interior_point():
-    p = (x(0) + x(1)) ** 2  # support (2,0),(1,1),(0,2); middle not a vertex
-    np_ = newton_polytope(p)
-    assert np_.vertices == frozenset({(2, 0, 0), (0, 2, 0)})
+def eager_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
-def test_minkowski_sum_of_product():
-    rng = random.Random(5)
+def eager_pow(a, n):
+    if n < 0:
+        ((e, c),) = a.items()
+        a, n = {tuple(-v for v in e): c}, -n
+    out = {(0,) * len(next(iter(a))): 1}
+    for _ in range(n):
+        out = eager_mul(out, a)
+    return out
+
+
+def eager_compose(terms, values):
+    out = {}
+    for e, c in terms.items():
+        term = {(0,) * len(next(iter(values[0]))): c}
+        for v, p in zip(values, e):
+            term = eager_mul(term, eager_pow(v, p))
+        for f, v in term.items():
+            out[f] = out.get(f, 0) + v
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_kernel_result(p, reference, packed=True):
+    """p still holds its packing, its cached box is exact, and it unpacks
+    to the reference terms."""
+    if packed:
+        assert p._terms is None and p._packed[0] % 8 == 0
+        assert p._bounds == _box(reference)
+    assert p.terms == reference
+    assert p._exponent_box() == _box(reference)
+
+
+def test_packed_results_match_eager_reference():
+    rng = random.Random(13)
     ctx = Context(("u", "v"))
-    for _ in range(15):
-        a = rand_poly(rng, ctx, nterms=3, deg=2, coeff=3)
-        b = rand_poly(rng, ctx, nterms=3, deg=2, coeff=3)
-        if a.is_zero() or b.is_zero():
+    for trial in range(80):
+        # mixed exponent ranges, so operands packed at 8 bits meet 16-bit calls
+        deg = 3 if trial % 3 else 90
+        a, b, c = (rand_poly(rng, ctx, nterms=4, deg=deg) for _ in range(3))
+        if a.is_zero() or b.is_zero() or c.is_zero():
             continue
-        prod = a * b
-        if prod.is_zero():
-            continue
-        assert newton_polytope(prod).vertices == minkowski_sum(
-            newton_polytope(a), newton_polytope(b)
-        ).vertices
+        ab = a * b
+        assert_kernel_result(ab, eager_mul(a.terms, b.terms))
+        abc = ab * c
+        assert_kernel_result(abc, eager_mul(ab.terms, c.terms))
+        assert_kernel_result(abc.divide_exact(c), ab.terms)
+        assert_kernel_result((a * c).divide_exact(a), c.terms)
+        assert_kernel_result(ab**2, eager_pow(ab.terms, 2))
+        assert_kernel_result(a**3, eager_pow(a.terms, 3))
+        # negative powers only of the unit monomial argument
+        f = LaurentPoly(ctx, {(rng.randint(0, 2), rng.randint(-2, 2)): rng.randint(-3, 3)
+                              for _ in range(3)})
+        m = ctx.monomial({0: rng.randint(-3, 3), 1: rng.randint(-3, 3)}, rng.choice((1, -1)))
+        if not f.is_zero():
+            ref = eager_compose(f.terms, [ab.terms, m.terms])
+            got = f.compose([ab, m])
+            assert_kernel_result(got, ref, packed=got._terms is None)
 
 
-def test_point_in_hull_exact():
-    pts = [(0, 0), (4, 0), (0, 4)]
-    assert point_in_hull((1, 1), pts)
-    assert point_in_hull((2, 2), pts)
-    assert not point_in_hull((3, 3), pts)
+def test_packed_product_with_inner_cancellation():
+    u, v = Context(("u", "v")).var(0), Context(("u", "v")).var(1)
+    p = (u + v) * (u - v)  # the uv terms cancel
+    assert_kernel_result(p, {(2, 0): 1, (0, 2): -1})
+    assert 0 not in p._packed[1].values()
+    assert_kernel_result(p.divide_exact(u - v), (u + v).terms)
+
+
+def test_compose_with_cancelling_monomials():
+    ctx = Context(("u", "v"))
+    u, v = ctx.var(0), ctx.var(1)
+    a, b = u * v, u + v
+    # x1 + x2 - x3 at (uv, u + v, uv): the two uv terms cancel, so the box
+    # shrinks from [0, 1]^2 to that of u + v
+    p = (x(0) + x(1) - x(2)).compose([a, b, a])
+    assert_kernel_result(p, {(1, 0): 1, (0, 1): 1}, packed=False)
+    assert (x(0) - x(2)).compose([a, b, a]).is_zero()
+    assert_kernel_result((x(0) + x(2)).compose([a, b, a]), {(1, 1): 2})
+
+
+def test_negative_powers_of_unit_monomials():
+    m = CTX3.monomial({0: 2, 1: -3}, coeff=-1)
+    for n in (-1, -2, -5):
+        p = m**n
+        assert_kernel_result(p, eager_pow(m.terms, n), packed=n < -1)
+        assert (p * m ** (-n)).terms == {(0, 0, 0): 1}
+
+
+@pytest.mark.parametrize("span", [127, 128, 255, 256])
+def test_slot_widths_round_to_whole_bytes(span):
+    ctx = Context(("u", "v"))
+    u, v, one = ctx.var(0), ctx.var(1), ctx.one()
+    prod = (one + u**span) * (one + v)
+    assert prod._packed[0] == {127: 8, 128: 8, 255: 8, 256: 16}[span]
+    assert_kernel_result(prod, eager_mul((one + u**span).terms, (one + v).terms))
+    # division keeps a guard bit above each slot of the numerator's span
+    q = prod.divide_exact(one + v)
+    assert q._packed[0] == {127: 8, 128: 16, 255: 16, 256: 16}[span]
+    assert_kernel_result(q, (one + u**span).terms)
+    # u v^span by u: the leading quotient exponent v^span passes every
+    # guard but exceeds the span the quotient may have in v
+    with pytest.raises(NotDivisible, match="outside the exponent box"):
+        (u * v**span + one).divide_exact(u + v)
+    # u + v^span by u + v: after u / u the remainder leads with v^span,
+    # which u does not divide
+    with pytest.raises(NotDivisible, match="leading term not divisible"):
+        (u + v**span).divide_exact(u + v)
 
 
 def test_json_roundtrip_bit_exact():
