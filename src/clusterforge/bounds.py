@@ -21,7 +21,7 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .graphs import acyclic_order, gamma, is_acyclic, relabel_matrix
-from .laurent import Context, LaurentPoly, NotDivisible, RatFunc
+from .laurent import Context, LaurentPoly, NotDivisible
 from .seeds import Seed, exchange_polynomial, initial_seed
 
 
@@ -265,18 +265,20 @@ class Membership:
         }
 
 
-def upper_bound_member(y, seed: Seed) -> Membership:
+def upper_bound_member(
+    y: LaurentPoly, seed: Seed, den: LaurentPoly | None = None
+) -> Membership:
     """Two-cluster membership test with per-direction divisibility certificates.
 
-    Accepts a LaurentPoly or a RatFunc; a rational input is first reduced
-    exactly, and failure of that reduction already refutes membership.
-    For every direction j and every power m >= 1, the coefficient of
-    x_j^(-m) must be divisible by P_j^m; each exact quotient is returned
-    as a certificate.
+    With ``den`` the element tested is y / den, which is first divided out
+    exactly; if the quotient is not Laurent, that already refutes
+    membership.  For every direction j and every power m >= 1, the
+    coefficient of x_j^(-m) must be divisible by P_j^m; each exact quotient
+    is returned as a certificate.
     """
-    if isinstance(y, RatFunc):
+    if den is not None:
         try:
-            y = y.reduce_to_laurent()
+            y = y.divide_exact(den)
         except NotDivisible:
             return Membership(
                 False, "not Laurent in the initial extended cluster", {}

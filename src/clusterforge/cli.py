@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, coxeter, double_bruhat, graphs, seeds, tropical
-from .laurent import LaurentPoly, RatFunc
+from .laurent import LaurentPoly
 from .util import decimal_int
 
 USAGE_ERROR = 64
@@ -68,7 +68,7 @@ def _load_json_arg(value: str):
         return json.loads(text)
     except json.JSONDecodeError:
         path = Path(value)
-        if not path.exists():
+        if not path.is_file():
             raise ValueError(f"not valid JSON and not a file: {value!r}")
         return json.loads(path.read_text())
 
@@ -210,12 +210,10 @@ def _cmd_upper_member(args) -> int:
     B = _load_matrix(args.seed)
     seed = seeds.initial_seed(B)
     num = LaurentPoly.from_json(_load_json_arg(args.num), seed.ctx)
-    if args.den:
+    den = None
+    if args.den is not None:
         den = LaurentPoly.from_json(_load_json_arg(args.den), seed.ctx)
-        y = RatFunc(num, den)
-    else:
-        y = num
-    res = bounds.upper_bound_member(y, seed)
+    res = bounds.upper_bound_member(num, seed, den)
     _emit(res.to_json())
     return 0 if res.member else 1
 

@@ -592,15 +592,3 @@ def dot(names: Iterable, edges: Iterable[tuple]) -> str:
     for src, dst, attrs in edges:
         lines.append(f'  "{src}" -> "{dst}"' + (f" [{attrs}];" if attrs else ";"))
     return "\n".join(lines + ["}"])
-
-
-def sign_graph_dot(g: SignGraph, labels: Sequence[str] | None = None) -> str:
-    names = labels or [str(i + 1) for i in range(g.n)]
-    return dot(names[: g.n], ((names[i], names[j], "") for i, j in sorted(g.edges)))
-
-
-def diagram_dot(d: Diagram, labels: Sequence[str] | None = None) -> str:
-    names = labels or [str(i + 1) for i in range(d.n)]
-    return dot(
-        names[: d.n], ((names[i], names[j], f'label="{w}"') for i, j, w in d.arrows)
-    )

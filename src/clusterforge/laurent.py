@@ -1,4 +1,4 @@
-"""Exact Laurent polynomial and rational function arithmetic over Z.
+"""Exact Laurent polynomial arithmetic over Z.
 
 A Laurent polynomial in m variables is a finitely supported map from
 exponent vectors (tuples of m ints, negative entries allowed) to nonzero
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd
 from operator import mul, sub
 from typing import Mapping, Sequence
 
@@ -182,18 +181,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return self._terms is not None and not self._terms
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
-
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(c))
-        return g
 
     def min_exponents(self) -> tuple[int, ...]:
         """Per-variable minimum exponent over the support (zero poly: all 0)."""
@@ -369,15 +356,6 @@ class LaurentPoly:
             (p, LaurentPoly(self.ctx, buckets[p])) for p in sorted(buckets)
         ]
 
-    def leading_term_in(self, j: int) -> "LaurentPoly":
-        """Sum of the terms carrying the smallest power of variable j."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        m = min(e[j] for e in self.terms)
-        return LaurentPoly(
-            self.ctx, {e: c for e, c in self.terms.items() if e[j] == m}
-        )
-
     # -- evaluation --------------------------------------------------------
 
     def compose(self, values: Sequence["LaurentPoly"]) -> "LaurentPoly":
@@ -502,59 +480,3 @@ class LaurentPoly:
                 parts.append(f"{c}*{body}")
         out = " + ".join(parts).replace("+ -", "- ")
         return out
-
-
-# -- rational functions ----------------------------------------------------
-
-
-class RatFunc:
-    """A fraction of Laurent polynomials, lightly normalized.
-
-    The pair is scaled by the gcd of the two contents and the sign of the
-    lexicographically leading denominator term is made positive.  Equality
-    is decided by cross multiplication; no polynomial gcd is computed.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        _check_ctx(num, den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = gcd(num.content(), den.content())
-        if g > 1:
-            num = LaurentPoly(num.ctx, {e: c // g for e, c in num.terms.items()})
-            den = LaurentPoly(den.ctx, {e: c // g for e, c in den.terms.items()})
-        if den.terms[max(den.terms)] < 0:
-            num, den = -num, -den
-        self.num = num
-        self.den = den
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self) -> int:
-        raise TypeError("RatFunc is not hashable; compare via cross multiplication")
-
-    def reduce_to_laurent(self) -> LaurentPoly:
-        """Exact reduction to a Laurent polynomial; NotDivisible if impossible."""
-        return self.num.divide_exact(self.den)
-
-    def __repr__(self) -> str:
-        return f"({self.num!r}) / ({self.den!r})"

@@ -110,6 +110,64 @@ def test_upper_member_short_exponent_exits_2(capsys):
     assert "entries" in capsys.readouterr().err
 
 
+def _a1xa1_poly(*terms, names=("x1", "x2")):
+    return json.dumps(
+        {"vars": list(names), "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms]}
+    )
+
+
+_A1XA1_NUM = _a1xa1_poly(((1, 0), 1), ((0, 1), 1))  # x1 + x2
+
+
+def _upper_member_den(den):
+    return ["upper-member", "--seed", "[[0, 1], [-1, 0]]", "--num", _A1XA1_NUM, "--den", den]
+
+
+@pytest.mark.parametrize(
+    "den, code, reason",
+    [
+        (_a1xa1_poly(((0, 1), 1)), 1, "direction 2: coefficient of power -1 not divisible"),
+        (_a1xa1_poly(((1, 0), 1), ((0, 0), 1)), 1, "not Laurent in the initial extended cluster"),
+        (_a1xa1_poly(((1, 0), 2), ((0, 1), 2)), 1, "not Laurent in the initial extended cluster"),
+        (_A1XA1_NUM, 0, "member of all adjacent Laurent rings"),
+    ],
+    ids=["x2", "x1+1", "2x1+2x2-quotient-1/2", "x1+x2-quotient-1"],
+)
+def test_upper_member_den(capsys, den, code, reason):
+    got, data = run(capsys, *_upper_member_den(den))
+    assert got == code and data["member"] is (code == 0)
+    assert data["reason"] == reason
+    if reason.startswith("not Laurent"):
+        assert data["certificates"] == {}
+    if code == 0:  # the quotient is 1: nothing has a negative power
+        assert data["certificates"] == {"1": [], "2": []}
+
+
+@pytest.mark.parametrize(
+    "den, error",
+    [
+        (json.dumps({"vars": ["x1", "x2"], "terms": []}), "ZeroDivisionError"),
+        (_a1xa1_poly(((1, 0), 1), names=("a", "b")), "ContextMismatch"),
+    ],
+    ids=["zero", "other-vars"],
+)
+def test_upper_member_bad_den_exits_2(capsys, den, error):
+    code = main(_upper_member_den(den))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {error}: ")
+
+
+def test_upper_member_empty_den_is_an_error(capsys):
+    # 1/x1 alone exits 1, so exit 2 shows the empty --den was parsed, not dropped
+    argv = _upper_member_den("")
+    argv[argv.index("--num") + 1] = _a1xa1_poly(((-1, 0), 1))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: not valid JSON and not a file: ''")
+
+
 def test_straighten_cli(capsys):
     vars_ = ["x1", "x2", "x3", "x1'", "x2'", "x3'", "p1+", "p2+", "p3+", "p1-", "p2-", "p3-"]
     poly = {

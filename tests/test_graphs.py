@@ -16,7 +16,6 @@ from clusterforge.graphs import (
     acyclic_order,
     canonical_key,
     classify_finite_type,
-    diagram_dot,
     diagram_mutate,
     diagram_of,
     dynkin_name,
@@ -26,7 +25,6 @@ from clusterforge.graphs import (
     is_acyclic,
     realize_diagram,
     relabel_matrix,
-    sign_graph_dot,
 )
 from clusterforge.seeds import (
     ExchangeMatrix,
@@ -795,12 +793,6 @@ def test_explore_refuses_second_mutation_of_general_seed():
 def test_explore_e7_census():
     rep = explore_exchange_graph(bipartite_seed("E7"))
     assert rep == ExplorationReport(4160, 70, 29120, True, 14)
-
-
-def test_dot_outputs():
-    g = gamma(B219)
-    assert "digraph" in sign_graph_dot(g)
-    assert '[label="4"]' in diagram_dot(diagram_of(ExchangeMatrix.make(MARKOV)))
 
 
 def test_census_independent_of_start_seed():

@@ -9,7 +9,6 @@ from clusterforge.laurent import (
     ContextMismatch,
     LaurentPoly,
     NotDivisible,
-    RatFunc,
     _box,
 )
 
@@ -158,20 +157,6 @@ def test_expand_reassembles():
             assert total == p
 
 
-def test_leading_term_min_power():
-    p = (
-        CTX3.monomial({0: -2, 1: 1})
-        + CTX3.monomial({0: -2, 2: 1})
-        + x(0)
-    )
-    lt = p.leading_term_in(0)
-    assert lt == CTX3.monomial({0: -2, 1: 1}) + CTX3.monomial({0: -2, 2: 1})
-
-
-def test_leading_term_constant():
-    assert CTX3.const(5).leading_term_in(0) == CTX3.const(5)
-
-
 # -- packed kernel results against an eager tuple reference ------------------
 
 
@@ -297,26 +282,6 @@ def test_json_roundtrip_bit_exact():
     q = LaurentPoly.from_json(p.to_json())
     assert q == p
     assert q.terms[(1, -2, 0)] == big
-
-
-def test_ratfunc_equality_cross_multiplied():
-    a = RatFunc(x(0) ** 2 - x(1) ** 2, x(0) - x(1))
-    b = RatFunc(x(0) + x(1), CTX3.one())
-    assert a == b
-
-
-def test_ratfunc_normalization():
-    r = RatFunc(x(0).scale(2), x(1).scale(-4))
-    # joint content removed, denominator leading sign positive
-    assert r.den.terms[max(r.den.terms)] > 0
-    assert r.num == x(0).scale(-1) and r.den == x(1).scale(2)
-
-
-def test_ratfunc_reduce_to_laurent():
-    r = RatFunc((x(0) + x(1)) * x(2), x(2))
-    assert r.reduce_to_laurent() == x(0) + x(1)
-    with pytest.raises(NotDivisible):
-        RatFunc(x(0) + x(1), x(0) + x(2)).reduce_to_laurent()
 
 
 def test_pow_negative_monomial():
