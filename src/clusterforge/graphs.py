@@ -199,7 +199,8 @@ def _refine_colors(nbrs: list[dict], colors: list[int]) -> list[int]:
     colour).  A vertex's signature is its colour and the sorted code +
     colour of its neighbours.  Each round recolours every vertex by the
     rank of its signature, which refines the colouring and keeps the order
-    of the colours, until the number of cells stops growing.
+    of the colours, until the number of cells stops growing.  A uniform
+    colouring adds one colour to every code, so its round sorts the codes alone.
     """
     n = len(nbrs)
     cells = len(set(colors))
@@ -208,7 +209,7 @@ def _refine_colors(nbrs: list[dict], colors: list[int]) -> list[int]:
         sigs = [
             (colors[v], tuple(sorted(map(add, nv.values(), map(get, nv)))))
             for v, nv in enumerate(nbrs)
-        ]
+        ] if cells > 1 else [tuple(sorted(nv.values())) for nv in nbrs]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [rank[s] for s in sigs]
         if len(rank) in (cells, n):
@@ -252,6 +253,14 @@ def _orbits(n: int, gens: list) -> list[int]:
     return [find(x) for x in range(n)]
 
 
+def _serialize(weights: dict, colors: list[int], n: int) -> list[int]:
+    """The weighted adjacency matrix, row by row, vertices in colour order."""
+    ser = [0] * (n * n)
+    for (i, j), w in weights.items():
+        ser[colors[i] * n + colors[j]] = w
+    return ser
+
+
 def canonical_key(d: Diagram, leaf: list | None = None) -> tuple:
     """Complete isomorphism invariant: (n, least serialization of a leaf).
 
@@ -275,6 +284,7 @@ def canonical_key(d: Diagram, leaf: list | None = None) -> tuple:
     one, so the search returns to that node.  A node also skips a vertex
     in the orbit of an explored one under the automorphisms found so far
     that fix the node's individualized vertices.
+    A discrete root colouring is the only leaf: its key needs no search.
     A list passed as leaf receives the least leaf's colouring: relabelling
     d by v -> leaf[v] reproduces the key.
     """
@@ -287,20 +297,23 @@ def canonical_key(d: Diagram, leaf: list | None = None) -> tuple:
         if w:
             nbrs[i][j] = nbrs[i].get(j, 0) + w * top * span
             nbrs[j][i] = nbrs[j].get(i, 0) + w * span
+    colors = _refine_colors(nbrs, [0] * n)
+    if max(colors, default=-1) == n - 1:  # colours are ranks: discrete
+        if leaf is not None:
+            leaf[:] = colors
+        return (n, tuple(_serialize(weights, colors, n)))
     best: list[int] | None = None
     best_colors: list[int] = []
     best_path: tuple = ()
     autos: list[list[int]] = []
-    twin: list[int] | None = None
+    twin = _twin_classes(weights, n)  # the root is not discrete
 
     def search(colors: list[int], path: tuple) -> int:
         """Explore below path; return the depth of the node to resume at."""
-        nonlocal best, best_colors, best_path, twin
+        nonlocal best, best_colors, best_path
         depth = len(path)
         if max(colors, default=-1) == n - 1:  # colours are ranks: discrete
-            ser = [0] * (n * n)
-            for (i, j), w in weights.items():
-                ser[colors[i] * n + colors[j]] = w
+            ser = _serialize(weights, colors, n)
             if best is None or ser < best:
                 best, best_colors, best_path = ser, colors, path
             elif ser == best:
@@ -309,8 +322,6 @@ def canonical_key(d: Diagram, leaf: list | None = None) -> tuple:
                 return next(t for t, (a, b) in enumerate(zip(path, best_path)) if a != b)
             return depth - 1
         c = min(c for c, size in Counter(colors).items() if size > 1)
-        if twin is None:
-            twin = _twin_classes(weights, n)
         branched: set = set()
         tried: list[int] = []
         known = 0
@@ -330,7 +341,7 @@ def canonical_key(d: Diagram, leaf: list | None = None) -> tuple:
                 return resume
         return depth - 1
 
-    search(_refine_colors(nbrs, [0] * n), ())
+    search(colors, ())
     assert best is not None
     if leaf is not None:
         leaf[:] = best_colors

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Sequence
 
 from .laurent import Context, LaurentPoly, NotDivisible
@@ -129,7 +130,7 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     for i, row in enumerate(B.entries):
         bik = row[k]
         if i == k:
-            row = tuple(-x for x in row)
+            row = tuple(map(neg, row))
         elif bik:
             new = list(row)
             for j, x in plus if bik > 0 else minus:

@@ -209,6 +209,11 @@ class DeltaWitness:
         }
 
 
+def _exact(x: Fraction) -> int | Fraction:
+    """x, as an int when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def delta_witness(
     B: ExchangeMatrix, radius: int, delta0: Sequence = (0, 0, 1)
 ) -> DeltaWitness:
@@ -221,7 +226,9 @@ def delta_witness(
     the mutated matrix at every step.  The cyclicity and recursion checks
     and (u_parent, u_child) are functions of the edge's (entries, j), so
     they run once per distinct pair and still check every edge; the roots
-    run once per distinct matrix, and only the deltas once per edge.
+    run once per distinct matrix, and only the deltas once per edge, as
+    p min(delta_i, delta_k) - r delta_j with p = 1/u_child, r = u_parent/u_child.
+    Integral values are ints, equal to and printed as the same Fractions.
     """
     if len(delta0) != 3:
         raise ValueError(f"delta0 needs 3 entries, got {len(delta0)}")
@@ -251,8 +258,8 @@ def delta_witness(
     # sqrt(rad_i rad_k) rewritten on the radicand of direction j
     cross = [root_over(rad[i] * rad[k], j) for j, (i, k) in enumerate(pairs)]
     roots(P0)  # a root that is not rational raises before any mutation
-    weights: dict = {}  # (entries, j) -> (u_parent, u_child) of a checked edge
-    deltas = {"": tuple(Fraction(x) for x in delta0)}
+    weights: dict = {}  # (entries, j) -> (u_parent, u_child, p, r) of a checked edge
+    deltas = {"": tuple(_exact(Fraction(x)) for x in delta0)}
     lowest = {0: min(deltas[""])}  # radius -> least delta value there
     edge_data = {}
     for addr, M, children in _mutation_tree(P0, radius + 1):
@@ -269,9 +276,10 @@ def delta_witness(
                 # recursion check: s_i s_k = s_j + s_j'
                 if s[i] * s[k] * cross[j] != total:
                     raise AssertionError("square-root recursion mismatch")
-                weights[M.entries, j] = s[j] / total, s2[j] / total
-            u_par, u_child = weights[M.entries, j]
-            new_j = (min(dl[i], dl[k]) - u_par * dl[j]) / u_child
+                weights[M.entries, j] = (s[j] / total, s2[j] / total,
+                                         _exact(total / s2[j]), _exact(s[j] / s2[j]))
+            u_par, u_child, p, r = weights[M.entries, j]
+            new_j = p * min(dl[i], dl[k]) - r * dl[j]
             deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
             lowest[len(child)] = min(lowest.get(len(child), new_j), *deltas[child])
             edge_data[child] = {"direction": j + 1, "u_parent": u_par, "u_child": u_child}

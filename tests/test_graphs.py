@@ -342,6 +342,57 @@ def test_canonical_key_leaf_relabels_to_the_key():
         assert key == (d.n, tuple(ser)), d
 
 
+def test_canonical_key_repeated_arrow_keeps_the_last_weight():
+    # Diagram arrows are one per directed edge, but one listed twice keys
+    # like its last weight alone, and a weight of 0 like no arrow
+    rng = random.Random(83)
+    for _ in range(500):
+        n = rng.randint(2, 7)
+        listed = sorted(_random_diagram(rng, n)) + [
+            (i, j, rng.randint(0, 4))
+            for i, j in (rng.sample(range(n), 2) for _ in range(rng.randint(1, 3)))
+        ]
+        last = {(i, j): w for i, j, w in listed}
+        d = Diagram(n, tuple(sorted((i, j, w) for (i, j), w in last.items() if w)))
+        leaf, want = [], []
+        assert canonical_key(Diagram(n, tuple(listed)), leaf) == canonical_key(d, want)
+        assert leaf == want
+
+
+@pytest.mark.parametrize(
+    "make, cap",
+    [
+        (lambda: bipartite_seed("E7").matrix, 100_000),
+        (lambda: _cell_matrix("A3", (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)), 100_000),
+        (lambda: _cell_matrix("A5"), 300),
+    ],
+    ids=["bipartite-E7", "open-cell-A3", "base-affine-A5-node-cap"],
+)
+def test_canonical_key_equals_dense_search_on_classify_inputs(monkeypatch, make, cap):
+    keyed = []
+
+    def recording_canonical_key(d, leaf=None):
+        keyed.append(d)
+        return canonical_key(d, leaf)
+
+    monkeypatch.setattr(graphs, "canonical_key", recording_canonical_key)
+    classify_finite_type(make(), node_cap=cap)
+    discrete_roots = 0
+    for d in keyed:
+        leaf = []
+        key = canonical_key(d, leaf)
+        assert key == _dense_key(d), d
+        ser = [0] * (d.n * d.n)
+        adj = [[0] * d.n for _ in range(d.n)]
+        for i, j, w in d.arrows:
+            ser[leaf[i] * d.n + leaf[j]] = w
+            adj[i][j] = w
+        assert key == (d.n, tuple(ser)), d
+        discrete_roots += len(set(_dense_refine(adj, [0] * d.n))) == d.n
+    # keys returned at the root and keys found by a search both occur
+    assert 0 < discrete_roots < len(keyed)
+
+
 def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
     """classify_finite_type's search with every mutated matrix keyed.
 

@@ -411,15 +411,36 @@ def test_mutation_tree_walk_matches_reference_propagation():
         ), (case, P, depth)
 
 
+def _witness_values(witness):
+    """Every number a delta witness holds."""
+    out = list(witness.sequence)
+    for table in (witness.assignment.values, witness.shifted):
+        out += [x for t in table.values() for x in t]
+    for e in witness.assignment.edge_data.values():
+        out += [e["u_parent"], e["u_child"]]
+    return out
+
+
 def test_mutation_tree_walk_matches_reference_delta_witness():
     rng = random.Random(2025)
     kinds = set()
-    for case in range(1500):
+    cases = []
+    for _ in range(1500):
         B = ExchangeMatrix.make(random_rank3(rng))
         radius = rng.randint(0, 3)
-        delta0 = [random_weight(rng) for _ in range(3)]
+        cases.append((B, radius, [random_weight(rng) for _ in range(3)]))
+    # Markov's edge ratios are all integers and the weight-9 cycle's are not,
+    # so the recursion runs in ints and in Fractions from each kind of start
+    for P in (MARKOV, [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]):
+        for delta0 in ((0, 0, 1), (0, 1 / 2, 1), (0, Fraction("0.5"), 1)):
+            cases.append((ExchangeMatrix.make(P), 5, delta0))
+    for case, (B, radius, delta0) in enumerate(cases):
         got = outcome(delta_witness, B, radius, delta0)
-        assert got == outcome(reference_delta_witness, B, radius, delta0), (case, B)
+        want = outcome(reference_delta_witness, B, radius, delta0)
+        assert got == want, (case, B)
+        if got[0] == "value":
+            assert got[1].to_json() == want[1].to_json(), (case, B)
+            assert not any(isinstance(x, float) for x in _witness_values(got[1]))
         kinds.add(got[0] if got[0] == "value" else got[1])
     # the cases reach a witness and each way the recursion can stop
     assert {"value", AcyclicSeedFound, ValueError}.issubset(kinds)
