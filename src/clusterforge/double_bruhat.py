@@ -389,8 +389,9 @@ def sample_cell(
 
 def sample_totally_positive(
     cartan: CartanData, word: Sequence[int], rng: random.Random
-) -> Sequence[Sequence[Fraction]]:
-    """Totally positive determinant-one sample via positive elementary factors.
+) -> tuple[tuple, int]:
+    """Totally positive determinant-one sample g = h / den via positive
+    elementary factors, as the integer matrix h and the denominator den.
 
     Multiplies a positive determinant-one diagonal by the elementary Jacobi
     matrices x_i(t) (letter i > 0) and y_i(t) (letter -i) of any double
@@ -399,7 +400,8 @@ def sample_totally_positive(
     y_i(t) adds t times column i to column i-1 (columns 0-based).  The
     product is an integer matrix over one running denominator: for
     t = a/b, the matrix is scaled by b and a times the old source column
-    is added to the destination column.
+    is added to the destination column.  The running denominator is
+    handed back as it is, not reduced.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("total positivity sampling is type A only")
@@ -415,7 +417,7 @@ def sample_totally_positive(
             add = a * row[src]
             row[:] = [b * x for x in row]
             row[dst] += add
-    return tuple(tuple(Fraction(x, den) for x in row) for row in h)
+    return tuple(map(tuple, h)), den
 
 
 # -- the shared check pipeline ----------------------------------------------------
@@ -574,8 +576,8 @@ def tp_criterion_check(
     positive; additionally, for ``clusters`` explored clusters, the cluster
     variables (as Laurent polynomials in the initial minors), the frozen
     minors and the determinant must all evaluate positively.  A sample's
-    family minors are read from one integer matrix, g times the common
-    denominator of its entries.
+    family minors and determinant are read from the integer matrix that
+    sample_totally_positive hands back with its denominator.
     """
     seed, _, specs = _cell_setup(cartan, word)
     found = [s.exprs for s, _ in islice(exchange_seeds(seed), max(1, clusters))]
@@ -588,15 +590,14 @@ def tp_criterion_check(
     gs = [sample_totally_positive(cartan, word, rng) for _ in range(samples)]
     frozen_idx = range(seed.n, seed.m)
 
-    def check(g) -> list[str]:
+    def check(sample) -> list[str]:
         local = []
-        den = lcm(*(x.denominator for row in g for x in row))
-        h = [[x.numerator * (den // x.denominator) for x in row] for row in g]
+        h, den = sample
         ms = integer_minors(specs, h)
         values = [Fraction(m, den ** len(s.rows)) for s, m in zip(specs, ms)]
         if any(v <= 0 for v in values):
             local.append("a family minor is not positive")
-        if det(g) <= 0:
+        if det(h) <= 0:  # det(g) = det(h) / den^size, den > 0
             local.append("determinant is not positive")
         positive = [e.evaluate(values) > 0 for e in variables]
         for ci, idx in enumerate(found_idx):

@@ -22,8 +22,10 @@ from .coxeter import cartan_entries
 from .seeds import (
     ExchangeMatrix,
     Seed,
+    SignSkewSymmetryLost,
     is_skew_symmetrizable,
     matrix_mutate,
+    mutate_rows,
     seed_mutate,
 )
 from .util import sqrt_fraction
@@ -48,9 +50,6 @@ class Diagram:
     n: int
     arrows: tuple  # sorted tuples (i, j, w), one per directed edge
 
-    def max_weight(self) -> int:
-        return max((w for _, _, w in self.arrows), default=0)
-
     def undirected(self) -> dict:
         return {frozenset((i, j)): w for i, j, w in self.arrows}
 
@@ -64,7 +63,8 @@ def gamma(B: ExchangeMatrix) -> SignGraph:
 
 
 def diagram_of(B: ExchangeMatrix) -> Diagram:
-    """The diagram of B's principal part; rows in order give sorted arrows."""
+    """The diagram of B's principal part, unchecked: an arrow (i, j,
+    |b_ij b_ji|) per b_ij > 0; rows in order give sorted arrows."""
     E, n = B.entries, B.n
     return Diagram(n, tuple(
         (i, j, abs(x * E[j][i]))
@@ -261,11 +261,12 @@ def _serialize(weights: dict, colors: list[int], n: int) -> list[int]:
     return ser
 
 
-def canonical_key(d: Diagram, leaf: list | None = None) -> tuple:
+def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
     """Complete isomorphism invariant: (n, least serialization of a leaf).
 
-    An individualization-refinement search (McKay-Piperno, *Practical
-    graph isomorphism, II*, arXiv 1301.1493).  Each node refines its
+    weights maps each arrow (i, j) of a diagram on [0, n) to its weight; a
+    weight of 0 keys like no arrow.  An individualization-refinement search
+    (McKay-Piperno, *Practical graph isomorphism, II*, arXiv 1301.1493).  Each node refines its
     colouring to an equitable one, then individualizes in turn each vertex
     of the first cell with more than one vertex: the vertex gets colour 2c,
     the rest of its cell 2c + 1.  A discrete leaf serializes the weighted
@@ -286,10 +287,8 @@ def canonical_key(d: Diagram, leaf: list | None = None) -> tuple:
     that fix the node's individualized vertices.
     A discrete root colouring is the only leaf: its key needs no search.
     A list passed as leaf receives the least leaf's colouring: relabelling
-    d by v -> leaf[v] reproduces the key.
+    the weights by v -> leaf[v] reproduces the key.
     """
-    n = d.n
-    weights = {(i, j): w for i, j, w in d.arrows}
     top = max(weights.values(), default=0) + 1
     span = 2 * n + 2
     nbrs: list[dict] = [{} for _ in range(n)]
@@ -382,8 +381,7 @@ def _component_name(verts: list[int], edges: dict) -> str | None:
     index = {v: t for t, v in enumerate(verts)}
 
     def key(bonds) -> tuple:
-        arrows = sorted(a for i, j, w in bonds for a in ((i, j, w), (j, i, w)))
-        return canonical_key(Diagram(n, tuple(arrows)))
+        return canonical_key({a: w for i, j, w in bonds for a in ((i, j), (j, i))}, n)
 
     own = None
     for family in "ABDEFG":
@@ -424,14 +422,41 @@ def dynkin_name(d: Diagram) -> str | None:
     return " x ".join(f"{nm}^{c}" if c > 1 else nm for nm, c in counts)
 
 
+def _checked_weights(E: tuple) -> dict:
+    """diagram_of's arrows of the square matrix E as weights, in one loop
+    over the pairs i < j with a = b_ij, b = b_ji.  Raises
+    SignSkewSymmetryLost where is_sign_skew_symmetric is False: b_ii != 0,
+    or a or b nonzero with a * b >= 0."""
+    n = len(E)
+    weights = {}
+    for i, row in enumerate(E):
+        if row[i]:
+            raise SignSkewSymmetryLost(f"nonzero diagonal entry {i}")
+        for j in range(i + 1, n):
+            a, b = row[j], E[j][i]
+            if a or b:
+                w = -a * b
+                if w <= 0:
+                    raise SignSkewSymmetryLost(f"entries ({i}, {j}) and ({j}, {i})")
+                weights[(i, j) if a > 0 else (j, i)] = w
+    return weights
+
+
+def _witness(weights: dict, n: int) -> Diagram:
+    return Diagram(n, tuple(sorted((i, j, w) for (i, j), w in weights.items())))
+
+
 def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classification:
     """Explore the diagram mutation class; see the module docstring.
 
-    The search mutates matrices (any realization determines the mutated
-    diagram) and deduplicates by canonical diagram form.  Weight checks
-    happen before canonicalization so infinite-type witnesses are cheap.
-    Each class keeps its first matrix X as rep, with pos, the map from
-    canonical positions to X's vertices, and a set of known directions.
+    The search mutates principal rows with mutate_rows (any realization
+    determines the mutated diagram) and deduplicates by canonical diagram
+    form.  One more walk over each child, _checked_weights, checks its
+    sign-skew-symmetry and builds the weights canonical_key reads; a
+    weight >= 4 is a witness before any key.  A Diagram is built only for
+    the witness and to name the acyclic rep.  Each class keeps its first
+    rows X as rep, with pos, the map from canonical positions to X's
+    vertices, and a set of known directions.
     A child mu_k(M) keyed to X's class maps onto X by v -> pos[leaf[v]],
     leaf being the colouring canonical_key hands back.  The diagram of a
     mutation is a function of the diagram and the direction (Fomin-
@@ -442,50 +467,53 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     skipped child lies in a class already in the reps, with all weights
     below 4, so it changes neither the reps nor the witness.  Mutations in
     directions i and j with b_ij = 0 commute, so one layer of the search
-    often makes the same labelled matrix twice; the entries made while
-    mutating the current layer are kept, and a repeat is dropped before
-    its diagram is built.  That is exact too: the first copy had the same
-    diagram and, as the search went on, passed the weight check and left
-    its key in the reps, so the repeat would change nothing.
+    often makes the same rows twice; the rows made while mutating the
+    current layer are kept, and a repeat is dropped before it is checked
+    or weighed.  That is exact too: the first copy had the same diagram
+    and, as the search went on, passed both checks and left its key in
+    the reps, so the repeat would change nothing.
     """
     if not is_skew_symmetrizable(B):
         raise ValueError("classification requires a skew-symmetrizable matrix")
-    P = ExchangeMatrix.make([list(r) for r in B.principal()])
-    d0 = diagram_of(P)
-    if d0.max_weight() >= 4:
-        return Classification("infinite", None, d0, d0.max_weight(), 0, 1)
+    P, n = B.principal(), B.n
+    weights = _checked_weights(P)
+    top = max(weights.values(), default=0)
+    if top >= 4:
+        return Classification("infinite", None, _witness(weights, n), top, 0, 1)
     leaf: list = []
-    key = canonical_key(d0, leaf)
-    reps = {key: (P, sorted(range(P.n), key=leaf.__getitem__), set())}
+    key = canonical_key(weights, n, leaf)
+    reps = {key: (P, sorted(range(n), key=leaf.__getitem__), set())}
     queue = deque([(reps[key], 0)])
     layer, made = 0, set()
     while queue:
         (M, _, known), depth = queue.popleft()
         if depth != layer:
             layer, made = depth, set()
-        for k in range(M.n):
+        for k in range(n):
             if k in known:
                 continue
-            M2 = matrix_mutate(M, k)
-            if M2.entries in made:
+            M2 = mutate_rows(M, k)
+            if M2 in made:
                 continue
-            made.add(M2.entries)
-            d2 = diagram_of(M2)
-            if d2.max_weight() >= 4:
+            made.add(M2)
+            weights = _checked_weights(M2)
+            top = max(weights.values(), default=0)
+            if top >= 4:
                 return Classification(
-                    "infinite", None, d2, d2.max_weight(), depth + 1, len(reps)
+                    "infinite", None, _witness(weights, n), top, depth + 1, len(reps)
                 )
-            key = canonical_key(d2, leaf)
+            key = canonical_key(weights, n, leaf)
             X = reps.get(key)
             if X is None:
                 if len(reps) >= node_cap:
                     return Classification(
                         "inconclusive", None, None, None, None, len(reps)
                     )
-                X = reps[key] = (M2, sorted(range(M2.n), key=leaf.__getitem__), set())
+                X = reps[key] = (M2, sorted(range(n), key=leaf.__getitem__), set())
                 queue.append((X, depth + 1))
             X[2].add(X[1][leaf[k]])
-    for M, _, _ in reps.values():
+    for rows, _, _ in reps.values():
+        M = ExchangeMatrix.make(rows)
         if is_acyclic(M):
             name = dynkin_name(diagram_of(M))
             if name is not None:

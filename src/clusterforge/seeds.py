@@ -109,25 +109,19 @@ def is_skew_symmetrizable(B: ExchangeMatrix) -> bool:
     return skew_symmetrizer(B) is not None
 
 
-def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k (0-based), extended to all m rows.
+def mutate_rows(entries: tuple, k: int) -> tuple:
+    """The rows of matrix mutation in direction k, with no check.
 
     b'_ij = -b_ij if i = k or j = k, and otherwise b_ij + |b_ik| b_kj
     where b_ik b_kj > 0, else b_ij.  So row k is negated, a row with
     b_ik = 0 is kept as it is, and any other row changes only in column k
     and where b_kj has the sign of b_ik.
-
-    Raises SignSkewSymmetryLost if the mutated principal part violates
-    sign-skew-symmetry; that reports a non-totally-mutable input rather
-    than silently continuing.
     """
-    if not 0 <= k < B.n:
-        raise IndexError(f"direction {k} out of range")
-    pivot = B.entries[k]
+    pivot = entries[k]
     plus = [(j, x) for j, x in enumerate(pivot) if x > 0]
     minus = [(j, x) for j, x in enumerate(pivot) if x < 0]
     new_rows = []
-    for i, row in enumerate(B.entries):
+    for i, row in enumerate(entries):
         bik = row[k]
         if i == k:
             row = tuple(map(neg, row))
@@ -138,7 +132,19 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
             new[k] = -bik
             row = tuple(new)
         new_rows.append(row)
-    out = ExchangeMatrix(tuple(new_rows), B.n, B.labels)
+    return tuple(new_rows)
+
+
+def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Matrix mutation in direction k (0-based), extended to all m rows.
+
+    The rows are mutate_rows(B.entries, k).  Raises SignSkewSymmetryLost
+    if the mutated principal part violates sign-skew-symmetry; that
+    reports a non-totally-mutable input rather than silently continuing.
+    """
+    if not 0 <= k < B.n:
+        raise IndexError(f"direction {k} out of range")
+    out = ExchangeMatrix(mutate_rows(B.entries, k), B.n, B.labels)
     if not is_sign_skew_symmetric(out):
         raise SignSkewSymmetryLost(f"mutation at direction {k}")
     return out
@@ -208,10 +214,6 @@ class Seed:
     def all_exprs(self) -> list[LaurentPoly]:
         """Expressions of all m ambient variables (frozen ones are generators)."""
         return list(self.exprs) + [self.ctx.var(i) for i in range(self.n, self.m)]
-
-    def cluster_key(self) -> frozenset:
-        """Dedup identity: the unordered set of canonical cluster expressions."""
-        return frozenset(e.key() for e in self.exprs)
 
     def to_json(self) -> dict:
         return self.matrix.to_json()

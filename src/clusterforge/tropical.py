@@ -90,11 +90,9 @@ class TreeAssignment:
 
     Addresses use 1-based direction digits with no immediate repetition
     ("" is the root, "2" its neighbor across direction 2, and so on).
-    ``edge_data`` holds per-edge extras keyed by the child address.
     """
 
     values: dict
-    edge_data: dict
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +149,7 @@ def propagate_valuation(seed: Seed, v0: Valuation, depth: int) -> TreeAssignment
             i, k = _others(j)
             new_j = min(abs(P[i][j]) * nu[i], abs(P[k][j]) * nu[k]) - nu[j]
             values[child] = tuple(new_j if t == j else nu[t] for t in range(3))
-    return TreeAssignment(values, {})
+    return TreeAssignment(values)
 
 
 # -- the renormalized recursion -----------------------------------------------
@@ -224,10 +222,10 @@ def delta_witness(
     exactly as rational multiples of fixed square-free radicands; the
     recursion s_j(t') = s_i(t) s_k(t) - s_j(t) is cross-checked against
     the mutated matrix at every step.  The cyclicity and recursion checks
-    and (u_parent, u_child) are functions of the edge's (entries, j), so
-    they run once per distinct pair and still check every edge; the roots
-    run once per distinct matrix, and only the deltas once per edge, as
-    p min(delta_i, delta_k) - r delta_j with p = 1/u_child, r = u_parent/u_child.
+    and the ratios p = 1/u_child, r = u_parent/u_child are functions of the
+    edge's (entries, j), so they run once per distinct pair and still check
+    every edge; the roots run once per distinct matrix, and only the deltas
+    once per edge, as p min(delta_i, delta_k) - r delta_j.
     Integral values are ints, equal to and printed as the same Fractions.
     """
     if len(delta0) != 3:
@@ -258,10 +256,9 @@ def delta_witness(
     # sqrt(rad_i rad_k) rewritten on the radicand of direction j
     cross = [root_over(rad[i] * rad[k], j) for j, (i, k) in enumerate(pairs)]
     roots(P0)  # a root that is not rational raises before any mutation
-    weights: dict = {}  # (entries, j) -> (u_parent, u_child, p, r) of a checked edge
+    weights: dict = {}  # (entries, j) -> (p, r) of a checked edge
     deltas = {"": tuple(_exact(Fraction(x)) for x in delta0)}
     lowest = {0: min(deltas[""])}  # radius -> least delta value there
-    edge_data = {}
     for addr, M, children in _mutation_tree(P0, radius + 1):
         s = roots(M.entries)
         dl = deltas[addr]
@@ -276,13 +273,11 @@ def delta_witness(
                 # recursion check: s_i s_k = s_j + s_j'
                 if s[i] * s[k] * cross[j] != total:
                     raise AssertionError("square-root recursion mismatch")
-                weights[M.entries, j] = (s[j] / total, s2[j] / total,
-                                         _exact(total / s2[j]), _exact(s[j] / s2[j]))
-            u_par, u_child, p, r = weights[M.entries, j]
+                weights[M.entries, j] = (_exact(total / s2[j]), _exact(s[j] / s2[j]))
+            p, r = weights[M.entries, j]
             new_j = p * min(dl[i], dl[k]) - r * dl[j]
             deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
             lowest[len(child)] = min(lowest.get(len(child), new_j), *deltas[child])
-            edge_data[child] = {"direction": j + 1, "u_parent": u_par, "u_child": u_child}
 
     sequence = list(lowest.values())
     strict = all(a > b for a, b in zip(sequence, sequence[1:]))
@@ -300,7 +295,7 @@ def delta_witness(
         x >= 0 for a, t in shifted.items() if len(a) <= radius for x in t
     )
     return DeltaWitness(
-        assignment=TreeAssignment(deltas, edge_data),
+        assignment=TreeAssignment(deltas),
         sequence=tuple(sequence),
         shifted=shifted,
         radius=radius,

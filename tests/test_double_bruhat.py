@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -510,11 +510,16 @@ def test_verify_evaluates_only_compared_relations(
     assert sorted(dets) == ["evaluate_minor"] * evaluations + ["sample_cell"] * tries
 
 
+def _divided(h, den):
+    """The rational matrix h / den."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in h)
+
+
 def test_tp_samples_all_minors_positive():
     rng = random.Random(71)
     iw = indexed_word(A2, OPEN_CELL_A2)
     for _ in range(5):
-        g = sample_totally_positive(A2, OPEN_CELL_A2, rng)
+        g = _divided(*sample_totally_positive(A2, OPEN_CELL_A2, rng))
         assert det(g) > 0
         for k in iw.positions():
             assert evaluate_minor(minor_spec(iw, A2, k), g) > 0
@@ -576,7 +581,13 @@ def test_tp_criterion_check_messages_match_per_cluster_loop(monkeypatch):
     for g in gs:
         minors = [evaluate_minor(spec, g) for spec in specs]
         assert 0 not in minors and any(v < 0 for v in minors)
-    draws = iter(gs)
+
+    def integral(g):
+        """g as an integer matrix and the denominator it is to be divided by."""
+        den = lcm(*(x.denominator for row in g for x in row))
+        return [[int(x * den) for x in row] for row in g], den
+
+    draws = map(integral, gs)
     monkeypatch.setattr(
         double_bruhat, "sample_totally_positive", lambda cartan, word, rng: next(draws)
     )
@@ -738,7 +749,7 @@ def test_samplers_match_full_matrix_products(r):
         assert sample_cell(cartan, w0, w0, rng, extra_nonzero=specs) == (
             reference_sample_cell(cartan, w0, w0, ref, extra_nonzero=specs)
         )
-        assert sample_totally_positive(cartan, word, rng) == (
+        assert _divided(*sample_totally_positive(cartan, word, rng)) == (
             reference_sample_totally_positive(cartan, word, ref)
         )
         assert rng.getstate() == ref.getstate()  # the same draws, in the same order

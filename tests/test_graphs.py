@@ -28,8 +28,10 @@ from clusterforge.graphs import (
 )
 from clusterforge.seeds import (
     ExchangeMatrix,
+    SignSkewSymmetryLost,
     general_seed,
     initial_seed,
+    is_sign_skew_symmetric,
     is_skew_symmetrizable,
     matrix_mutate,
     seed_mutate,
@@ -40,6 +42,11 @@ from test_seeds import rand_symmetrizable
 
 
 B219 = ExchangeMatrix.make(SL3_PRINCIPAL)
+
+
+def _key(d, leaf=None):
+    """canonical_key of a Diagram."""
+    return canonical_key({(i, j): w for i, j, w in d.arrows}, d.n, leaf)
 
 
 def test_gamma_cycle_detection():
@@ -84,7 +91,7 @@ def test_orientation_reversal_preserves_acyclicity():
 def test_diagram_weights():
     d = diagram_of(ExchangeMatrix.make(MARKOV))
     assert all(w == 4 for _, _, w in d.arrows)
-    assert d.max_weight() == 4
+    assert len(d.arrows) == 3
 
 
 def test_diagram_mutation_matches_matrix_mutation():
@@ -93,8 +100,8 @@ def test_diagram_mutation_matches_matrix_mutation():
         B = rand_symmetrizable(rng, 4)
         P = ExchangeMatrix.make([list(r) for r in B.principal()])
         k = rng.randrange(4)
-        lhs = canonical_key(diagram_of(matrix_mutate(P, k)))
-        rhs = canonical_key(diagram_mutate(diagram_of(P), k))
+        lhs = _key(diagram_of(matrix_mutate(P, k)))
+        rhs = _key(diagram_mutate(diagram_of(P), k))
         assert lhs == rhs
 
 
@@ -107,7 +114,7 @@ def test_single_edge_diagram_mutation_reverses():
 def test_realize_markov_diagram():
     d = diagram_of(ExchangeMatrix.make(MARKOV))
     M = realize_diagram(d)
-    assert canonical_key(diagram_of(M)) == canonical_key(d)
+    assert _key(diagram_of(M)) == _key(d)
 
 
 def test_star_after_one_mutation():
@@ -130,12 +137,12 @@ def test_canonical_key_permutation_invariant():
         perm = list(range(5))
         rng.shuffle(perm)
         Pp = relabel_matrix(P, tuple(perm))
-        assert canonical_key(diagram_of(Pp)) == canonical_key(d)
+        assert _key(diagram_of(Pp)) == _key(d)
 
 
 def test_canonical_key_edgeless_fast():
     d = Diagram(10, ())
-    assert canonical_key(d) == (10, (0,) * 100)
+    assert _key(d) == (10, (0,) * 100)
 
 
 def _relabelled(d, rng):
@@ -157,10 +164,10 @@ def _relabelled(d, rng):
 def test_canonical_key_symmetric_ten_vertices(arrows, other):
     d = Diagram(10, tuple(sorted(arrows)))
     start = time.perf_counter()
-    key = canonical_key(d)
+    key = _key(d)
     assert time.perf_counter() - start < 1.0
-    assert canonical_key(_relabelled(d, random.Random(59))) == key
-    assert canonical_key(Diagram(10, tuple(sorted(other)))) != key
+    assert _key(_relabelled(d, random.Random(59))) == key
+    assert _key(Diagram(10, tuple(sorted(other)))) != key
 
 
 @pytest.mark.parametrize(
@@ -209,7 +216,7 @@ def test_canonical_key_agrees_with_brute_force_oracle():
                        (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 3, 1)))
     c7 = Diagram(7, tuple(sorted((i, (i + 1) % 7, 1) for i in range(7))))
     diagrams += [_relabelled(d, rng) for d in (c3c4, c7) for _ in range(4)]
-    keys = [canonical_key(d) for d in diagrams]
+    keys = [_key(d) for d in diagrams]
     oracle = [_oracle_key(d) for d in diagrams]
     # the two invariants partition the sample into the same classes
     assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
@@ -300,9 +307,9 @@ def test_canonical_key_equals_dense_search():
         p = list(range(n))
         rng.shuffle(p)
         d = Diagram(n, tuple(sorted((p[i], p[j], w) for i, j, w in arrows)))
-        assert canonical_key(d) == _dense_key(d), d
+        assert _key(d) == _dense_key(d), d
     six = Diagram(12, tuple((2 * i, 2 * i + 1, 1) for i in range(6)))
-    assert canonical_key(six) == _dense_key(six)
+    assert _key(six) == _dense_key(six)
     # oriented C3 + C4 + C4: refinement keeps all 11 vertices in one cell,
     # and a search that ends a subtree too early misses the least leaf
     cycles = [(i, (i + 1) % 3, 1) for i in range(3)] + [
@@ -310,17 +317,17 @@ def test_canonical_key_equals_dense_search():
     ]
     for _ in range(30):
         d = _relabelled(Diagram(11, tuple(sorted(cycles))), rng)
-        assert canonical_key(d) == _dense_key(d), d
+        assert _key(d) == _dense_key(d), d
 
 
 def test_canonical_key_eight_disjoint_arrows():
     d = Diagram(16, tuple((2 * i, 2 * i + 1, 1) for i in range(8)))
     start = time.perf_counter()
-    key = canonical_key(d)
+    key = _key(d)
     assert time.perf_counter() - start < 1.0
-    assert canonical_key(_relabelled(d, random.Random(73))) == key
+    assert _key(_relabelled(d, random.Random(73))) == key
     seven = Diagram(16, tuple((2 * i, 2 * i + 1, 1) for i in range(7)) + ((14, 15, 2),))
-    assert canonical_key(seven) != key
+    assert _key(seven) != key
 
 
 def test_canonical_key_leaf_relabels_to_the_key():
@@ -334,7 +341,7 @@ def test_canonical_key_leaf_relabels_to_the_key():
     ]
     for d in diagrams + [_relabelled(d, rng) for d in diagrams]:
         leaf = []
-        key = canonical_key(d, leaf)
+        key = _key(d, leaf)
         assert sorted(leaf) == list(range(d.n))
         ser = [0] * (d.n * d.n)
         for i, j, w in d.arrows:
@@ -343,8 +350,8 @@ def test_canonical_key_leaf_relabels_to_the_key():
 
 
 def test_canonical_key_repeated_arrow_keeps_the_last_weight():
-    # Diagram arrows are one per directed edge, but one listed twice keys
-    # like its last weight alone, and a weight of 0 like no arrow
+    # canonical_key reads one weight per arrow, the last one listed once
+    # the arrows are put in a dict, and a weight of 0 keys like no arrow
     rng = random.Random(83)
     for _ in range(500):
         n = rng.randint(2, 7)
@@ -355,7 +362,7 @@ def test_canonical_key_repeated_arrow_keeps_the_last_weight():
         last = {(i, j): w for i, j, w in listed}
         d = Diagram(n, tuple(sorted((i, j, w) for (i, j), w in last.items() if w)))
         leaf, want = [], []
-        assert canonical_key(Diagram(n, tuple(listed)), leaf) == canonical_key(d, want)
+        assert canonical_key(last, n, leaf) == _key(d, want)
         assert leaf == want
 
 
@@ -371,16 +378,16 @@ def test_canonical_key_repeated_arrow_keeps_the_last_weight():
 def test_canonical_key_equals_dense_search_on_classify_inputs(monkeypatch, make, cap):
     keyed = []
 
-    def recording_canonical_key(d, leaf=None):
-        keyed.append(d)
-        return canonical_key(d, leaf)
+    def recording_canonical_key(weights, n, leaf=None):
+        keyed.append(Diagram(n, tuple(sorted((i, j, w) for (i, j), w in weights.items()))))
+        return canonical_key(weights, n, leaf)
 
     monkeypatch.setattr(graphs, "canonical_key", recording_canonical_key)
     classify_finite_type(make(), node_cap=cap)
     discrete_roots = 0
     for d in keyed:
         leaf = []
-        key = canonical_key(d, leaf)
+        key = _key(d, leaf)
         assert key == _dense_key(d), d
         ser = [0] * (d.n * d.n)
         adj = [[0] * d.n for _ in range(d.n)]
@@ -393,6 +400,35 @@ def test_canonical_key_equals_dense_search_on_classify_inputs(monkeypatch, make,
     assert 0 < discrete_roots < len(keyed)
 
 
+def test_checked_weights_raise_exactly_off_sign_skew_symmetry():
+    # sign-skew-symmetric matrices with 0-2 entries overwritten, the
+    # diagonal included: the fused loop of classify_finite_type raises
+    # exactly where is_sign_skew_symmetric is False, else weighs the
+    # arrows of diagram_of
+    rng = random.Random(89)
+    outcomes = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        E = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a = E[i][j] = rng.randint(-3, 3)
+                if a:
+                    E[j][i] = (-1 if a > 0 else 1) * rng.randint(1, 3)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            E[rng.randrange(n)][rng.randrange(n)] = rng.randint(-3, 3)
+        M = ExchangeMatrix.make(E)
+        if is_sign_skew_symmetric(M):
+            weights = graphs._checked_weights(M.entries)
+            got = tuple(sorted((i, j, w) for (i, j), w in weights.items()))
+            assert got == diagram_of(M).arrows, E
+        else:
+            with pytest.raises(SignSkewSymmetryLost):
+                graphs._checked_weights(M.entries)
+        outcomes[is_sign_skew_symmetric(M)] += 1
+    assert min(outcomes.values()) > 500
+
+
 def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
     """classify_finite_type's search with every mutated matrix keyed.
 
@@ -401,9 +437,10 @@ def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
     assert is_skew_symmetrizable(B)
     P = ExchangeMatrix.make([list(r) for r in B.principal()])
     d0 = diagram_of(P)
-    if d0.max_weight() >= 4:
-        return Classification("infinite", None, d0, d0.max_weight(), 0, 1)
-    reps = {canonical_key(d0): P}
+    top = max((w for _, _, w in d0.arrows), default=0)
+    if top >= 4:
+        return Classification("infinite", None, d0, top, 0, 1)
+    reps = {_key(d0): P}
     queue = deque([(P, 0, None)])
     while queue:
         M, depth, back = queue.popleft()
@@ -414,11 +451,10 @@ def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
             if made is not None:
                 made.append((depth + 1, M2.entries))
             d2 = diagram_of(M2)
-            if d2.max_weight() >= 4:
-                return Classification(
-                    "infinite", None, d2, d2.max_weight(), depth + 1, len(reps)
-                )
-            key = canonical_key(d2)
+            top = max((w for _, _, w in d2.arrows), default=0)
+            if top >= 4:
+                return Classification("infinite", None, d2, top, depth + 1, len(reps))
+            key = _key(d2)
             if key not in reps:
                 if len(reps) >= node_cap:
                     return Classification("inconclusive", None, None, None, None, len(reps))
@@ -479,14 +515,15 @@ def test_classify_builds_each_matrix_once_per_layer(monkeypatch, make, cap):
             popped.append(item[-1])  # the depth of the rep being expanded
             return item
 
-    def recording_diagram_of(M):
-        built.append((popped[-1] + 1 if popped else 0, M.entries))
-        return diagram_of(M)
+    def recording_checked_weights(rows):
+        built.append((popped[-1] + 1 if popped else 0, rows))
+        return checked_weights(rows)
 
+    checked_weights = graphs._checked_weights
     monkeypatch.setattr(graphs, "deque", RecordingQueue)
-    monkeypatch.setattr(graphs, "diagram_of", recording_diagram_of)
+    monkeypatch.setattr(graphs, "_checked_weights", recording_checked_weights)
     classify_finite_type(B, node_cap=cap)
-    # the first diagram is the input's; both searches stop before naming a
+    # the first rows weighed are the input's; both searches stop before naming a
     # type.  The search mutates the reference's reps in the reference's
     # order but skips known directions and repeats, so it builds a
     # subsequence of the reference's mutated matrices.  That is not always
@@ -511,9 +548,9 @@ def test_classify_skips_known_directions(monkeypatch, make, keys):
     # keying every child but the way back takes 7,943, 1,454 and 1,795 keys
     calls = []
 
-    def counting_canonical_key(d, leaf=None):
-        calls.append(d.n)
-        return canonical_key(d, leaf)
+    def counting_canonical_key(weights, n, leaf=None):
+        calls.append(n)
+        return canonical_key(weights, n, leaf)
 
     monkeypatch.setattr(graphs, "canonical_key", counting_canonical_key)
     classify_finite_type(make())
@@ -690,7 +727,7 @@ def test_exchange_seeds_discovery_order():
     assert found[0] == (seed, 0)
     depths = [d for _, d in found]
     assert depths == sorted(depths) and depths[-1] == 4
-    assert len({s.cluster_key() for s, _ in found}) == len(found) == 14
+    assert len({frozenset(e.key() for e in s.exprs) for s, _ in found}) == len(found) == 14
 
 
 def test_explore_sl3_full_report():
@@ -747,7 +784,7 @@ def _edge_memo_seeds(seed):
     confirmed relabelled revisit proves to lead back.
     """
     skip = set()
-    visited = {seed.cluster_key(): (seed, skip)}
+    visited = {frozenset(e.key() for e in seed.exprs): (seed, skip)}
     queue = deque([(seed, 0, skip)])
     yield seed, 0
     while queue:
@@ -756,7 +793,7 @@ def _edge_memo_seeds(seed):
             if k in skip:
                 continue
             s2 = seed_mutate(s, k)
-            key = s2.cluster_key()
+            key = frozenset(e.key() for e in s2.exprs)
             if key in visited:
                 stored, stored_skip = visited[key]
                 p = _seed_permutation(stored, s2)
@@ -777,7 +814,7 @@ def _first(search, count):
         for s, depth in search:
             if len(out) == count:
                 break
-            out.append((s.cluster_key(), depth, s.exprs, s.matrix, s.history))
+            out.append((frozenset(e.key() for e in s.exprs), depth, s.exprs, s.matrix, s.history))
     except ValueError as exc:
         return out, type(exc)
     return out, None
@@ -873,7 +910,7 @@ def test_base_affine_a4_diagram_mutates_to_d6_tree():
     M = matrix_mutate(matrix_mutate(seed.matrix, k1), k2)
     assert is_acyclic(M)
     assert dynkin_name(diagram_of(M)) == "D6"
-    assert canonical_key(diagram_of(M)) == canonical_key(
+    assert _key(diagram_of(M)) == _key(
         diagram_mutate(diagram_mutate(diagram_of(seed.matrix), k1), k2)
     )
 
@@ -885,7 +922,7 @@ def test_realize_diagram_roundtrip_randomized():
         P = ExchangeMatrix.make([list(r) for r in B.principal()])
         d = diagram_of(P)
         M = realize_diagram(d)
-        assert canonical_key(diagram_of(M)) == canonical_key(d)
+        assert _key(diagram_of(M)) == _key(d)
         from clusterforge.seeds import skew_symmetrizer
 
         assert skew_symmetrizer(M) is not None
@@ -894,14 +931,14 @@ def test_realize_diagram_roundtrip_randomized():
 def test_classification_agrees_across_the_whole_class():
     # every representative of the finite class reports the same type
     reps = [ExchangeMatrix.make(SL3_PRINCIPAL)]
-    seen = {canonical_key(diagram_of(reps[0]))}
+    seen = {_key(diagram_of(reps[0]))}
     idx = 0
     while idx < len(reps):
         M = reps[idx]
         idx += 1
         for k in range(4):
             M2 = matrix_mutate(M, k)
-            key = canonical_key(diagram_of(M2))
+            key = _key(diagram_of(M2))
             if key not in seen:
                 seen.add(key)
                 reps.append(M2)

@@ -135,11 +135,21 @@ def test_delta_witness_radius_zero():
 
 
 def test_delta_witness_edge_weights_are_halves():
+    # u_parent = u_child = 1/2 on every edge, so the recursion
+    # (min(delta_i, delta_k) - u_parent delta_j) / u_child is
+    # 2 min(delta_i, delta_k) - delta_j
     out = delta_witness(ExchangeMatrix.make(MARKOV), radius=2)
-    assert all(
-        e["u_parent"] == Fraction(1, 2) and e["u_child"] == Fraction(1, 2)
-        for e in out.assignment.edge_data.values()
-    )
+    values = out.assignment.values
+    assert len(values) == 1 + 3 + 6 + 12
+    for child, dl in values.items():
+        if child:
+            parent, j = values[child[:-1]], int(child[-1]) - 1
+            i, k = tropical._others(j)
+            assert dl[j] == 2 * min(parent[i], parent[k]) - parent[j]
+            assert dl[:j] + dl[j + 1:] == parent[:j] + parent[j + 1:]
+    assert out.to_json()["shifted"] == {
+        a: [str(x - out.sequence[2]) for x in t] for a, t in sorted(values.items())
+    }
 
 
 def test_delta_matches_renormalized_valuation(markov_seed):
@@ -240,7 +250,7 @@ def reference_propagate_valuation(seed, v0, depth):
         new_j = min(abs(P[i][j]) * nu[i], abs(P[k][j]) * nu[k]) - nu[j]
         values[child] = tuple(new_j if t == j else nu[t] for t in range(3))
         matrices[child] = matrix_mutate(M, j)
-    return tropical.TreeAssignment(values, {})
+    return tropical.TreeAssignment(values)
 
 
 def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
@@ -272,7 +282,6 @@ def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
     M0 = ExchangeMatrix.make([list(r) for r in P0])
     unexpanded = {"": (M0, roots(P0))}
     deltas = {"": tuple(Fraction(x) for x in delta0)}
-    edge_data = {}
     parent = None
     for addr, j in reference_tree_walk(radius + 1):
         child = addr + str(j + 1)
@@ -292,7 +301,6 @@ def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
         new_j = (min(dl[i], dl[k]) - u_par * dl[j]) / u_child
         deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
         unexpanded[child] = (M2, s2)
-        edge_data[child] = {"direction": j + 1, "u_parent": u_par, "u_child": u_child}
 
     sequence = []
     for r in range(radius + 2):
@@ -314,7 +322,7 @@ def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
         x >= 0 for a, t in shifted.items() if len(a) <= radius for x in t
     )
     return tropical.DeltaWitness(
-        assignment=tropical.TreeAssignment(deltas, edge_data),
+        assignment=tropical.TreeAssignment(deltas),
         sequence=tuple(sequence),
         shifted=shifted,
         radius=radius,
@@ -416,8 +424,6 @@ def _witness_values(witness):
     out = list(witness.sequence)
     for table in (witness.assignment.values, witness.shifted):
         out += [x for t in table.values() for x in t]
-    for e in witness.assignment.edge_data.values():
-        out += [e["u_parent"], e["u_child"]]
     return out
 
 
