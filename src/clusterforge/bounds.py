@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Sequence
 
-from .graphs import acyclic_order, gamma, is_acyclic, relabel_matrix
+from .graphs import acyclic_order, diagram_of, is_acyclic, relabel_matrix
 from .laurent import Context, LaurentPoly, NotDivisible
-from .seeds import Seed, exchange_polynomial, initial_seed
+from .seeds import (Seed, exchange_polynomial, initial_seed,
+                    rewrite_in_adjacent_cluster, seed_mutate)
 
 
 class NotAcyclic(ValueError):
@@ -185,8 +186,8 @@ def cycle_dependency(seed: Seed, cycle: Sequence[int]) -> dict:
 
 
 def _find_oriented_three_cycle(seed: Seed) -> tuple | None:
-    """The lexicographically first oriented 3-cycle (i, j, k) of the sign graph."""
-    E = gamma(seed.matrix).edges
+    """The lexicographically first oriented 3-cycle (i, j, k) of Gamma(B)."""
+    E = diagram_of(seed.matrix).weights.keys()
     return next(
         ((i, j, k) for i, j in sorted(E) for k in range(seed.n) if {(j, k), (k, i)} <= E),
         None,
@@ -306,8 +307,6 @@ def upper_bound_member(
 
 def membership_from_adjacent(y: LaurentPoly, seed: Seed, k: int) -> Membership:
     """Membership tested from the k-mutated seed (same element, new cluster)."""
-    from .seeds import rewrite_in_adjacent_cluster, seed_mutate
-
     try:
         moved = rewrite_in_adjacent_cluster(y, seed, k)
     except NotDivisible:

@@ -59,7 +59,7 @@ class IndexedWord:
         return list(range(-self.r, 0)) + list(range(1, self.N + 1))
 
     def letter(self, k: int) -> int:
-        return -(-k) if k < 0 else self.word[k - 1]
+        return k if k < 0 else self.word[k - 1]
 
     def k_plus(self, k: int) -> int:
         a = abs(self.letter(k))
@@ -140,9 +140,6 @@ class BtildeMatrix:
     row_labels: tuple
     col_labels: tuple
     rows: tuple
-
-    def entry(self, k: int, l: int) -> int:
-        return self.rows[self.row_labels.index(k)][self.col_labels.index(l)]
 
     def to_json(self) -> dict:
         return {

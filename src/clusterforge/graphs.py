@@ -1,7 +1,9 @@
-"""Sign graphs, weighted diagrams, mutation classes and the exchange graph.
+"""Weighted diagrams, mutation classes and the exchange graph.
 
-The directed graph of an exchange matrix has an edge (i, j) whenever
-b_ij > 0; its diagram assigns that edge the weight |b_ij * b_ji|.  Finite
+The directed graph Gamma(B) of an exchange matrix has an edge (i, j)
+whenever b_ij > 0; its diagram assigns that edge the weight |b_ij * b_ji|.
+One type, Diagram, holds both: its weights map each edge of Gamma(B) to
+its weight, and canonical_key reads that map.  Finite
 type is decided by breadth-first search over the diagram mutation class
 with canonical-form deduplication: a class that closes with all weights
 at most 3 is 2-finite (hence of finite cluster type, named from an
@@ -36,42 +38,32 @@ class UnrealizableDiagram(ValueError):
 
 
 @dataclass(frozen=True)
-class SignGraph:
-    """Directed graph on [0, n) with an edge (i, j) for each b_ij > 0."""
-
-    n: int
-    edges: frozenset
-
-
-@dataclass(frozen=True)
 class Diagram:
-    """Directed graph with positive integer edge weights |b_ij * b_ji|."""
+    """Directed graph on [0, n) with weights: {(i, j): w} per arrow."""
 
     n: int
-    arrows: tuple  # sorted tuples (i, j, w), one per directed edge
-
-    def undirected(self) -> dict:
-        return {frozenset((i, j)): w for i, j, w in self.arrows}
-
-
-def gamma(B: ExchangeMatrix) -> SignGraph:
-    P = B.principal()
-    n = B.n
-    return SignGraph(
-        n, frozenset((i, j) for i in range(n) for j in range(n) if P[i][j] > 0)
-    )
+    weights: dict
 
 
 def diagram_of(B: ExchangeMatrix) -> Diagram:
-    """The diagram of B's principal part, unchecked: an arrow (i, j,
-    |b_ij b_ji|) per b_ij > 0; rows in order give sorted arrows."""
+    """The diagram of B's principal part, unchecked: the weight
+    |b_ij b_ji| on each arrow (i, j) with b_ij > 0, in row order.  Off
+    sign-skew-symmetry an arrow may weigh 0; it is still an edge of Gamma(B)."""
     E, n = B.entries, B.n
-    return Diagram(n, tuple(
-        (i, j, abs(x * E[j][i]))
+    return Diagram(n, {
+        (i, j): abs(x * E[j][i])
         for i in range(n)
         for j, x in enumerate(E[i][:n])
         if x > 0
-    ))
+    })
+
+
+def _neighbours(d: Diagram) -> list[dict]:
+    """Each vertex's neighbours, with the weight of the arrow either way."""
+    adj: list[dict] = [{} for _ in range(d.n)]
+    for (i, j), w in d.weights.items():
+        adj[i][j] = adj[j][i] = w
+    return adj
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:
@@ -81,14 +73,13 @@ def is_acyclic(B: ExchangeMatrix) -> bool:
 def acyclic_order(B: ExchangeMatrix) -> tuple[int, ...] | None:
     """Permutation s with B[s[i]][s[j]] >= 0 for i > j, or None if cyclic.
 
-    Equivalently: a reversed topological order of the sign graph, so that
+    Equivalently: a reversed topological order of Gamma(B), so that
     every directed edge points from a later position to an earlier one.
     """
-    g = gamma(B)
-    n = g.n
+    n = B.n
     out = {i: set() for i in range(n)}
     indeg = [0] * n
-    for i, j in g.edges:
+    for i, j in diagram_of(B).weights:
         out[i].add(j)
         indeg[j] += 1
     ready = sorted(i for i in range(n) if indeg[i] == 0)
@@ -127,13 +118,7 @@ def realize_diagram(d: Diagram) -> ExchangeMatrix:
     rejects if no assignment works on the non-forest edges.
     """
     n = d.n
-    und = d.undirected()
-    adj = {i: [] for i in range(n)}
-    for e, w in und.items():
-        i, j = sorted(e)
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-
+    adj = _neighbours(d)
     t: list[Fraction | None] = [None] * n
     tree_edges: list[tuple[int, int, int]] = []
     for root in range(n):
@@ -143,7 +128,7 @@ def realize_diagram(d: Diagram) -> ExchangeMatrix:
         stack = [root]
         while stack:
             i = stack.pop()
-            for j, w in adj[i]:
+            for j, w in adj[i].items():
                 if t[j] is None:
                     t[j] = Fraction(0)  # placeholder, fixed by the search
                     tree_edges.append((i, j, w))
@@ -153,10 +138,9 @@ def realize_diagram(d: Diagram) -> ExchangeMatrix:
         return [(p, w // p) for p in range(1, w + 1) if w % p == 0]
 
     def consistent() -> bool:
-        for e, w in und.items():
-            i, j = sorted(e)
+        for (i, j), w in d.weights.items():
             p = sqrt_fraction(Fraction(w) * t[j] / t[i])
-            if p is None or p.denominator != 1 or w % p.numerator:
+            if not p or p.denominator != 1 or w % p.numerator:
                 return False
         return True
 
@@ -175,7 +159,7 @@ def realize_diagram(d: Diagram) -> ExchangeMatrix:
         raise UnrealizableDiagram(f"no consistent symmetrizer for {d}")
 
     entries = [[0] * n for _ in range(n)]
-    for i, j, w in d.arrows:
+    for (i, j), w in d.weights.items():
         p = int(sqrt_fraction(Fraction(w) * t[j] / t[i]))
         entries[i][j] = p
         entries[j][i] = -(w // p)
@@ -369,20 +353,17 @@ class Classification:
         return out
 
 
-def _component_name(verts: list[int], edges: dict) -> str | None:
+def _component_name(verts: list[int], adj: list[dict]) -> str | None:
     """The first diagram of coxeter's catalog with this weighted graph, or None.
 
-    Graphs compare by the canonical_key of their symmetric arrows, and the
-    catalog bond i - j weighs |a_ij * a_ji|.  The families are tried in the
-    order ABDEFG, skipping a rank that cartan_entries rejects, so C_n is
-    named B_n and D3 is named A3.
+    verts is a connected component of the neighbours adj.  Graphs compare
+    by the canonical_key of their symmetric arrows, and the catalog bond
+    i - j weighs |a_ij * a_ji|.  The families are tried in the order
+    ABDEFG, skipping a rank that cartan_entries rejects, so C_n is named
+    B_n and D3 is named A3.
     """
     n = len(verts)
     index = {v: t for t, v in enumerate(verts)}
-
-    def key(bonds) -> tuple:
-        return canonical_key({a: w for i, j, w in bonds for a in ((i, j), (j, i))}, n)
-
     own = None
     for family in "ABDEFG":
         try:
@@ -390,9 +371,11 @@ def _component_name(verts: list[int], edges: dict) -> str | None:
         except ValueError:
             continue
         if own is None:
-            own = key((index[a], index[b], w) for (a, b), w in edges.items())
-        bonds = [(i, j, abs(A[i][j] * A[j][i])) for i in range(n) for j in range(i)]
-        if key(x for x in bonds if x[2]) == own:
+            own = canonical_key({(index[v], index[u]): w
+                                 for v in verts for u, w in adj[v].items()}, n)
+        bonds = {(i, j): abs(A[i][j] * A[j][i])
+                 for i in range(n) for j in range(n) if i != j and A[i][j]}
+        if canonical_key(bonds, n) == own:
             return f"{family}{n}"
     return None
 
@@ -403,7 +386,7 @@ def dynkin_name(d: Diagram) -> str | None:
     B_n and C_n share one weighted diagram and are reported as B_n.
     Products of components are named like "A1^3" or "D4 x A1".
     """
-    und = d.undirected()
+    adj = _neighbours(d)
     names = []
     left = set(range(d.n))
     while left:
@@ -412,9 +395,9 @@ def dynkin_name(d: Diagram) -> str | None:
             v = stack.pop()
             if v not in comp:
                 comp.add(v)
-                stack += [u for e in und if v in e for u in e]
+                stack += adj[v]
         left -= comp
-        name = _component_name(sorted(comp), {e: w for e, w in und.items() if e <= comp})
+        name = _component_name(sorted(comp), adj)
         if name is None:
             return None
         names.append(name)
@@ -423,10 +406,10 @@ def dynkin_name(d: Diagram) -> str | None:
 
 
 def _checked_weights(E: tuple) -> dict:
-    """diagram_of's arrows of the square matrix E as weights, in one loop
-    over the pairs i < j with a = b_ij, b = b_ji.  Raises
-    SignSkewSymmetryLost where is_sign_skew_symmetric is False: b_ii != 0,
-    or a or b nonzero with a * b >= 0."""
+    """diagram_of(E).weights for the square matrix E, in one loop over the
+    pairs i < j with a = b_ij, b = b_ji.  Raises SignSkewSymmetryLost
+    where is_sign_skew_symmetric is False: b_ii != 0, or a or b nonzero
+    with a * b >= 0; so no weight is 0."""
     n = len(E)
     weights = {}
     for i, row in enumerate(E):
@@ -442,10 +425,6 @@ def _checked_weights(E: tuple) -> dict:
     return weights
 
 
-def _witness(weights: dict, n: int) -> Diagram:
-    return Diagram(n, tuple(sorted((i, j, w) for (i, j), w in weights.items())))
-
-
 def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classification:
     """Explore the diagram mutation class; see the module docstring.
 
@@ -453,8 +432,8 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     determines the mutated diagram) and deduplicates by canonical diagram
     form.  One more walk over each child, _checked_weights, checks its
     sign-skew-symmetry and builds the weights canonical_key reads; a
-    weight >= 4 is a witness before any key.  A Diagram is built only for
-    the witness and to name the acyclic rep.  Each class keeps its first
+    weight >= 4 is a witness before any key, kept as Diagram(n, weights).
+    No Diagram is built per child.  Each class keeps its first
     rows X as rep, with pos, the map from canonical positions to X's
     vertices, and a set of known directions.
     A child mu_k(M) keyed to X's class maps onto X by v -> pos[leaf[v]],
@@ -479,7 +458,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     weights = _checked_weights(P)
     top = max(weights.values(), default=0)
     if top >= 4:
-        return Classification("infinite", None, _witness(weights, n), top, 0, 1)
+        return Classification("infinite", None, Diagram(n, weights), top, 0, 1)
     leaf: list = []
     key = canonical_key(weights, n, leaf)
     reps = {key: (P, sorted(range(n), key=leaf.__getitem__), set())}
@@ -500,7 +479,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
             top = max(weights.values(), default=0)
             if top >= 4:
                 return Classification(
-                    "infinite", None, _witness(weights, n), top, depth + 1, len(reps)
+                    "infinite", None, Diagram(n, weights), top, depth + 1, len(reps)
                 )
             key = canonical_key(weights, n, leaf)
             X = reps.get(key)

@@ -241,11 +241,6 @@ class LaurentPoly:
             out = {e: c for e, c in out.items() if c}
         return _packed_result(self.ctx, width, out, (low, high))
 
-    def scale(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return self.ctx.zero()
-        return LaurentPoly(self.ctx, {e: c * v for e, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return self.inverse() ** (-n)

@@ -2,12 +2,11 @@
 
 ``bench/spans.py`` patches each target by module and attribute path at
 run time, so a renamed or deleted target would only fail traced bench
-passes; the first test makes it fail the suite instead.  The second runs
-one pass of the ``mutation-class`` workload and checks each call's stdout
-against the digest the bench checks.
+passes; the first test makes it fail the suite instead.  The others run
+one pass of each workload and check each call's exit code and stdout as
+the bench does, digest included.
 """
 
-import hashlib
 import importlib
 import json
 import types
@@ -29,9 +28,20 @@ def load_bench(name: str) -> types.ModuleType:
 
 
 SPANS = load_bench("spans")
+WORKLOADS = load_bench("workloads")
 # Seed 2 was not used to record the digests: every call's stdout must not
-# depend on the relabelling the seed draws.
-MUTATION_CLASS = load_bench("workloads").make_calls("mutation-class", 2)
+# depend on the relabelling or the --rng-seed values the seed draws.
+MUTATION_CLASS = WORKLOADS.make_calls("mutation-class", 2)
+OTHER_CALLS = [(workload, *call) for workload in ("census-e6", "cell-numerics")
+               for call in WORKLOADS.make_calls(workload, 2)]
+
+
+def check_call(capsys, workload, name, argv):
+    """The bench's check of one call: exit code, expected fields and digest."""
+    digests = json.loads((BENCH / "digests.json").read_text())["digests"]
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert WORKLOADS.check_call(name, rc, out, digests[workload][name]) is None
 
 
 @pytest.mark.parametrize("name, module, attr", [t[:3] for t in SPANS.TARGETS])
@@ -46,7 +56,11 @@ def test_traced_target_resolves(name, module, attr):
     "name, argv", [pytest.param(*call, id=call[0]) for call in MUTATION_CLASS]
 )
 def test_mutation_class_stdout_matches_recorded_digest(capsys, name, argv):
-    digests = json.loads((BENCH / "digests.json").read_text())["digests"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digests["mutation-class"][name]
+    check_call(capsys, "mutation-class", name, argv)
+
+
+@pytest.mark.parametrize(
+    "workload, name, argv", [pytest.param(*call, id=call[1]) for call in OTHER_CALLS]
+)
+def test_census_and_cell_stdout_matches_recorded_digest(capsys, workload, name, argv):
+    check_call(capsys, workload, name, argv)

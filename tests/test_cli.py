@@ -62,6 +62,10 @@ def test_acyclic_exit_codes(capsys):
     assert code == 1 and data["acyclic"] is False
     code, data = run(capsys, "acyclic", "--matrix", "[[0, 1], [-1, 0]]")
     assert code == 0 and data["acyclic"] is True
+    # an oriented 3-cycle with b_ji = 0 on every arrow: each diagram weight
+    # is 0, but each arrow is still an edge of Gamma(B)
+    code, data = run(capsys, "acyclic", "--matrix", "[[0,1,0],[0,0,1],[1,0,0]]")
+    assert code == 1 and data == {"acyclic": False, "order": None}
 
 
 def test_diffcomb(capsys):

@@ -205,12 +205,16 @@ def test_construction_crosscheck_random_a3():
 def test_symmetrizer_from_cartan_data():
     iw = indexed_word(A3, (1, -2, 2, 3, -1, 1, -3, 2))
     bt = build_btilde(iw, A3)
+
+    def entry(k, l):
+        return bt.rows[bt.row_labels.index(k)][bt.col_labels.index(l)]
+
     # d_{|i_k|} |b_kl| = d_{|i_l|} |b_lk| on exchangeable pairs
     for k in bt.col_labels:
         for l in bt.col_labels:
             dk = A3.d[abs(iw.letter(k)) - 1]
             dl = A3.d[abs(iw.letter(l)) - 1]
-            assert dk * abs(bt.entry(k, l)) == dl * abs(bt.entry(l, k))
+            assert dk * abs(entry(k, l)) == dl * abs(entry(l, k))
 
 
 def test_partial_products_running_word():
