@@ -526,26 +526,38 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     """BFS over seeds: yield (seed, depth) per newly reached cluster, in order.
 
     Clusters are deduplicated as unordered sets of expression ids, starting
-    with the initial seed at depth 0.  Every edge runs matrix_mutate (and
-    its sign-skew-symmetry check), but each exchange relation is divided
+    with the initial seed at depth 0.  Each exchange relation is divided
     once: x'_k = P_k / x_k, and P_k is the sum of the products of the other
     ambient variables over the positive and over the negative entries of
     column k, so x'_k is a function of x_k and that unordered pair of
     factor sets; no theorem is assumed.  A miss runs seed_mutate (the exact
-    division, which raises NotDivisible on a Laurent failure) and stores
-    x'_k under (x_k, pair) and x_k under (x'_k, pair), exact as
-    P_k / x'_k = x_k; mutating back at k negates column k and keeps the
-    pair, so back edges hit.  Seeds are mutated only as far as the
+    division, which raises NotDivisible on a Laurent failure, and
+    matrix_mutate) and stores x'_k under (x_k, pair) and x_k under
+    (x'_k, pair), exact as P_k / x'_k = x_k; mutating back at k negates
+    column k and keeps the pair, so back edges hit.  A hit mutates the
+    matrix only when it reaches a new cluster: if D*B is skew-symmetric,
+    so is D*mu_k(B) (FZ I, Prop. 4.5), so on skew-symmetrizable input the
+    sign-skew-symmetry check of matrix_mutate cannot fire.  On other input
+    every hit still runs matrix_mutate, so SignSkewSymmetryLost is raised
+    on the first edge that loses it.  Seeds are mutated only as far as the
     consumer reads.  Expressions are interned: every yielded seed holds the
-    first object found for each distinct expression, so a quotient equal to
-    a known variable is dropped with its packed form.
+    first object found for each distinct expression.  A quotient is looked
+    up by its packed key first and by key() only on a miss, so a quotient
+    packed like a known variable is dropped without being unpacked.
     """
     ids: dict[tuple, tuple] = {}
 
     def intern(e) -> tuple:
-        """(first object with e's key, its id)."""
-        return ids.setdefault(e.key(), (e, len(ids)))
+        """(first object equal to e, its id); ids are distinct ints."""
+        packed = e.packed_key()
+        hit = ids.get(packed)
+        if hit is None:
+            hit = ids.setdefault(e.key(), (e, len(ids)))
+            if packed is not None:
+                ids[packed] = hit
+        return hit
 
+    check_every_edge = not is_skew_symmetrizable(seed.matrix)
     rows = tuple(intern(e)[1] for e in seed.all_exprs())
     frozen, cluster = rows[seed.n:], rows[: seed.n]
     memo: dict[tuple, tuple] = {}
@@ -560,6 +572,7 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
             pair = frozenset((frozenset((r, b) for r, b in col if b > 0),
                               frozenset((r, -b) for r, b in col if b < 0)))
             hit = memo.get((cluster[k], pair))
+            matrix = None
             # seed_mutate refuses to mutate a formal-coefficient seed twice;
             # only the way back, which needs no division, comes from the memo
             if hit is None or s.general and s.history[-1:] != (k,):
@@ -570,13 +583,15 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
                 memo[xid, pair] = s.exprs[k], cluster[k]
             else:
                 x, xid = hit
-                matrix = matrix_mutate(s.matrix, k)
-            s2 = Seed(matrix, s.ctx, s.exprs[:k] + (x,) + s.exprs[k + 1:],
-                      s.history + (k,), s.general)
+                if check_every_edge:
+                    matrix = matrix_mutate(s.matrix, k)
             reached = cluster[:k] + (xid,) + cluster[k + 1:]
             key = frozenset(reached)
             if key not in visited:
                 visited.add(key)
+                s2 = Seed(matrix or matrix_mutate(s.matrix, k), s.ctx,
+                          s.exprs[:k] + (x,) + s.exprs[k + 1:], s.history + (k,),
+                          s.general)
                 queue.append((s2, depth + 1, reached))
                 yield s2, depth + 1
 

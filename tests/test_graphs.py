@@ -1,7 +1,7 @@
 import random
 import time
 from collections import Counter, deque
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb, gcd
 
 import pytest
@@ -564,15 +564,47 @@ def _oriented_cycle(n):
     return ExchangeMatrix.make(B)
 
 
+def _class_size(family, n):
+    """Quivers in the mutation class of A_n or D_n (n >= 5) up to isomorphism."""
+    if family == "A":
+        # triangulations of an (n+3)-gon up to rotation (Caldero-Chapoton-
+        # Schiffler; Torkildsen), counted by Burnside over the rotations
+        N = n + 3
+
+        def catalan(k):
+            return comb(2 * k, k) // (k + 1)
+
+        total = (catalan(N - 2) + (N % 2 == 0) * (N // 2) * catalan(N // 2 - 1)
+                 + (N % 3 == 0) * 2 * (N // 3) * catalan(N // 3 - 1))
+        assert total % N == 0
+        return total // N
+    # Buan-Torkildsen: sum over d | n of phi(n/d) * C(2d, d), divided by 2n
+    phi = [sum(gcd(k, m) == 1 for k in range(1, m + 1)) for m in range(n + 1)]
+    total = sum(phi[n // d] * comb(2 * d, d) for d in range(1, n + 1) if n % d == 0)
+    assert total % (2 * n) == 0
+    return total // (2 * n)
+
+
 @pytest.mark.parametrize("n, count", [(5, 26), (6, 80), (7, 246), (8, 810)])
 def test_oriented_cycle_class_has_buan_torkildsen_count(n, count):
-    # quivers in the mutation class of D_n, n >= 5, up to isomorphism:
-    # sum over d | n of phi(n/d) * C(2d, d), divided by 2n
-    phi = [sum(gcd(k, m) == 1 for k in range(1, m + 1)) for m in range(n + 1)]
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    assert sum(phi[n // d] * comb(2 * d, d) for d in divisors) == 2 * n * count
+    assert _class_size("D", n) == count
     out = classify_finite_type(_oriented_cycle(n))
     assert (out.verdict, out.type_name, out.nodes) == ("finite", f"D{n}", count)
+
+
+@pytest.mark.parametrize(
+    "family, n, count",
+    [("A", n, c) for n, c in zip(range(3, 10), (4, 6, 19, 49, 150, 442, 1424))]
+    + [("D", n, c) for n, c in zip(range(5, 9), (26, 80, 246, 810))],
+)
+def test_classify_relabelled_class_has_closed_form_size(family, n, count):
+    # a finite-type search exhausts the class, whatever the labelling
+    assert _class_size(family, n) == count
+    sigma = list(range(n))
+    random.Random(f"{family}{n}").shuffle(sigma)
+    B = relabel_matrix(bipartite_seed(f"{family}{n}").matrix, sigma)
+    out = classify_finite_type(B)
+    assert (out.verdict, out.type_name, out.nodes) == ("finite", f"{family}{n}", count)
 
 
 @pytest.mark.slow
@@ -815,17 +847,27 @@ def _first(search, count):
             if len(out) == count:
                 break
             out.append((frozenset(e.key() for e in s.exprs), depth, s.exprs, s.matrix, s.history))
-    except ValueError as exc:
+    except (ValueError, SignSkewSymmetryLost) as exc:
         return out, type(exc)
     return out, None
 
 
+# sign-skew-symmetric but not skew-symmetrizable: the first loses
+# sign-skew-symmetry at its first mutation, the second keeps it for 40 seeds
+UNSYMMETRIZABLE = {"lossy": ((0, 1, -1), (-2, 0, 1), (1, -1, 0)),
+                   "unsymmetrizable": ((0, -1, -1), (1, 0, -1), (2, 1, 0))}
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "E6", "SL3",
                                   "A3 open cell", "Markov", "general A1",
-                                  "general A1 x A1", "general Markov"])
+                                  "general A1 x A1", "general Markov",
+                                  "lossy", "unsymmetrizable"])
 def test_exchange_seeds_equals_edge_memo_bfs(name):
-    count = {"A3 open cell": 40, "Markov": 150}.get(name, 10_000)
-    if name == "SL3":
+    count = {"A3 open cell": 40, "Markov": 150, "unsymmetrizable": 40}.get(name, 10_000)
+    if name in UNSYMMETRIZABLE:
+        seed = initial_seed(ExchangeMatrix.make(UNSYMMETRIZABLE[name]))
+        assert not is_skew_symmetrizable(seed.matrix)
+    elif name == "SL3":
         seed = initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS))
     elif name == "A3 open cell":
         a3 = cartan_data("A3")
@@ -840,8 +882,55 @@ def test_exchange_seeds_equals_edge_memo_bfs(name):
         seed = bipartite_seed(name)
     got = _first(exchange_seeds(seed), count)
     assert got == _first(_edge_memo_seeds(seed), count)
-    if name in ("E6", "A3 open cell", "Markov", "general Markov"):
+    if name in ("E6", "A3 open cell", "Markov", "general Markov", "unsymmetrizable"):
         assert len(got[0]) == {"E6": 833, "general Markov": 4}.get(name, count)
+    if name == "lossy":
+        assert (len(got[0]), got[1]) == (1, SignSkewSymmetryLost)
+
+
+@pytest.mark.parametrize("name, count, mutations",
+                         [("E6", 833, 970), ("unsymmetrizable", 40, None)])
+def test_exchange_seeds_mutates_the_matrix_of_new_clusters_only(monkeypatch, name, count,
+                                                                mutations):
+    # FZ I Prop. 4.5: mutation keeps D*B skew-symmetric, so only input that
+    # is not skew-symmetrizable needs the sign-skew-symmetry check per edge
+    from clusterforge import seeds
+
+    calls = []
+
+    def counting_matrix_mutate(B, k):
+        calls.append(k)
+        return matrix_mutate(B, k)
+
+    monkeypatch.setattr(graphs, "matrix_mutate", counting_matrix_mutate)
+    monkeypatch.setattr(seeds, "matrix_mutate", counting_matrix_mutate)
+    seed = (initial_seed(ExchangeMatrix.make(UNSYMMETRIZABLE[name]))
+            if name in UNSYMMETRIZABLE else bipartite_seed(name))
+    found = [s for s, _ in islice(exchange_seeds(seed), count)]
+    # seeds are expanded in the order they are yielded, and the search
+    # stops at the edge that reached the last seed read
+    last = found[-1]
+    parent = [s.history for s in found].index(last.history[:-1])
+    edges = parent * seed.n + last.history[-1] + 1
+    if mutations is None:  # not skew-symmetrizable: every edge mutates the matrix
+        assert len(calls) == edges
+    else:
+        assert len(calls) == mutations < edges
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "B4", "C3", "C4", "D4", "F4", "G2", "E6",
+                                  pytest.param("E7", marks=pytest.mark.slow)])
+def test_explore_denominators_are_the_positive_roots(name):
+    # FZ II Thm 1.9: on a bipartite seed with b_ij = +-a_ij, each non-initial
+    # cluster variable is N(x) / x^d with d a positive root, each root once;
+    # by positivity every coefficient is positive
+    seed = bipartite_seed(name)
+    initial = {e.key() for e in seed.exprs}
+    found = {e.key(): e for s, _ in exchange_seeds(seed) for e in s.exprs}
+    denominators = sorted(tuple(-x for x in e.min_exponents())
+                          for key, e in found.items() if key not in initial)
+    assert denominators == sorted(cartan_data(name).positive_roots)
+    assert all(c > 0 for e in found.values() for c in e.terms.values())
 
 
 def test_explore_e6_census():
@@ -862,9 +951,10 @@ def test_e6_census_unpacks_only_quotients_and_interns_expressions(monkeypatch):
     monkeypatch.setattr(laurent, "_unpack", counting_unpack)
     found = list(exchange_seeds(bipartite_seed("E6")))
     assert len(found) == 833
-    # one unpack per exact division (the quotient's key); no product or
-    # composed numerator ever leaves the packed form
-    assert len(unpacks) == 385
+    # one unpack per new expression (42 less the 6 initial variables): a
+    # quotient packed like a known variable is interned unread, and no
+    # product or composed numerator ever leaves the packed form
+    assert len(unpacks) == 36
     assert len({id(e) for s, _ in found for e in s.exprs}) == 42
 
 
