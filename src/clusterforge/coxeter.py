@@ -251,10 +251,9 @@ def longest_element(cartan: CartanData) -> tuple[WeylElement, tuple[int, ...]]:
     return w, tuple(word)
 
 
-def coxeter_element(cartan: CartanData, ordering: Sequence[int] | None = None
-                    ) -> WeylElement:
-    order = list(ordering) if ordering else list(range(1, cartan.rank + 1))
-    return word_product(cartan, order)
+def coxeter_element(cartan: CartanData) -> WeylElement:
+    """The Coxeter element s_1 s_2 ... s_n."""
+    return word_product(cartan, range(1, cartan.rank + 1))
 
 
 def coxeter_number(cartan: CartanData) -> int:

@@ -24,7 +24,7 @@ from .coxeter import (
     is_reduced,
     word_product,
 )
-from .graphs import dot, exchange_seeds
+from .graphs import exchange_seeds
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
 from .util import bareiss, mat_mul, parallel_map
 
@@ -222,10 +222,11 @@ def seed_from_btilde(bt: BtildeMatrix) -> Seed:
 
 
 def gamma_tilde_dot(g: GammaTilde) -> str:
-    return dot(
-        g.vertices,
-        ((s, d, f"style={'solid' if h else 'dashed'}") for s, d, h in g.edges),
-    )
+    """Graphviz digraph: horizontal edges solid, inclined edges dashed."""
+    lines = ["digraph G {"] + [f'  "{v}";' for v in g.vertices]
+    for s, d, h in g.edges:
+        lines.append(f'  "{s}" -> "{d}" [style={"solid" if h else "dashed"}];')
+    return "\n".join(lines + ["}"])
 
 
 # -- partial products and minors -----------------------------------------------
@@ -343,7 +344,6 @@ def sample_cell(
     v: WeylElement,
     rng: random.Random,
     extra_nonzero: Sequence[MinorSpec] = (),
-    tries: int = 200,
     minors: list | None = None,
 ) -> Sequence[Sequence[Fraction]]:
     """Random rational determinant-one matrix meeting the nonvanishing minors.
@@ -351,11 +351,12 @@ def sample_cell(
     Built as lower-unitriangular x diagonal(det 1) x upper-unitriangular
     with small random rational entries, resampled until every required
     minor (the open-cell ones and ``extra_nonzero``, each distinct one
-    once) is nonzero.  Each try clears the denominators of the three
-    factors, so it works on the integer matrix h = den * g: one integer
-    matrix product, one determinant, which must be den^size (else
-    ``ArithmeticError``, also under ``python -O``), and integer minors
-    until one vanishes.  Only the accepted h is divided into Fractions.
+    once) is nonzero, in at most 200 tries.  Each try clears the
+    denominators of the three factors, so it works on the integer matrix
+    h = den * g: one integer matrix product, one determinant, which must be
+    den^size (else ``ArithmeticError``, also under ``python -O``), and
+    integer minors until one vanishes.  Only the accepted h is divided into
+    Fractions.
     A list ``minors`` is extended with the minors of g at
     ``extra_nonzero``, as Fraction(m, den^k) for each k x k minor m of h;
     the draws are the same without it.
@@ -366,7 +367,7 @@ def sample_cell(
     conditions = list(
         dict.fromkeys([*nonvanishing_conditions(cartan, u, v), *extra_nonzero])
     )
-    for _ in range(tries):
+    for _ in range(200):
         lo, lo_den = _unitriangular(rng, size, lower=True)
         up, up_den = _unitriangular(rng, size, lower=False)
         ints, diag_den = _det_one_diagonal(rng, size, 3)
@@ -381,7 +382,7 @@ def sample_cell(
                 value = dict(zip(conditions, values))
                 minors.extend(Fraction(value[s], den ** len(s.rows)) for s in extra_nonzero)
             return tuple(tuple(Fraction(x, den) for x in row) for row in h)
-    raise SamplingExhausted(f"no valid sample in {tries} tries")
+    raise SamplingExhausted("no valid sample in 200 tries")
 
 
 def sample_totally_positive(

@@ -3,22 +3,26 @@
 The directed graph Gamma(B) of an exchange matrix has an edge (i, j)
 whenever b_ij > 0; its diagram assigns that edge the weight |b_ij * b_ji|.
 One type, Diagram, holds both: its weights map each edge of Gamma(B) to
-its weight, and canonical_key reads that map.  Finite
+its weight, and canonical_key reads that map.  The diagram of mu_k(B)
+depends only on the diagram of B and on k (Fomin-Zelevinsky, *Cluster
+algebras II*, Prop. 8.1): two skew-symmetrizable matrices with one
+diagram differ by a positive diagonal conjugation T B T^-1, and mutation
+commutes with it.  So diagrams are mutated as matrices.  Finite
 type is decided by breadth-first search over the diagram mutation class
 with canonical-form deduplication: a class that closes with all weights
 at most 3 is 2-finite (hence of finite cluster type, named from an
-acyclic representative), a weight >= 4 anywhere certifies infinite type,
-and hitting the node cap is reported honestly as inconclusive.
+acyclic representative), a weight >= 4 anywhere certifies infinite type
+and is reported as its weight and depth, and hitting the node cap is
+reported honestly as inconclusive.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import islice
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .coxeter import cartan_entries
 from .seeds import (
@@ -30,11 +34,6 @@ from .seeds import (
     mutate_rows,
     seed_mutate,
 )
-from .util import sqrt_fraction
-
-
-class UnrealizableDiagram(ValueError):
-    """No skew-symmetrizable matrix has this weighted diagram."""
 
 
 @dataclass(frozen=True)
@@ -105,70 +104,6 @@ def relabel_matrix(B: ExchangeMatrix, sigma: Sequence[int]) -> ExchangeMatrix:
     )
     labels = tuple(B.labels[perm[i]] for i in range(B.m))
     return ExchangeMatrix(rows, n, labels)
-
-
-# -- diagram realization and mutation ----------------------------------------
-
-
-def realize_diagram(d: Diagram) -> ExchangeMatrix:
-    """Some skew-symmetrizable matrix whose diagram is d, or raise.
-
-    Searches weight factorizations w = p*q along a spanning forest so that
-    the induced symmetrizer ratios d_j/d_i = p/q are globally consistent;
-    rejects if no assignment works on the non-forest edges.
-    """
-    n = d.n
-    adj = _neighbours(d)
-    t: list[Fraction | None] = [None] * n
-    tree_edges: list[tuple[int, int, int]] = []
-    for root in range(n):
-        if t[root] is not None:
-            continue
-        t[root] = Fraction(1)
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j, w in adj[i].items():
-                if t[j] is None:
-                    t[j] = Fraction(0)  # placeholder, fixed by the search
-                    tree_edges.append((i, j, w))
-                    stack.append(j)
-
-    def factorizations(w: int) -> list[tuple[int, int]]:
-        return [(p, w // p) for p in range(1, w + 1) if w % p == 0]
-
-    def consistent() -> bool:
-        for (i, j), w in d.weights.items():
-            p = sqrt_fraction(Fraction(w) * t[j] / t[i])
-            if not p or p.denominator != 1 or w % p.numerator:
-                return False
-        return True
-
-    def search(idx: int) -> bool:
-        if idx == len(tree_edges):
-            return consistent()
-        i, j, w = tree_edges[idx]
-        for p, q in factorizations(w):
-            t[j] = t[i] * Fraction(p, q)
-            if search(idx + 1):
-                return True
-        t[j] = Fraction(0)
-        return False
-
-    if not search(0):
-        raise UnrealizableDiagram(f"no consistent symmetrizer for {d}")
-
-    entries = [[0] * n for _ in range(n)]
-    for (i, j), w in d.weights.items():
-        p = int(sqrt_fraction(Fraction(w) * t[j] / t[i]))
-        entries[i][j] = p
-        entries[j][i] = -(w // p)
-    return ExchangeMatrix.make(entries)
-
-
-def diagram_mutate(d: Diagram, k: int) -> Diagram:
-    """Diagram mutation, implemented by realizing and mutating a matrix."""
-    return diagram_of(matrix_mutate(realize_diagram(d), k))
 
 
 # -- canonical forms ----------------------------------------------------------
@@ -338,7 +273,6 @@ def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
 class Classification:
     verdict: str  # "finite" | "infinite" | "inconclusive"
     type_name: str | None
-    witness: Diagram | None
     witness_weight: int | None
     witness_depth: int | None
     nodes: int
@@ -428,11 +362,12 @@ def _checked_weights(E: tuple) -> dict:
 def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classification:
     """Explore the diagram mutation class; see the module docstring.
 
-    The search mutates principal rows with mutate_rows (any realization
-    determines the mutated diagram) and deduplicates by canonical diagram
-    form.  One more walk over each child, _checked_weights, checks its
-    sign-skew-symmetry and builds the weights canonical_key reads; a
-    weight >= 4 is a witness before any key, kept as Diagram(n, weights).
+    The search mutates principal rows with mutate_rows (by Prop. 8.1 the
+    realization mutated does not change the mutated diagram) and
+    deduplicates by canonical diagram form.  One more walk over each
+    child, _checked_weights, checks its sign-skew-symmetry and builds the
+    weights canonical_key reads; a weight >= 4 is a witness before any
+    key, reported as its weight and depth.
     No Diagram is built per child.  Each class keeps its first
     rows X as rep, with pos, the map from canonical positions to X's
     vertices, and a set of known directions.
@@ -458,7 +393,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     weights = _checked_weights(P)
     top = max(weights.values(), default=0)
     if top >= 4:
-        return Classification("infinite", None, Diagram(n, weights), top, 0, 1)
+        return Classification("infinite", None, top, 0, 1)
     leaf: list = []
     key = canonical_key(weights, n, leaf)
     reps = {key: (P, sorted(range(n), key=leaf.__getitem__), set())}
@@ -478,16 +413,12 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
             weights = _checked_weights(M2)
             top = max(weights.values(), default=0)
             if top >= 4:
-                return Classification(
-                    "infinite", None, Diagram(n, weights), top, depth + 1, len(reps)
-                )
+                return Classification("infinite", None, top, depth + 1, len(reps))
             key = canonical_key(weights, n, leaf)
             X = reps.get(key)
             if X is None:
                 if len(reps) >= node_cap:
-                    return Classification(
-                        "inconclusive", None, None, None, None, len(reps)
-                    )
+                    return Classification("inconclusive", None, None, None, len(reps))
                 X = reps[key] = (M2, sorted(range(n), key=leaf.__getitem__), set())
                 queue.append((X, depth + 1))
             X[2].add(X[1][leaf[k]])
@@ -496,8 +427,8 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
         if is_acyclic(M):
             name = dynkin_name(diagram_of(M))
             if name is not None:
-                return Classification("finite", name, None, None, None, len(reps))
-    return Classification("finite", "unrecognized", None, None, None, len(reps))
+                return Classification("finite", name, None, None, len(reps))
+    return Classification("finite", "unrecognized", None, None, len(reps))
 
 
 # -- exchange graph exploration ------------------------------------------------
@@ -612,16 +543,3 @@ def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationRe
         max_depth=max(depth for _, depth in found),
     )
 
-
-# -- DOT export ----------------------------------------------------------------
-
-
-def dot(names: Iterable, edges: Iterable[tuple]) -> str:
-    """Graphviz digraph with one line per vertex and one per (src, dst, attrs).
-
-    attrs is the text inside the edge's brackets, or empty for none.
-    """
-    lines = ["digraph G {"] + [f'  "{v}";' for v in names]
-    for src, dst, attrs in edges:
-        lines.append(f'  "{src}" -> "{dst}"' + (f" [{attrs}];" if attrs else ";"))
-    return "\n".join(lines + ["}"])

@@ -75,12 +75,18 @@ class ExchangeMatrix:
 
     @staticmethod
     def from_json(data) -> "ExchangeMatrix":
+        # a string row is not read as its characters
+        btilde = data["btilde"]
+        if type(btilde) is not list or any(type(r) is not list for r in btilde):
+            raise ValueError(f"btilde {btilde!r} is not a list of lists")
         # decimal strings carry integers of any size, as in LaurentPoly JSON
-        rows = [[decimal_int(x) if type(x) is str else x for x in r] for r in data["btilde"]]
+        rows = [[decimal_int(x) if type(x) is str else x for x in r] for r in btilde]
         labels = data.get("labels")
         mat = ExchangeMatrix.make(rows, labels)
-        if mat.n != data.get("n", mat.n) or mat.m != data.get("m", mat.m):
-            raise ValueError("inconsistent n/m in seed JSON")
+        for key, size in (("n", mat.n), ("m", mat.m)):
+            given = data.get(key, size)
+            if type(given) is not int or given != size:
+                raise ValueError(f"seed JSON {key} = {given!r} is not the integer {size}")
         return mat
 
 

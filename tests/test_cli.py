@@ -270,8 +270,15 @@ def test_json_roundtrip_mutate_explore(capsys):
         ["explore", "--seed", "[[0, true], [-1, 0]]"],
         ["mutate", "--matrix", '{"btilde": [[0, 1], [-1, 0]], "labels": ["a"]}',
          "--directions", "1"],
+        # a string row is not read as its digits, and n/m must be JSON integers
+        ["mutate", "--matrix", '{"btilde": ["0", "0"]}', "--directions", "1"],
+        ["acyclic", "--matrix", '{"btilde": ["01", "00"]}'],
+        ["acyclic", "--matrix", '{"btilde": "00"}'],
+        ["acyclic", "--matrix", '{"btilde": [[0], [0]], "n": true}'],
+        ["acyclic", "--matrix", '{"btilde": [[0], [0]], "m": 2.0}'],
     ],
-    ids=["float-entry", "bool-entry", "label-count"],
+    ids=["float-entry", "bool-entry", "label-count", "string-rows-mutate",
+         "string-rows-acyclic", "string-btilde", "bool-n", "float-m"],
 )
 def test_malformed_matrix_exits_2(capsys, argv):
     code = main(argv)

@@ -632,6 +632,20 @@ def test_gamma_tilde_dot_output():
     assert "->" in gamma_tilde_dot(build_gamma_tilde(iw, A2))
 
 
+def test_gamma_tilde_dot_text():
+    iw = indexed_word(A2, OPEN_CELL_A2)
+    edges = [("-2", "2", "solid"), ("-1", "1", "solid"), ("1", "-2", "dashed"),
+             ("1", "3", "solid"), ("2", "1", "dashed"), ("2", "4", "dashed"),
+             ("3", "2", "dashed"), ("4", "3", "solid"), ("4", "5", "dashed"),
+             ("5", "2", "solid"), ("6", "4", "solid")]
+    assert gamma_tilde_dot(build_gamma_tilde(iw, A2)).split("\n") == (
+        ["digraph G {"]
+        + [f'  "{v}";' for v in ("-2", "-1", "1", "2", "3", "4", "5", "6")]
+        + [f'  "{s}" -> "{d}" [style={style}];' for s, d, style in edges]
+        + ["}"]
+    )
+
+
 def test_btilde_non_simply_laced_magnitudes():
     B2 = cartan_data("B2")
     # (c, c^{-1}) word: principal part has the negated Cartan entries above
