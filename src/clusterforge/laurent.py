@@ -447,13 +447,19 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: Mapping, ctx: Context | None = None) -> "LaurentPoly":
-        names = tuple(data["vars"])
+        names, rows = data["vars"], data["terms"]
+        # a string is not read as its characters
+        if type(names) is not list or any(type(x) is not str for x in names):
+            raise ValueError(f"vars {names!r} is not a list of strings")
+        if type(rows) is not list:
+            raise ValueError(f"terms {rows!r} is not a list")
+        names = tuple(names)
         if ctx is None:
             ctx = Context(names)
         elif ctx.names != names:
             raise ContextMismatch(f"{ctx.names} vs {names}")
         terms: dict[tuple[int, ...], int] = {}
-        for t in data["terms"]:
+        for t in rows:
             exp, coef = t["exp"], t["coef"]
             if not isinstance(exp, (list, tuple)) or len(exp) != ctx.nvars:
                 raise ValueError(f"exponent {exp!r} needs {ctx.nvars} entries")

@@ -221,9 +221,6 @@ class Seed:
         """Expressions of all m ambient variables (frozen ones are generators)."""
         return list(self.exprs) + [self.ctx.var(i) for i in range(self.n, self.m)]
 
-    def to_json(self) -> dict:
-        return self.matrix.to_json()
-
 
 def initial_seed(B: ExchangeMatrix) -> Seed:
     if not is_sign_skew_symmetric(B):

@@ -9,9 +9,10 @@ On a rank-3 seed whose whole mutation class is cyclic, every exchange
 relation is binomial in the other two cluster variables, so valuations
 propagate along the 3-regular tree of mutation directions by an explicit
 min-plus recursion.  A renormalized form of the same recursion (the delta
-values below) has weights 1/2 + 1/2 on each edge after dividing by the
-square roots of the exchange-weight products; those square roots are kept
-exact as rational multiples of fixed square-free radicands.
+values below) divides by the square roots of the exchange-weight products,
+which leaves edge weights u + u' = 1 (1/2 and 1/2 on the Markov seed).
+Mutation keeps the skew-symmetrizer, so each ratio of two of those roots is
+a ratio of two matrix entries, and the recursion needs no square roots.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Sequence
 
 from .laurent import LaurentPoly
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, matrix_mutate, skew_symmetrizer
-from .util import sqrt_fraction
 
 
 class NotCyclicEverywhere(ValueError):
@@ -155,20 +155,6 @@ def propagate_valuation(seed: Seed, v0: Valuation, depth: int) -> TreeAssignment
 # -- the renormalized recursion -----------------------------------------------
 
 
-def _squarefree(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
-    return out * n
-
-
 @dataclass(frozen=True)
 class DeltaWitness:
     """Finite-radius certificate produced by the renormalized recursion.
@@ -176,10 +162,10 @@ class DeltaWitness:
     ``sequence`` is the per-radius minimum of the raw delta values, which
     must be strictly decreasing; ``shifted`` subtracts the radius-r value,
     giving an assignment nonnegative inside radius r and negative at some
-    vertex of radius r+1 (recorded in ``negative_at``).
+    vertex of radius r+1 (recorded in ``negative_at``).  The raw values
+    are ``shifted`` plus ``sequence[radius]``.
     """
 
-    assignment: TreeAssignment
     sequence: tuple
     shifted: dict
     radius: int
@@ -217,15 +203,17 @@ def delta_witness(
 ) -> DeltaWitness:
     """Run the delta recursion to radius+1 and package the certificate.
 
-    The edge weights u_j(t) = s_j(t) / (s_j(t) + s_j(t')) come from the
-    square roots s_j = sqrt of the opposite exchange weight, carried
-    exactly as rational multiples of fixed square-free radicands; the
-    recursion s_j(t') = s_i(t) s_k(t) - s_j(t) is cross-checked against
-    the mutated matrix at every step.  The cyclicity and recursion checks
-    and the ratios p = 1/u_child, r = u_parent/u_child are functions of the
-    edge's (entries, j), so they run once per distinct pair and still check
-    every edge; the roots run once per distinct matrix, and only the deltas
-    once per edge, as p min(delta_i, delta_k) - r delta_j.
+    Across the edge in direction j from M to M2 = mu_j(M), with (i, k) the
+    other two directions, the recursion is
+    delta_j' = p min(delta_i, delta_k) - r delta_j, where r = s_j / s_j'
+    and p = 1 + r for s_j = sqrt|b_ik b_ki|.  Mutation keeps the
+    skew-symmetrizer D (d_i |b_ik| = d_k |b_ki|), so s_j = |b_ik| sqrt(d_i/d_k)
+    and the root cancels: r = |b_ik(M)| / |b_ik(M2)|, a ratio of matrix
+    entries.  The root recursion s_i s_k = s_j + s_j' is checked at every
+    edge as the entry identity |b_ij b_jk| = |b_ik(M)| + |b_ik(M2)|.
+    The cyclicity and recursion checks and the pair (p, r) are functions
+    of the edge's (entries, j), so they run once per distinct pair and
+    still check every edge; only the deltas run once per edge.
     Integral values are ints, equal to and printed as the same Fractions.
     """
     if len(delta0) != 3:
@@ -233,48 +221,27 @@ def delta_witness(
     P0 = _principal3(B)
     if not _is_cyclic3(P0):
         raise AcyclicSeedFound("the initial matrix is not cyclic")
-    d = skew_symmetrizer(B)
-    if d is None:
+    if skew_symmetrizer(B) is None:
         raise ValueError("delta recursion requires a skew-symmetrizable matrix")
     pairs = [_others(j) for j in range(3)]
-    rad = [_squarefree(d[i] * d[k]) for i, k in pairs]
-
-    def root_over(w: int, j: int) -> Fraction:
-        """sqrt(w / rad_j) exactly; raises if it is not a rational square."""
-        q = sqrt_fraction(Fraction(w, rad[j]))
-        if q is None:
-            raise ArithmeticError(f"{w}/{rad[j]} is not a rational square")
-        return q
-
-    @cache
-    def roots(P: tuple) -> tuple:
-        """(q_0, q_1, q_2) with s_j = sqrt|b_ik b_ki| = q_j sqrt(rad_j)."""
-        return tuple(
-            root_over(abs(P[i][k] * P[k][i]), j) for j, (i, k) in enumerate(pairs)
-        )
-
-    # sqrt(rad_i rad_k) rewritten on the radicand of direction j
-    cross = [root_over(rad[i] * rad[k], j) for j, (i, k) in enumerate(pairs)]
-    roots(P0)  # a root that is not rational raises before any mutation
     weights: dict = {}  # (entries, j) -> (p, r) of a checked edge
     deltas = {"": tuple(_exact(Fraction(x)) for x in delta0)}
     lowest = {0: min(deltas[""])}  # radius -> least delta value there
     for addr, M, children in _mutation_tree(P0, radius + 1):
-        s = roots(M.entries)
+        P = M.entries
         dl = deltas[addr]
         for j, child, M2 in children:
             i, k = pairs[j]
-            if (M.entries, j) not in weights:
-                P2 = M2.principal()
+            if (P, j) not in weights:
+                P2 = M2.entries
                 if not _is_cyclic3(P2):
                     raise AcyclicSeedFound(f"acyclic matrix at address {child!r}")
-                s2 = roots(P2)
-                total = s[j] + s2[j]
-                # recursion check: s_i s_k = s_j + s_j'
-                if s[i] * s[k] * cross[j] != total:
+                old, new = abs(P[i][k]), abs(P2[i][k])
+                if abs(P[i][j] * P[j][k]) != old + new:
                     raise AssertionError("square-root recursion mismatch")
-                weights[M.entries, j] = (_exact(total / s2[j]), _exact(s[j] / s2[j]))
-            p, r = weights[M.entries, j]
+                r = Fraction(old, new)
+                weights[P, j] = (_exact(1 + r), _exact(r))
+            p, r = weights[P, j]
             new_j = p * min(dl[i], dl[k]) - r * dl[j]
             deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
             lowest[len(child)] = min(lowest.get(len(child), new_j), *deltas[child])
@@ -295,7 +262,6 @@ def delta_witness(
         x >= 0 for a, t in shifted.items() if len(a) <= radius for x in t
     )
     return DeltaWitness(
-        assignment=TreeAssignment(deltas),
         sequence=tuple(sequence),
         shifted=shifted,
         radius=radius,

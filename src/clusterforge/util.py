@@ -1,12 +1,12 @@
 """The small exact core shared by the modules: decimal integer parsing,
-symmetrizers, fraction-free elimination, matrix products and rational
-square roots, all over Z or Q."""
+symmetrizers, fraction-free elimination and matrix products, all over Z
+or Q."""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 
@@ -94,14 +94,3 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
-
-
-def sqrt_fraction(x: Fraction | int) -> Fraction | None:
-    """Exact square root of a rational, or None if it is not a rational square."""
-    x = Fraction(x)
-    if x < 0:
-        return None
-    a, b = isqrt(x.numerator), isqrt(x.denominator)
-    if a * a != x.numerator or b * b != x.denominator:
-        return None
-    return Fraction(a, b)

@@ -263,6 +263,11 @@ def test_json_roundtrip_mutate_explore(capsys):
     assert code2 == 0 and data2["clusters"] == 50
 
 
+def _ab_member(num):
+    seed = '{"btilde": [[0, 1], [-1, 0]], "labels": ["a", "b"]}'
+    return ["upper-member", "--seed", seed, "--num", num]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -276,9 +281,15 @@ def test_json_roundtrip_mutate_explore(capsys):
         ["acyclic", "--matrix", '{"btilde": "00"}'],
         ["acyclic", "--matrix", '{"btilde": [[0], [0]], "n": true}'],
         ["acyclic", "--matrix", '{"btilde": [[0], [0]], "m": 2.0}'],
+        # nor is a polynomial's string of one-letter names, and terms is a list
+        _ab_member('{"vars": "ab", "terms": [{"exp": [1, 0], "coef": 1}]}'),
+        _ab_member('{"vars": ["a", 2], "terms": []}'),
+        _ab_member('{"vars": ["a", "b"], "terms": "[]"}'),
+        _ab_member('{"vars": ["a", "b"], "terms": {"exp": [1, 0], "coef": 1}}'),
     ],
     ids=["float-entry", "bool-entry", "label-count", "string-rows-mutate",
-         "string-rows-acyclic", "string-btilde", "bool-n", "float-m"],
+         "string-rows-acyclic", "string-btilde", "bool-n", "float-m",
+         "string-vars", "int-var", "string-terms", "object-terms"],
 )
 def test_malformed_matrix_exits_2(capsys, argv):
     code = main(argv)

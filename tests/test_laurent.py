@@ -306,11 +306,27 @@ def test_pow_one_is_the_base_without_multiplying(monkeypatch):
             [{"exp": [1, 0, 0], "coef": "2"}, {"exp": [1, 0, 0], "coef": "-2"}],
             "repeated",
         ),
+        # terms must be a JSON list, not a string or one term's object
+        pytest.param("[]", "not a list", id="string-terms"),
+        pytest.param({"exp": [1, 0, 0], "coef": "1"}, "not a list", id="object-terms"),
     ],
 )
 def test_from_json_rejects_malformed_terms(terms, why):
     with pytest.raises(ValueError, match=why):
         LaurentPoly.from_json({"vars": list(CTX3.names), "terms": terms})
+
+
+@pytest.mark.parametrize(
+    "names",
+    ["abc", ("a", "b", "c"), ["a", "b", 3], None],
+    ids=["string", "tuple", "int-name", "null"],
+)
+def test_from_json_rejects_malformed_vars(names):
+    # a string of one-letter names is not read as its characters
+    data = {"vars": names, "terms": [{"exp": [1, 0, 0], "coef": 1}]}
+    for ctx in (None, Context(("a", "b", "c"))):
+        with pytest.raises(ValueError, match="not a list of strings"):
+            LaurentPoly.from_json(data, ctx)
 
 
 def test_evaluate_is_exact_for_int_values():

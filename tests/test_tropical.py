@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -21,8 +22,6 @@ from clusterforge.tropical import (
     propagate_valuation,
     valuate,
 )
-
-from clusterforge.util import sqrt_fraction
 
 from conftest import MARKOV
 from test_bounds import markov_y
@@ -116,6 +115,12 @@ def test_propagate_rejects_acyclic():
         propagate_valuation(seed, w(seed, (1, 1, 1)), depth=2)
 
 
+def raw_deltas(witness):
+    """The unshifted delta values: shifted plus the radius-r minimum."""
+    shift = witness.sequence[witness.radius]
+    return {a: tuple(x + shift for x in t) for a, t in witness.shifted.items()}
+
+
 def test_delta_witness_markov_strictly_decreasing():
     B = ExchangeMatrix.make(MARKOV)
     out = delta_witness(B, radius=4)
@@ -139,7 +144,7 @@ def test_delta_witness_edge_weights_are_halves():
     # (min(delta_i, delta_k) - u_parent delta_j) / u_child is
     # 2 min(delta_i, delta_k) - delta_j
     out = delta_witness(ExchangeMatrix.make(MARKOV), radius=2)
-    values = out.assignment.values
+    values = raw_deltas(out)
     assert len(values) == 1 + 3 + 6 + 12
     for child, dl in values.items():
         if child:
@@ -155,12 +160,12 @@ def test_delta_witness_edge_weights_are_halves():
 def test_delta_matches_renormalized_valuation(markov_seed):
     # nu_j = h_j s_j delta_j with h = 1 and s = 2 on this matrix
     depth = 3
-    deltas = delta_witness(ExchangeMatrix.make(MARKOV), radius=depth).assignment
+    deltas = raw_deltas(delta_witness(ExchangeMatrix.make(MARKOV), radius=depth))
     nus = propagate_valuation(markov_seed, w(markov_seed, (0, 0, 2)), depth=depth + 1)
     for addr, triple in nus.values.items():
         if len(addr) > depth:
             continue
-        assert triple == tuple(2 * x for x in deltas.values[addr])
+        assert triple == tuple(2 * x for x in deltas[addr])
 
 
 def test_delta_witness_rejects_acyclic_matrix():
@@ -171,8 +176,8 @@ def test_delta_witness_rejects_acyclic_matrix():
 
 
 def test_delta_witness_skew_symmetrizable_weight_two():
-    # symmetrizer (1, 1, 2): the square roots leave Q but stay exact, and
-    # s1^2 + s2^2 + s3^2 - s1 s2 s3 = 0 keeps the whole class cyclic
+    # symmetrizer (1, 1, 2): the square roots s_j leave Q but their ratios
+    # do not, and s1^2 + s2^2 + s3^2 - s1 s2 s3 = 0 keeps the whole class cyclic
     B = ExchangeMatrix.make([[0, 4, -4], [-4, 0, 4], [2, -2, 0]])
     out = delta_witness(B, radius=3)
     assert out.valid
@@ -253,9 +258,31 @@ def reference_propagate_valuation(seed, v0, depth):
     return tropical.TreeAssignment(values)
 
 
+def _squarefree(n):
+    out, d = 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            out *= d
+        d += 1
+    return out * n
+
+
+def _sqrt_fraction(x):
+    """Exact square root of a nonnegative rational, or None if it is none."""
+    a, b = isqrt(x.numerator), isqrt(x.denominator)
+    if a * a != x.numerator or b * b != x.denominator:
+        return None
+    return Fraction(a, b)
+
+
 def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
-    """Reference delta recursion: a separate walk and its own bookkeeping of
-    unexpanded matrices."""
+    """Reference delta recursion: a separate walk, its own bookkeeping of
+    unexpanded matrices, and each s_j = sqrt|b_ik b_ki| carried exactly as a
+    rational multiple of a square-free radicand, sqrt(d_i d_k) reduced."""
     if len(delta0) != 3:
         raise ValueError(f"delta0 needs 3 entries, got {len(delta0)}")
     P0 = tropical._principal3(B)
@@ -265,10 +292,10 @@ def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
     if d is None:
         raise ValueError("delta recursion requires a skew-symmetrizable matrix")
     pairs = [tropical._others(j) for j in range(3)]
-    rad = [tropical._squarefree(d[i] * d[k]) for i, k in pairs]
+    rad = [_squarefree(d[i] * d[k]) for i, k in pairs]
 
     def root_over(w, j):
-        q = sqrt_fraction(Fraction(w, rad[j]))
+        q = _sqrt_fraction(Fraction(w, rad[j]))
         if q is None:
             raise ArithmeticError(f"{w}/{rad[j]} is not a rational square")
         return q
@@ -322,7 +349,6 @@ def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
         x >= 0 for a, t in shifted.items() if len(a) <= radius for x in t
     )
     return tropical.DeltaWitness(
-        assignment=tropical.TreeAssignment(deltas),
         sequence=tuple(sequence),
         shifted=shifted,
         radius=radius,
@@ -421,10 +447,7 @@ def test_mutation_tree_walk_matches_reference_propagation():
 
 def _witness_values(witness):
     """Every number a delta witness holds."""
-    out = list(witness.sequence)
-    for table in (witness.assignment.values, witness.shifted):
-        out += [x for t in table.values() for x in t]
-    return out
+    return list(witness.sequence) + [x for t in witness.shifted.values() for x in t]
 
 
 def test_mutation_tree_walk_matches_reference_delta_witness():
@@ -440,6 +463,14 @@ def test_mutation_tree_walk_matches_reference_delta_witness():
     for P in (MARKOV, [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]):
         for delta0 in ((0, 0, 1), (0, 1 / 2, 1), (0, Fraction("0.5"), 1)):
             cases.append((ExchangeMatrix.make(P), 5, delta0))
+    # symmetrizers (1, 2, 3), (1, 1, 3) and (2, 3, 6), beyond random_rank3's 1s
+    # and 2s: three distinct radicands, and products of radicands that reduce
+    for P in (
+        [[0, 4, -6], [-2, 0, 3], [2, -2, 0]],
+        [[0, 2, -6], [-2, 0, 6], [2, -2, 0]],
+        [[0, 3, -6], [-2, 0, 6], [2, -3, 0]],
+    ):
+        cases.append((ExchangeMatrix.make(P), 4, (0, 0, 1)))
     for case, (B, radius, delta0) in enumerate(cases):
         got = outcome(delta_witness, B, radius, delta0)
         want = outcome(reference_delta_witness, B, radius, delta0)
@@ -450,6 +481,22 @@ def test_mutation_tree_walk_matches_reference_delta_witness():
         kinds.add(got[0] if got[0] == "value" else got[1])
     # the cases reach a witness and each way the recursion can stop
     assert {"value", AcyclicSeedFound, ValueError}.issubset(kinds)
+    assert all(outcome(delta_witness, *c)[1].valid for c in cases[-3:])
+
+
+def test_rank3_acyclic_exactly_off_the_markov_region():
+    # Beineke-Bruestle-Hille (math/0612213): the mutation class of the cyclic
+    # quiver with arrow weights a, b, c is all cyclic iff min(a, b, c) >= 2 and
+    # a^2 + b^2 + c^2 - abc <= 4.  Radius 5 finds an acyclic seed on every
+    # triple in [1, 6]^3 the criterion calls mutation-acyclic; radius 3 misses 6.
+    for a in range(1, 7):
+        for b in range(1, 7):
+            for c in range(1, 7):
+                B = ExchangeMatrix.make([[0, a, -c], [-a, 0, b], [c, -b, 0]])
+                cyclic = min(a, b, c) >= 2 and a * a + b * b + c * c - a * b * c <= 4
+                got = outcome(delta_witness, B, 5)
+                want = ("value",) if cyclic else ("raised", AcyclicSeedFound)
+                assert got[: len(want)] == want, (a, b, c)
 
 
 def test_markov_tree_mutates_each_distinct_pair_once(monkeypatch):

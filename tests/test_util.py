@@ -1,8 +1,9 @@
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 
-from clusterforge.util import mat_mul, sqrt_fraction, symmetrizer
+from clusterforge.util import mat_mul, symmetrizer
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "clusterforge"
 
@@ -26,14 +27,6 @@ def test_mat_mul_returns_hashable_product():
     assert mat_mul([[1, 2, 3]], [[1], [1], [1]]) == ((6,),)
 
 
-def test_sqrt_fraction():
-    assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
-    assert sqrt_fraction(0) == 0
-    assert sqrt_fraction(2) is None
-    assert sqrt_fraction(Fraction(4, 3)) is None
-    assert sqrt_fraction(-4) is None
-
-
 def test_no_module_reads_the_environment():
     """Behaviour depends on arguments only: no module reads os.environ or os.getenv."""
     offenders = []
@@ -50,4 +43,30 @@ def test_no_module_reads_the_environment():
                 names = {alias.name for alias in node.names}
                 if names & {"environ", "getenv", "environb", "getenvb"}:
                     offenders.append(f"{path.name}:{node.lineno} from os import")
+    assert offenders == []
+
+
+def test_modules_use_the_standard_library_and_no_floats():
+    """Imports are relative or standard library; no float literal or float()."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                tops = []
+            offenders += [
+                f"{where} import {t}" for t in tops if t not in sys.stdlib_module_names
+            ]
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                offenders.append(f"{where} float literal {node.value!r}")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ):
+                offenders.append(f"{where} float()")
     assert offenders == []
