@@ -16,7 +16,7 @@ is exactly divisible by the matching power of the exchange polynomial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 from typing import Iterator, Sequence
 
@@ -127,7 +127,9 @@ def sorted_acyclic_seed(seed: Seed) -> Seed:
     sigma = acyclic_order(seed.matrix)
     if sigma is None:
         raise NotAcyclic("seed has an oriented cycle")
-    return initial_seed(relabel_matrix(seed.matrix, sigma))
+    # a formal-coefficient seed stays single-use after relabelling
+    sorted_seed = initial_seed(relabel_matrix(seed.matrix, sigma))
+    return replace(sorted_seed, general=seed.general)
 
 
 def _cyclic_terms(u: Sequence[LaurentPoly], v: Sequence[LaurentPoly]) -> Iterator:

@@ -198,7 +198,9 @@ def _cmd_tp_check(args) -> int:
 
 def _cmd_straighten(args) -> int:
     B = _load_matrix(args.matrix)
-    seed = seeds.general_seed([list(r) for r in B.principal()])
+    if B.m != B.n:  # general_seed supplies the coefficient rows itself
+        raise ValueError(f"straighten takes a principal matrix, not {B.m} x {B.n}")
+    seed = seeds.general_seed(B.entries)
     gctx = bounds.generator_context(seed)
     p = LaurentPoly.from_json(_load_json_arg(args.poly), gctx)
     out = bounds.straighten(p, seed)

@@ -209,17 +209,6 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.matrix == _identity(self.cartan.rank)
 
-    def inverse(self) -> "WeylElement":
-        # Finite order: w^(k-1) once w^k hits the identity.
-        if self.is_identity():
-            return self
-        prev = self
-        cur = self * self
-        while not cur.is_identity():
-            prev = cur
-            cur = cur * self
-        return prev
-
 
 def word_product(cartan: CartanData, word: Sequence[int]) -> WeylElement:
     """Product of simple reflections; letters are 1-based indices."""

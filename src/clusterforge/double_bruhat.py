@@ -22,7 +22,6 @@ from .coxeter import (
     WeylElement,
     fundamental_subset,
     is_reduced,
-    word_product,
 )
 from .graphs import exchange_seeds
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
@@ -235,10 +234,10 @@ def gamma_tilde_dot(g: GammaTilde) -> str:
 def partial_products(
     iw: IndexedWord, cartan: CartanData, k: int
 ) -> tuple[WeylElement, WeylElement]:
-    """The pair (u_{<=k}, v_{>k}); for sentinel positions (e, v^{-1})."""
-    if k < 0:
-        v_full = word_product(cartan, [x for x in iw.word if x > 0])
-        return WeylElement.identity(cartan), v_full.inverse()
+    """The pair (u_{<=k}, v_{>k}): the negative letters up to position k in
+    word order and the positive letters after it from the right end.  A
+    sentinel position k < 0 reads as k = 0, which gives (e, v^{-1})."""
+    k = max(k, 0)
     u = WeylElement.identity(cartan)
     for l in range(1, k + 1):
         if iw.word[l - 1] < 0:
@@ -325,48 +324,28 @@ def _det_one_diagonal(rng: random.Random, size: int, den_max: int) -> tuple[list
     return [d.numerator * (den // d.denominator) for d in diag], den
 
 
-def nonvanishing_conditions(
-    cartan: CartanData, u: WeylElement, v: WeylElement
-) -> list[MinorSpec]:
-    """The 2r open-cell conditions: minors at (u w_i, w_i) and (w_i, v^{-1} w_i)."""
-    specs = []
-    vinv = v.inverse()
-    e = WeylElement.identity(cartan)
-    for i in range(1, cartan.rank + 1):
-        specs.append(MinorSpec(fundamental_subset(u, i), fundamental_subset(e, i)))
-        specs.append(MinorSpec(fundamental_subset(e, i), fundamental_subset(vinv, i)))
-    return specs
-
-
 def sample_cell(
-    cartan: CartanData,
-    u: WeylElement,
-    v: WeylElement,
-    rng: random.Random,
-    extra_nonzero: Sequence[MinorSpec] = (),
-    minors: list | None = None,
-) -> Sequence[Sequence[Fraction]]:
-    """Random rational determinant-one matrix meeting the nonvanishing minors.
+    cartan: CartanData, specs: Sequence[MinorSpec], rng: random.Random
+) -> tuple[tuple, int, list]:
+    """Random determinant-one sample g = h / den whose minors at ``specs``
+    are all nonzero, as the integer matrix h, the denominator den and the
+    integer minors of h at ``specs``, in order.
 
     Built as lower-unitriangular x diagonal(det 1) x upper-unitriangular
-    with small random rational entries, resampled until every required
-    minor (the open-cell ones and ``extra_nonzero``, each distinct one
-    once) is nonzero, in at most 200 tries.  Each try clears the
+    with small random rational entries, resampled until every minor at
+    ``specs`` is nonzero, in at most 200 tries.  Each try clears the
     denominators of the three factors, so it works on the integer matrix
     h = den * g: one integer matrix product, one determinant, which must be
     den^size (else ``ArithmeticError``, also under ``python -O``), and
-    integer minors until one vanishes.  Only the accepted h is divided into
-    Fractions.
-    A list ``minors`` is extended with the minors of g at
-    ``extra_nonzero``, as Fraction(m, den^k) for each k x k minor m of h;
-    the draws are the same without it.
+    integer minors until one vanishes.  The minor of g at a k x k spec is
+    the returned minor over den^k.  Given the family of a double reduced
+    word (its minor at every position, sentinels included), this keeps
+    the 2r open-cell minors nonzero too: they are the family minors at
+    the sentinel positions and at the last position of each letter.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("cell sampling implemented for type A only")
     size = cartan.rank + 1
-    conditions = list(
-        dict.fromkeys([*nonvanishing_conditions(cartan, u, v), *extra_nonzero])
-    )
     for _ in range(200):
         lo, lo_den = _unitriangular(rng, size, lower=True)
         up, up_den = _unitriangular(rng, size, lower=False)
@@ -376,12 +355,9 @@ def sample_cell(
         d = det(h)
         if d != den**size:
             raise ArithmeticError(f"cell sample has determinant {d / den**size}, not 1")
-        values = list(takewhile(bool, integer_minors(conditions, h)))
-        if len(values) == len(conditions):
-            if minors is not None:
-                value = dict(zip(conditions, values))
-                minors.extend(Fraction(value[s], den ** len(s.rows)) for s in extra_nonzero)
-            return tuple(tuple(Fraction(x, den) for x in row) for row in h)
+        minors = list(takewhile(bool, integer_minors(specs, h)))
+        if len(minors) == len(specs):
+            return h, den, minors
     raise SamplingExhausted("no valid sample in 200 tries")
 
 
@@ -471,20 +447,20 @@ def verify_cell_identities(
 ) -> CellCheckReport:
     """Check the exchange structure on random cell samples, exactly.
 
-    Samples come from ``sample_cell``, which checks determinant one and
-    keeps every minor of the family nonzero.  At each exchangeable position
-    l with a closed form (a callable g -> Fraction), the exchange polynomial
-    is evaluated in the sample's minors and divided by the minor at l, and
-    must equal the closed form; other positions are not evaluated.  The
-    minors are those the sampler computed to accept the sample, asked for
+    Samples come from ``sample_cell``, handed the family, which checks
+    determinant one and keeps every family minor nonzero; the open-cell
+    minors are family minors, so each sample lies in the cell.  At each
+    exchangeable position l with a closed form (a callable g ->
+    Fraction), the exchange polynomial is evaluated in the sample's minors
+    and divided by the minor at l, and must equal the closed form; other
+    positions are not evaluated.  The minors are those the sampler
+    computed to accept the sample; g and the rational minors are built
     only when a position is compared.  ``relations_checked`` is samples x
     exchangeable positions regardless; ``closed_forms_checked`` is samples
     x compared positions, so a form keyed by a position that is not
     exchangeable is not counted.
     """
     seed, positions, specs = _cell_setup(cartan, word)
-    u = word_product(cartan, [-x for x in word if x < 0])
-    v = word_product(cartan, [x for x in word if x > 0])
     closed_forms = closed_forms or {}
     compared = [
         (j, l, exchange_polynomial(seed, j))
@@ -492,13 +468,14 @@ def verify_cell_identities(
         if l in closed_forms
     ]
     rng = random.Random(rng_seed)
-    draws = []
-    for _ in range(samples):
-        values = [] if compared else None
-        draws.append((sample_cell(cartan, u, v, rng, specs, minors=values), values))
+    draws = [sample_cell(cartan, specs, rng) for _ in range(samples)]
 
     def check(draw) -> list[str]:
-        g, values = draw
+        if not compared:
+            return []
+        h, den, minors = draw
+        g = [[Fraction(x, den) for x in row] for row in h]
+        values = [Fraction(m, den ** len(s.rows)) for s, m in zip(specs, minors)]
         return [
             f"position {l}: quotient != closed form"
             for j, l, P in compared

@@ -32,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from operator import mul, sub
 from typing import Mapping, Sequence
 
-from .util import decimal_int
+from .util import check_keys, decimal_int
 
 
 class ContextMismatch(ValueError):
@@ -446,7 +446,8 @@ class LaurentPoly:
         }
 
     @staticmethod
-    def from_json(data: Mapping, ctx: Context | None = None) -> "LaurentPoly":
+    def from_json(data: dict, ctx: Context | None = None) -> "LaurentPoly":
+        check_keys(data, ("vars", "terms"), "Laurent JSON")
         names, rows = data["vars"], data["terms"]
         # a string is not read as its characters
         if type(names) is not list or any(type(x) is not str for x in names):
@@ -460,6 +461,7 @@ class LaurentPoly:
             raise ContextMismatch(f"{ctx.names} vs {names}")
         terms: dict[tuple[int, ...], int] = {}
         for t in rows:
+            check_keys(t, ("exp", "coef"), "term")
             exp, coef = t["exp"], t["coef"]
             if not isinstance(exp, (list, tuple)) or len(exp) != ctx.nvars:
                 raise ValueError(f"exponent {exp!r} needs {ctx.nvars} entries")

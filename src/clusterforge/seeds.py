@@ -17,7 +17,7 @@ from operator import neg
 from typing import Sequence
 
 from .laurent import Context, LaurentPoly, NotDivisible
-from .util import bareiss, decimal_int, symmetrizer
+from .util import bareiss, check_keys, decimal_int, symmetrizer
 
 
 class SignSkewSymmetryLost(ArithmeticError):
@@ -75,6 +75,7 @@ class ExchangeMatrix:
 
     @staticmethod
     def from_json(data) -> "ExchangeMatrix":
+        check_keys(data, ("btilde", "labels", "n", "m"), "seed JSON")
         # a string row is not read as its characters
         btilde = data["btilde"]
         if type(btilde) is not list or any(type(r) is not list for r in btilde):

@@ -1,6 +1,6 @@
 """The small exact core shared by the modules: decimal integer parsing,
-symmetrizers, fraction-free elimination and matrix products, all over Z
-or Q."""
+JSON key checks, symmetrizers, fraction-free elimination and matrix
+products, all over Z or Q."""
 
 from __future__ import annotations
 
@@ -15,6 +15,16 @@ def decimal_int(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"{text!r} is not a decimal integer")
     return int(text)
+
+
+def check_keys(data, keys: tuple, what: str) -> None:
+    """ValueError unless data is a JSON object with no key outside keys:
+    an unknown key is an error, never ignored."""
+    if type(data) is not dict:
+        raise ValueError(f"{what} {data!r} is not a JSON object")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; it takes {list(keys)}")
 
 
 def parallel_map(fn: Callable, items: Sequence) -> list:

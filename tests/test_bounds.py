@@ -161,6 +161,16 @@ def test_leading_exponents_distinct_sampled():
     assert len(seen) > 60
 
 
+def test_sorted_general_seed_refuses_a_second_mutation():
+    # the formal coefficients survive relabelling, and so does the guard
+    unsorted = general_seed([[0, 1], [-1, 0]])
+    seed = sorted_acyclic_seed(unsorted)
+    assert seed.general and seed.matrix != unsorted.matrix
+    once = seed_mutate(seed, 0)
+    with pytest.raises(ValueError, match="single mutations only"):
+        seed_mutate(once, 1)
+
+
 def test_diffcomb_small_sizes():
     for size in range(1, 9):
         assert diffcomb_check(size) is True

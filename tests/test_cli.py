@@ -4,6 +4,8 @@ import pytest
 
 from clusterforge import cli
 from clusterforge.cli import main
+from clusterforge.laurent import LaurentPoly
+from clusterforge.seeds import ExchangeMatrix
 
 from conftest import MARKOV, SL3_ROWS, SL3_LABELS
 
@@ -263,6 +265,47 @@ def test_json_roundtrip_mutate_explore(capsys):
     assert code2 == 0 and data2["clusters"] == 50
 
 
+def _printed(data, key):
+    """Every JSON object inside data that has the given key."""
+    if isinstance(data, dict):
+        if key in data:
+            yield data
+        data = list(data.values())
+    if isinstance(data, list):
+        for x in data:
+            yield from _printed(x, key)
+
+
+def test_printed_matrices_and_polynomials_round_trip(capsys):
+    big = '{"btilde": [[0, "-100000000000000000000"], [1, 0], [-2, 3]], "labels": ["a", "b", "c"]}'
+    gen = ["x1", "x2", "x1'", "x2'", "p1+", "p2+", "p1-", "p2-"]
+    calls = [
+        ["mutate", "--matrix", seed_json(), "--directions", "1 3"],
+        ["mutate", "--matrix", big, "--directions", "2"],
+        ["mutate", "--matrix", json.dumps(MARKOV), "--directions", ""],
+        ["straighten", "--matrix", "[[0, 1], [-1, 0]]", "--poly", json.dumps(
+            {"vars": gen, "terms": [{"exp": [2, 1, 1, 0, 0, 0, 0, 0], "coef": "-7"}]})],
+        # (b + 1) / a and (b + 1)^2 / a^2 are in U: one quotient each
+        _ab_member('{"vars": ["a", "b"], "terms": [{"exp": [-1, 1], "coef": 1}, '
+                   '{"exp": [-1, 0], "coef": 1}]}'),
+        _ab_member('{"vars": ["a", "b"], "terms": [{"exp": [-2, 2], "coef": 1}, '
+                   '{"exp": [-2, 1], "coef": 2}, {"exp": [-2, 0], "coef": 1}]}'),
+    ]
+    matrices, polys = [], []
+    for argv in calls:
+        code, data = run(capsys, *argv)
+        assert code == 0
+        matrices += _printed(data, "btilde")
+        polys += _printed(data, "vars")
+    assert len(matrices) == 3 and len(polys) == 3
+    for obj in matrices:
+        x = ExchangeMatrix.from_json(obj)
+        assert x.to_json() == obj and ExchangeMatrix.from_json(x.to_json()) == x
+    for obj in polys:
+        x = LaurentPoly.from_json(obj)
+        assert x.to_json() == obj and LaurentPoly.from_json(x.to_json()) == x
+
+
 def _ab_member(num):
     seed = '{"btilde": [[0, 1], [-1, 0]], "labels": ["a", "b"]}'
     return ["upper-member", "--seed", seed, "--num", num]
@@ -286,10 +329,27 @@ def _ab_member(num):
         _ab_member('{"vars": ["a", 2], "terms": []}'),
         _ab_member('{"vars": ["a", "b"], "terms": "[]"}'),
         _ab_member('{"vars": ["a", "b"], "terms": {"exp": [1, 0], "coef": 1}}'),
+        # an unknown key is an error, not dropped: a misspelt labels, a den
+        # nested in --num (else the verdict is on x1, not 1/x1), a term key
+        ["mutate", "--matrix", '{"btilde": [[0,1],[-1,0]], "lables": ["a","b"]}',
+         "--directions", "1"],
+        _ab_member('{"vars": ["a", "b"], "terms": [{"exp": [1, 0], "coef": 1}], '
+                   '"den": {"vars": ["a", "b"], "terms": [{"exp": [2, 0], "coef": 1}]}}'),
+        _ab_member('{"vars": ["a", "b"], "terms": [{"exp": [1, 0], "coef": 1, "junk": 0}]}'),
+        # the stdout of btilde --type A1 --word 1 is not a seed
+        ["explore", "--seed", json.dumps({
+            "btilde": [[], []], "cols": [], "direct_construction_agrees": True,
+            "gamma_dot": 'digraph G {\n  "-1";\n  "1";\n}', "rows": [-1, 1]})],
+        # straighten supplies the coefficient rows; frozen rows are not dropped
+        ["straighten", "--matrix", '{"btilde": [[0,1],[-1,0],[1,1]]}', "--poly",
+         json.dumps({"vars": ["x1", "x2", "x1'", "x2'", "p1+", "p2+", "p1-", "p2-"],
+                     "terms": []})],
     ],
     ids=["float-entry", "bool-entry", "label-count", "string-rows-mutate",
          "string-rows-acyclic", "string-btilde", "bool-n", "float-m",
-         "string-vars", "int-var", "string-terms", "object-terms"],
+         "string-vars", "int-var", "string-terms", "object-terms",
+         "misspelt-labels", "nested-den", "term-key", "btilde-output-seed",
+         "straighten-frozen-rows"],
 )
 def test_malformed_matrix_exits_2(capsys, argv):
     code = main(argv)

@@ -122,10 +122,3 @@ def test_root_closure_rejects_non_finite():
     affine = [[2, -2], [-2, 2]]  # affine A1: closure never terminates
     with pytest.raises(NotFiniteType):
         _positive_roots(affine, cap=64)
-
-
-def test_inverse():
-    A = cartan_data("A3")
-    w = word_product(A, (1, 2, 3, 1))
-    assert (w * w.inverse()).is_identity()
-    assert (w.inverse() * w).is_identity()

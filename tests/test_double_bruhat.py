@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import lcm, prod
+from math import prod
 
 import pytest
 
@@ -14,6 +14,7 @@ from clusterforge.coxeter import (
     WeylElement,
     cartan_data,
     fundamental_subset,
+    is_reduced,
     longest_element,
     word_product,
 )
@@ -33,7 +34,6 @@ from clusterforge.double_bruhat import (
     indexed_word,
     integer_minors,
     minor_spec,
-    nonvanishing_conditions,
     open_cell_a2_closed_forms,
     partial_products,
     sample_cell,
@@ -336,11 +336,62 @@ def test_integer_minors_match_det():
     assert singular >= 10 and zero_lead >= 10
 
 
-def _cell(cartan, word):
-    """(u, v, family specs) of a double word, as the cell checks use them."""
+def _family(cartan, word):
+    """The minor specs of a double word at every position, as the cell checks
+    use them."""
+    return double_bruhat._cell_setup(cartan, word)[2]
+
+
+def nonvanishing_conditions(cartan, word):
+    """The 2r open-cell conditions of the word's cell (u, v): the minors at
+    (u w_i, w_i) and (w_i, v^{-1} w_i), with u and v^{-1} multiplied out."""
     u = word_product(cartan, [-x for x in word if x < 0])
-    v = word_product(cartan, [x for x in word if x > 0])
-    return u, v, double_bruhat._cell_setup(cartan, word)[2]
+    vinv = word_product(cartan, [x for x in reversed(word) if x > 0])
+    e = WeylElement.identity(cartan)
+    specs = []
+    for i in range(1, cartan.rank + 1):
+        specs.append(MinorSpec(fundamental_subset(u, i), fundamental_subset(e, i)))
+        specs.append(MinorSpec(fundamental_subset(e, i), fundamental_subset(vinv, i)))
+    return specs
+
+
+def reduced_words(cartan):
+    """Every reduced word of every Weyl group element, shortest first."""
+    letters = range(1, cartan.rank + 1)
+    return [
+        w
+        for k in range(len(cartan.positive_roots) + 1)
+        for w in itertools.product(letters, repeat=k)
+        if is_reduced(w, cartan)
+    ]
+
+
+def test_open_cell_minors_are_family_minors():
+    # every double reduced word of A1 and A2, and 300 random ones of A3
+    words = [
+        (cartan, word)
+        for cartan in (cartan_data("A1"), A2)
+        for neg in reduced_words(cartan)
+        for pos in reduced_words(cartan)
+        for word in double_words(neg, pos)
+    ]
+    rng = random.Random(2)
+    reduced = reduced_words(A3)
+    for _ in range(300):
+        neg, pos = rng.choice(reduced), rng.choice(reduced)
+        slots = [True] * len(neg) + [False] * len(pos)
+        rng.shuffle(slots)
+        negs, poss = iter(neg), iter(pos)
+        words.append((A3, tuple(-next(negs) if s else next(poss) for s in slots)))
+    assert len(words) > 500
+    for cartan, word in words:
+        family = set(_family(cartan, word))
+        assert set(nonvanishing_conditions(cartan, word)) <= family, word
+
+
+def _over_den(specs, minors, den):
+    """The minors of h / den from the minors of h: each k x k one over den^k."""
+    return [Fraction(m, den ** len(spec.rows)) for spec, m in zip(specs, minors)]
 
 
 def _longest_word_cell(cartan):
@@ -353,16 +404,14 @@ def _longest_word_cell(cartan):
 def test_sample_cell_hands_back_family_minors(r, cell):
     cartan = cartan_data(f"A{r}")
     word = _longest_word_cell(cartan) if cell == "longest" else coxeter_cell_word(cartan)
-    u, v, specs = _cell(cartan, word)
-    for s in range(10):
-        rng, plain = random.Random(s), random.Random(s)
-        minors = []
-        g = sample_cell(cartan, u, v, rng, extra_nonzero=specs, minors=minors)
-        assert minors == [evaluate_minor(spec, g) for spec in specs]
-        assert all(type(m) is Fraction for m in minors)
-        # asking for the minors changes neither the sample nor the draws
-        assert sample_cell(cartan, u, v, plain, extra_nonzero=specs) == g
-        assert plain.getstate() == rng.getstate()
+    specs = _family(cartan, word)
+    rng = random.Random(1)
+    for _ in range(10):
+        h, den, minors = sample_cell(cartan, specs, rng)
+        assert all(type(x) is int for row in h for x in row) and type(den) is int
+        assert all(type(m) is int and m for m in minors)
+        g = _divided(h, den)
+        assert _over_den(specs, minors, den) == [evaluate_minor(spec, g) for spec in specs]
 
 
 def test_sample_cell_determinant_check_survives_python_O():
@@ -371,14 +420,12 @@ def test_sample_cell_determinant_check_survives_python_O():
     code = "\n".join([
         "import random, sys",
         "from clusterforge import double_bruhat",
-        "from clusterforge.coxeter import cartan_data, longest_element",
+        "from clusterforge.coxeter import cartan_data",
         "from clusterforge.util import mat_mul",
         "if not sys.flags.optimize: sys.exit('not run under -O')",
         "double_bruhat.mat_mul = lambda a, b: tuple(",
         "    tuple(2 * x for x in row) for row in mat_mul(a, b))",
-        "A2 = cartan_data('A2')",
-        "w0, _ = longest_element(A2)",
-        "double_bruhat.sample_cell(A2, w0, w0, random.Random(1))",
+        "double_bruhat.sample_cell(cartan_data('A2'), (), random.Random(1))",
     ])
     src = os.path.dirname(os.path.dirname(clusterforge.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -392,19 +439,17 @@ def test_sample_cell_determinant_check_survives_python_O():
 
 def test_sample_cell_open_cell_conditions():
     rng = random.Random(61)
-    w0, _ = longest_element(A2)
-    g = sample_cell(A2, w0, w0, rng)
+    g = _divided(*sample_cell(A2, _family(A2, OPEN_CELL_A2), rng)[:2])
     assert det(g) == 1
-    for spec in nonvanishing_conditions(A2, w0, w0):
+    for spec in nonvanishing_conditions(A2, OPEN_CELL_A2):
         assert evaluate_minor(spec, g) != 0
     # the four open-cell conditions include x13 and x31
     assert g[0][2] != 0 and g[2][0] != 0
 
 
 def test_sample_cell_identity_for_trivial_pair():
-    e = WeylElement.identity(A2)
     ident = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    for spec in nonvanishing_conditions(A2, e, e):
+    for spec in nonvanishing_conditions(A2, ()):
         assert evaluate_minor(spec, ident) != 0
 
 
@@ -578,20 +623,15 @@ def reference_tp_failures(cartan, word, gs, clusters):
 def test_tp_criterion_check_messages_match_per_cluster_loop(monkeypatch):
     # det-one matrices with nonzero family minors, some of them negative:
     # cell samples for the family, which are not totally positive
-    specs = double_bruhat._cell_setup(A3, OPEN_CELL_A3)[2]
-    w0, _ = longest_element(A3)
+    specs = _family(A3, OPEN_CELL_A3)
     rng = random.Random(5)
-    gs = [sample_cell(A3, w0, w0, rng, extra_nonzero=specs) for _ in range(4)]
+    samples = [sample_cell(A3, specs, rng)[:2] for _ in range(4)]
+    gs = [_divided(h, den) for h, den in samples]
     for g in gs:
         minors = [evaluate_minor(spec, g) for spec in specs]
         assert 0 not in minors and any(v < 0 for v in minors)
 
-    def integral(g):
-        """g as an integer matrix and the denominator it is to be divided by."""
-        den = lcm(*(x.denominator for row in g for x in row))
-        return [[int(x * den) for x in row] for row in g], den
-
-    draws = map(integral, gs)
+    draws = iter(samples)
     monkeypatch.setattr(
         double_bruhat, "sample_totally_positive", lambda cartan, word, rng: next(draws)
     )
@@ -719,10 +759,11 @@ def elementary_matrix(size, i, t, upper):
     return m
 
 
-def reference_sample_cell(cartan, u, v, rng, extra_nonzero=(), tries=200):
-    """lower-unitriangular x diagonal x upper-unitriangular, multiplied out."""
+def reference_sample_cell(cartan, word, rng, extra_nonzero=(), tries=200):
+    """lower-unitriangular x diagonal x upper-unitriangular, multiplied out,
+    until the word's open-cell minors and ``extra_nonzero`` are nonzero."""
     size = cartan.rank + 1
-    conditions = nonvanishing_conditions(cartan, u, v) + list(extra_nonzero)
+    conditions = nonvanishing_conditions(cartan, word) + list(extra_nonzero)
     for _ in range(tries):
         lo, up = (
             [
@@ -758,15 +799,16 @@ def reference_sample_totally_positive(cartan, word, rng):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_samplers_match_full_matrix_products(r):
     cartan = cartan_data(f"A{r}")
-    w0, reduced = longest_element(cartan)
+    _, reduced = longest_element(cartan)
     word = tuple(-x for x in reduced) + tuple(reduced)
     iw = indexed_word(cartan, word)
     specs = [minor_spec(iw, cartan, k) for k in iw.positions()]
     for s in range(20):
         rng, ref = random.Random(s), random.Random(s)
-        assert sample_cell(cartan, w0, w0, rng, extra_nonzero=specs) == (
-            reference_sample_cell(cartan, w0, w0, ref, extra_nonzero=specs)
-        )
+        h, den, minors = sample_cell(cartan, specs, rng)
+        g = reference_sample_cell(cartan, word, ref, extra_nonzero=specs)
+        assert _divided(h, den) == g
+        assert _over_den(specs, minors, den) == [evaluate_minor(spec, g) for spec in specs]
         assert _divided(*sample_totally_positive(cartan, word, rng)) == (
             reference_sample_totally_positive(cartan, word, ref)
         )

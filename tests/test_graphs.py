@@ -617,6 +617,26 @@ def test_classify_d4():
     assert out.type_name == "D4"
 
 
+# Regression pins with no outside source: the number of diagram classes the
+# search keeps on each bipartite matrix.  C4 has the diagram of B4, so it
+# is reported as B4.
+@pytest.mark.parametrize(
+    "name, summary",
+    [
+        ("E6", ("finite", "E6", 67)),
+        ("E8", ("finite", "E8", 1574)),
+        ("B3", ("finite", "B3", 5)),
+        ("B4", ("finite", "B4", 14)),
+        ("C4", ("finite", "B4", 14)),
+        ("F4", ("finite", "F4", 8)),
+        ("G2", ("finite", "G2", 1)),
+    ],
+)
+def test_classify_bipartite_pins(name, summary):
+    out = classify_finite_type(bipartite_seed(name).matrix)
+    assert (out.verdict, out.type_name, out.nodes) == summary
+
+
 def test_classify_markov_infinite_at_depth_zero():
     out = classify_finite_type(ExchangeMatrix.make(MARKOV))
     assert out.verdict == "infinite"
