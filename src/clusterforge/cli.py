@@ -36,11 +36,22 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _radius(text: str) -> int:
-    """--radius and --depth: a tree of radius R has 3 * 2^(R+1) - 2 vertices."""
-    if _count(text) > 14:
-        raise argparse.ArgumentTypeError(f"expected at most 14, got {text!r}")
-    return int(text)
+def _capped(cap: int):
+    """argparse type of a count whose cost is exponential in it: as _count,
+    and at most cap."""
+
+    def capped_count(text: str) -> int:
+        if _count(text) > cap:
+            raise argparse.ArgumentTypeError(f"expected at most {cap}, got {text!r}")
+        return int(text)
+
+    return capped_count
+
+
+# --radius and --depth: a tree of radius R has 3 * 2^(R+1) - 2 vertices
+_radius = _capped(14)
+# diffcomb --size: the check walks 2^s subsets, each +2 costs 6-7x the time
+_size = _capped(16)
 
 
 def _rationals(text: str) -> tuple:
@@ -326,7 +337,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_tropical)
 
     p = sub.add_parser("diffcomb", help="verify the cyclic subset identity")
-    p.add_argument("--size", type=_count, required=True)
+    p.add_argument("--size", type=_size, required=True)
     p.set_defaults(fn=_cmd_diffcomb)
 
     p = sub.add_parser("roots", help="positive roots of a finite type")

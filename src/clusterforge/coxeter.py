@@ -1,10 +1,9 @@
 """Cartan matrices, finite root systems, Weyl groups and reduced words.
 
 Weyl elements act on simple-root coordinates as integer matrices, so every
-length is computed exactly by counting positive roots sent negative; type A
-additionally carries the permutation realization used for minor row and
-column sets.  Conventions: the Cartan matrix entry a_ij pairs the j-th
-simple root with the i-th coroot, and the reflection acts by
+length is computed exactly by counting positive roots sent negative.
+Conventions: the Cartan matrix entry a_ij pairs the j-th simple root with
+the i-th coroot, and the reflection acts by
 s_i(alpha_j) = alpha_j - a_ij * alpha_i.
 """
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .util import mat_mul, symmetrizer
+from .util import mat_mul
 
 
 class NotFiniteType(ValueError):
@@ -24,10 +23,6 @@ class NotFiniteType(ValueError):
 
 class NotBipartiteTree(ValueError):
     """The Dynkin graph is not a connected tree, so no bipartite word exists."""
-
-
-class SubsetFormOnlyTypeA(TypeError):
-    """Row/column subsets of fundamental weights exist only in type A here."""
 
 
 _ROOT_CAP = 512
@@ -87,12 +82,11 @@ def cartan_entries(family: str, r: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class CartanData:
-    """A finite-type Cartan matrix with its symmetrizer and positive roots."""
+    """A finite-type Cartan matrix with its positive roots."""
 
     name: str
     rank: int
     A: tuple  # rows a_ij
-    d: tuple  # positive integer symmetrizer, d_i a_ij = d_j a_ji
     positive_roots: tuple  # integer vectors in simple-root coordinates
 
     @property
@@ -147,7 +141,6 @@ def cartan_data(type_name: str) -> CartanData:
         name=type_name,
         rank=r,
         A=tuple(tuple(row) for row in A),
-        d=symmetrizer(A),
         positive_roots=roots,
     )
 
@@ -161,35 +154,21 @@ def _identity(r: int) -> tuple:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Group element as its action on simple-root coordinates.
-
-    ``perm`` is the permutation realization (images of 1..r+1), carried in
-    type A only.
-    """
+    """Group element as its action on simple-root coordinates."""
 
     cartan: CartanData
     matrix: tuple
-    perm: tuple | None = None
 
     @staticmethod
     def identity(cartan: CartanData) -> "WeylElement":
-        perm = tuple(range(1, cartan.rank + 2)) if cartan.family == "A" else None
-        return WeylElement(cartan, _identity(cartan.rank), perm)
+        return WeylElement(cartan, _identity(cartan.rank))
 
     @staticmethod
     def simple(cartan: CartanData, i: int) -> "WeylElement":
-        perm = None
-        if cartan.family == "A":
-            p = list(range(1, cartan.rank + 2))
-            p[i], p[i + 1] = p[i + 1], p[i]
-            perm = tuple(p)
-        return WeylElement(cartan, cartan.simple_reflection_matrix(i), perm)
+        return WeylElement(cartan, cartan.simple_reflection_matrix(i))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        perm = None
-        if self.perm is not None and other.perm is not None:
-            perm = tuple(self.perm[x - 1] for x in other.perm)
-        return WeylElement(self.cartan, mat_mul(self.matrix, other.matrix), perm)
+        return WeylElement(self.cartan, mat_mul(self.matrix, other.matrix))
 
     def apply_root(self, beta: Sequence[int]) -> tuple:
         r = self.cartan.rank
@@ -305,10 +284,3 @@ def bipartite_longest_word(cartan: CartanData) -> tuple[int, ...]:
     if len(word) != len(cartan.positive_roots) or not is_reduced(word, cartan):
         raise AssertionError("bipartite word failed verification")
     return tuple(word)
-
-
-def fundamental_subset(w: WeylElement, i: int) -> frozenset:
-    """Type A only: the set w([1, i]) of row or column indices in [1, r+1]."""
-    if w.perm is None:
-        raise SubsetFormOnlyTypeA("permutation realization available in type A only")
-    return frozenset(w.perm[k] for k in range(i))

@@ -1,10 +1,10 @@
 """Combinatorics and exact numerics of double Bruhat cells.
 
-From a double reduced word this module builds the interaction graph and
-the extended exchange matrix (two independent code paths), the partial
-Weyl products and minor specifications, and verifies the induced cluster
-structure numerically on random rational matrices of determinant one.
-All evaluation is exact over Q.
+From a double reduced word this module builds the interaction graph, the
+extended exchange matrix (two independent code paths) and the minor row
+and column sets, and verifies the induced cluster structure numerically
+on random rational matrices of determinant one.  All evaluation is exact
+over Q.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from itertools import islice, takewhile
 from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
-from .coxeter import (
-    CartanData,
-    SubsetFormOnlyTypeA,
-    WeylElement,
-    fundamental_subset,
-    is_reduced,
-)
+from .coxeter import CartanData, is_reduced
 from .graphs import exchange_seeds
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
 from .util import bareiss, mat_mul, parallel_map
@@ -34,6 +28,10 @@ class InvalidWord(ValueError):
 
 class SamplingExhausted(RuntimeError):
     """Retry budget spent without meeting the nonvanishing conditions."""
+
+
+class SubsetFormOnlyTypeA(TypeError):
+    """Row/column subsets of fundamental weights exist only in type A here."""
 
 
 @dataclass(frozen=True)
@@ -228,25 +226,7 @@ def gamma_tilde_dot(g: GammaTilde) -> str:
     return "\n".join(lines + ["}"])
 
 
-# -- partial products and minors -----------------------------------------------
-
-
-def partial_products(
-    iw: IndexedWord, cartan: CartanData, k: int
-) -> tuple[WeylElement, WeylElement]:
-    """The pair (u_{<=k}, v_{>k}): the negative letters up to position k in
-    word order and the positive letters after it from the right end.  A
-    sentinel position k < 0 reads as k = 0, which gives (e, v^{-1})."""
-    k = max(k, 0)
-    u = WeylElement.identity(cartan)
-    for l in range(1, k + 1):
-        if iw.word[l - 1] < 0:
-            u = u * WeylElement.simple(cartan, -iw.word[l - 1] - 1)
-    v = WeylElement.identity(cartan)
-    for l in range(iw.N, k, -1):
-        if iw.word[l - 1] > 0:
-            v = v * WeylElement.simple(cartan, iw.word[l - 1] - 1)
-    return u, v
+# -- minors -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -258,11 +238,25 @@ class MinorSpec:
 
 
 def minor_spec(iw: IndexedWord, cartan: CartanData, k: int) -> MinorSpec:
+    """Rows u([1, i]) and columns v([1, i]) of the minor at position k, for
+    i = |i_k| and the permutations u = u_{<=k}, v = v_{>k}^{-1} of 1..r+1.
+
+    Letter a applied on the right swaps entries a and a + 1.  u takes the
+    negated negative letters up to k in word order, v the positive letters
+    after k from the right end; a sentinel k < 0 reads as k = 0.
+    """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("minor row/column sets exist in type A only")
-    u, v = partial_products(iw, cartan, k)
     i = abs(iw.letter(k))
-    return MinorSpec(fundamental_subset(u, i), fundamental_subset(v, i))
+    k = max(k, 0)
+    u, v = list(range(1, iw.r + 2)), list(range(1, iw.r + 2))
+    for perm, letters in (
+        (u, [-x for x in iw.word[:k] if x < 0]),
+        (v, [x for x in reversed(iw.word[k:]) if x > 0]),
+    ):
+        for a in letters:
+            perm[a - 1], perm[a] = perm[a], perm[a - 1]
+    return MinorSpec(frozenset(u[:i]), frozenset(v[:i]))
 
 
 def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:

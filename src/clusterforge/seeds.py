@@ -82,7 +82,10 @@ class ExchangeMatrix:
             raise ValueError(f"btilde {btilde!r} is not a list of lists")
         # decimal strings carry integers of any size, as in LaurentPoly JSON
         rows = [[decimal_int(x) if type(x) is str else x for x in r] for r in btilde]
+        # a labels key must hold a list: null is not read as "no labels"
         labels = data.get("labels")
+        if "labels" in data and type(labels) is not list:
+            raise ValueError(f"labels {labels!r} are not a list of strings")
         mat = ExchangeMatrix.make(rows, labels)
         for key, size in (("n", mat.n), ("m", mat.m)):
             given = data.get(key, size)

@@ -41,3 +41,24 @@ def sl3_matrix():
 @pytest.fixture
 def markov_seed():
     return general_seed(MARKOV)
+
+
+def type_a_permutation(w):
+    """The images (w(1), ..., w(r+1)) of a type A Weyl element, read off its
+    matrix: column j is w(alpha_j) = e_{w(j)} - e_{w(j+1)}, a run of equal
+    signs on the simple-root coordinates [a, b], which gives the pair
+    (w(j), w(j+1)) = (a, b + 1) when positive and (b + 1, a) when negative."""
+    r = w.cartan.rank
+    perm = []
+    for j in range(r):
+        col = [w.matrix[i][j] for i in range(r)]
+        run = [i + 1 for i in range(r) if col[i]]
+        a, b = run[0], run[-1]
+        sign = col[a - 1]
+        assert run == list(range(a, b + 1)) and {col[i - 1] for i in run} == {sign}
+        assert sign in (1, -1)
+        first, second = (a, b + 1) if sign > 0 else (b + 1, a)
+        perm = perm or [first]
+        assert perm[-1] == first
+        perm.append(second)
+    return tuple(perm)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -333,6 +334,9 @@ def _ab_member(num):
         # nested in --num (else the verdict is on x1, not 1/x1), a term key
         ["mutate", "--matrix", '{"btilde": [[0,1],[-1,0]], "lables": ["a","b"]}',
          "--directions", "1"],
+        # a labels key that is not a list is an error, not "no labels"
+        ["mutate", "--matrix", '{"btilde": [[0,1],[-1,0]], "labels": null}',
+         "--directions", "1"],
         _ab_member('{"vars": ["a", "b"], "terms": [{"exp": [1, 0], "coef": 1}], '
                    '"den": {"vars": ["a", "b"], "terms": [{"exp": [2, 0], "coef": 1}]}}'),
         _ab_member('{"vars": ["a", "b"], "terms": [{"exp": [1, 0], "coef": 1, "junk": 0}]}'),
@@ -348,8 +352,8 @@ def _ab_member(num):
     ids=["float-entry", "bool-entry", "label-count", "string-rows-mutate",
          "string-rows-acyclic", "string-btilde", "bool-n", "float-m",
          "string-vars", "int-var", "string-terms", "object-terms",
-         "misspelt-labels", "nested-den", "term-key", "btilde-output-seed",
-         "straighten-frozen-rows"],
+         "misspelt-labels", "null-labels", "nested-den", "term-key",
+         "btilde-output-seed", "straighten-frozen-rows"],
 )
 def test_malformed_matrix_exits_2(capsys, argv):
     code = main(argv)
@@ -395,6 +399,31 @@ def test_tropical_tree_size_is_bounded(capsys, option):
     assert "expected at most 14" in err
     # 14 is accepted; running it would build about 98,000 tree vertices
     assert cli._radius("14") == 14
+
+
+def test_diffcomb_size_is_bounded(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diffcomb", "--size", "17"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert "expected at most 16" in err
+    # 16 is accepted; running it walks 65,536 subsets
+    assert cli.build_parser().parse_args(["diffcomb", "--size", "16"]).size == 16
+
+
+def test_every_typed_option_validates_in_cli():
+    # README: integer options take ASCII integers >= 0, which the builtin
+    # int (it reads "-1", " 7 " and "1_0") would not enforce
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    typed = []
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.type is not None:
+                typed.append((command, action.option_strings[0]))
+                assert action.type not in (int, float), typed[-1]
+                assert action.type.__module__ == cli.__name__, typed[-1]
+    assert ("verify-cell", "--samples") in typed and ("diffcomb", "--size") in typed
 
 
 @pytest.mark.parametrize(

@@ -4,17 +4,17 @@ import pytest
 
 from clusterforge.coxeter import (
     NotFiniteType,
-    SubsetFormOnlyTypeA,
-    WeylElement,
     bipartite_longest_word,
     cartan_data,
     coxeter_element,
     coxeter_number,
-    fundamental_subset,
     is_reduced,
     longest_element,
     word_product,
 )
+from clusterforge.util import symmetrizer
+
+from conftest import type_a_permutation
 
 
 def test_positive_root_counts():
@@ -27,12 +27,12 @@ def test_positive_root_counts():
 
 
 def test_symmetrizers():
-    assert cartan_data("A3").d == (1, 1, 1)
-    assert cartan_data("B2").d == (1, 2)
-    assert cartan_data("G2").d == (3, 1)
-    assert cartan_data("C3").d == (2, 2, 1)
-    assert cartan_data("D4").d == (1, 1, 1, 1)
-    assert cartan_data("F4").d == (1, 1, 2, 2)
+    assert symmetrizer(cartan_data("A3").A) == (1, 1, 1)
+    assert symmetrizer(cartan_data("B2").A) == (1, 2)
+    assert symmetrizer(cartan_data("G2").A) == (3, 1)
+    assert symmetrizer(cartan_data("C3").A) == (2, 2, 1)
+    assert symmetrizer(cartan_data("D4").A) == (1, 1, 1, 1)
+    assert symmetrizer(cartan_data("F4").A) == (1, 1, 2, 2)
 
 
 def test_reduced_words_a2():
@@ -76,33 +76,15 @@ def test_bipartite_words_golden():
     assert bipartite_longest_word(cartan_data("A2")) == (1, 2, 1)
 
 
-def test_fundamental_subsets_a2():
-    A = cartan_data("A2")
-    e = WeylElement.identity(A)
-    w0, _ = longest_element(A)
-    s1s2 = word_product(A, (1, 2))
-    assert fundamental_subset(e, 2) == frozenset({1, 2})
-    assert fundamental_subset(w0, 1) == frozenset({3})
-    assert fundamental_subset(s1s2, 2) == frozenset({2, 3})
-
-
-def test_subset_form_refused_outside_type_a():
-    B = cartan_data("B2")
-    with pytest.raises(SubsetFormOnlyTypeA):
-        fundamental_subset(WeylElement.identity(B), 1)
-
-
 def test_matrix_and_permutation_lengths_agree():
     A = cartan_data("A3")
     rng = random.Random(17)
     for _ in range(1000):
         word = [rng.randint(1, 3) for _ in range(rng.randint(0, 8))]
         w = word_product(A, word)
+        perm = type_a_permutation(w)
         inversions = sum(
-            1
-            for a in range(1, 5)
-            for b in range(a + 1, 5)
-            if w.perm[a - 1] > w.perm[b - 1]
+            1 for a in range(4) for b in range(a + 1, 4) if perm[a] > perm[b]
         )
         assert w.length() == inversions
 

@@ -13,7 +13,6 @@ import pytest
 from clusterforge.coxeter import (
     WeylElement,
     cartan_data,
-    fundamental_subset,
     is_reduced,
     longest_element,
     word_product,
@@ -35,7 +34,6 @@ from clusterforge.double_bruhat import (
     integer_minors,
     minor_spec,
     open_cell_a2_closed_forms,
-    partial_products,
     sample_cell,
     sample_totally_positive,
     seed_from_btilde,
@@ -48,9 +46,9 @@ from clusterforge.cli import main
 from clusterforge.graphs import explore_exchange_graph
 from clusterforge.laurent import LaurentPoly
 from clusterforge.seeds import rank, seed_mutate, skew_symmetrizer
-from clusterforge.util import mat_mul
+from clusterforge.util import mat_mul, symmetrizer
 
-from conftest import SL3_ROWS
+from conftest import SL3_ROWS, type_a_permutation
 
 
 A2 = cartan_data("A2")
@@ -210,22 +208,12 @@ def test_symmetrizer_from_cartan_data():
         return bt.rows[bt.row_labels.index(k)][bt.col_labels.index(l)]
 
     # d_{|i_k|} |b_kl| = d_{|i_l|} |b_lk| on exchangeable pairs
+    d = symmetrizer(A3.A)
     for k in bt.col_labels:
         for l in bt.col_labels:
-            dk = A3.d[abs(iw.letter(k)) - 1]
-            dl = A3.d[abs(iw.letter(l)) - 1]
+            dk = d[abs(iw.letter(k)) - 1]
+            dl = d[abs(iw.letter(l)) - 1]
             assert dk * abs(entry(k, l)) == dl * abs(entry(l, k))
-
-
-def test_partial_products_running_word():
-    iw = indexed_word(A2, OPEN_CELL_A2)
-    u4, v4 = partial_products(iw, A2, 4)
-    assert u4.matrix == WeylElement.simple(A2, 0).matrix
-    assert v4.is_identity()
-    um2, vm2 = partial_products(iw, A2, -2)
-    assert um2.is_identity()
-    w0, _ = longest_element(A2)
-    assert vm2.matrix == w0.matrix
 
 
 def test_minor_specs_running_word():
@@ -243,6 +231,44 @@ def test_minor_specs_running_word():
     for k, (rows, cols) in expected.items():
         spec = minor_spec(iw, A2, k)
         assert (set(spec.rows), set(spec.cols)) == (rows, cols)
+
+
+def random_double_word(cartan, rng):
+    """Two reduced words of random length, each grown by random ascents,
+    shuffled together as a double word."""
+    subwords = []
+    for _ in range(2):
+        w, word = WeylElement.identity(cartan), []
+        for _ in range(rng.randint(0, len(cartan.positive_roots))):
+            steps = [w * WeylElement.simple(cartan, i) for i in range(cartan.rank)]
+            i = rng.choice([i for i, x in enumerate(steps) if x.length() > w.length()])
+            w, word = steps[i], word + [i + 1]
+        subwords.append(word)
+    neg, pos = subwords
+    slots = [True] * len(neg) + [False] * len(pos)
+    rng.shuffle(slots)
+    negs, poss = iter(neg), iter(pos)
+    return tuple(-next(negs) if s else next(poss) for s in slots)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_minor_specs_match_weyl_matrices(r):
+    # oracle: the row and column sets read off the Weyl matrices of u_{<=k}
+    # and of v_{>k}^{-1} = the positive letters after k, right end first
+    cartan = cartan_data(f"A{r}")
+    rng = random.Random(r)
+    for _ in range(150):
+        iw = indexed_word(cartan, random_double_word(cartan, rng))
+        for k in iw.positions():
+            cut = max(k, 0)
+            before, after = iw.word[:cut], iw.word[cut:]
+            u = word_product(cartan, [-x for x in before if x < 0])
+            v = word_product(cartan, [x for x in reversed(after) if x > 0])
+            i = abs(iw.letter(k))
+            expected = MinorSpec(
+                frozenset(type_a_permutation(u)[:i]), frozenset(type_a_permutation(v)[:i])
+            )
+            assert minor_spec(iw, cartan, k) == expected, (iw.word, k)
 
 
 def test_evaluate_minor_identity_matrix():
@@ -345,13 +371,13 @@ def _family(cartan, word):
 def nonvanishing_conditions(cartan, word):
     """The 2r open-cell conditions of the word's cell (u, v): the minors at
     (u w_i, w_i) and (w_i, v^{-1} w_i), with u and v^{-1} multiplied out."""
-    u = word_product(cartan, [-x for x in word if x < 0])
-    vinv = word_product(cartan, [x for x in reversed(word) if x > 0])
-    e = WeylElement.identity(cartan)
+    u = type_a_permutation(word_product(cartan, [-x for x in word if x < 0]))
+    vinv = type_a_permutation(word_product(cartan, [x for x in reversed(word) if x > 0]))
     specs = []
     for i in range(1, cartan.rank + 1):
-        specs.append(MinorSpec(fundamental_subset(u, i), fundamental_subset(e, i)))
-        specs.append(MinorSpec(fundamental_subset(e, i), fundamental_subset(vinv, i)))
+        e = frozenset(range(1, i + 1))
+        specs.append(MinorSpec(frozenset(u[:i]), e))
+        specs.append(MinorSpec(e, frozenset(vinv[:i])))
     return specs
 
 

@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter, deque
 from itertools import islice, permutations
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 
@@ -949,6 +949,29 @@ def test_explore_denominators_are_the_positive_roots(name):
                           for key, e in found.items() if key not in initial)
     assert denominators == sorted(cartan_data(name).positive_roots)
     assert all(c > 0 for e in found.values() for c in e.terms.values())
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4",
+                                  "C3", "C4", "D4", "D5", "D6", "F4", "G2", "E6",
+                                  pytest.param("E7", marks=pytest.mark.slow)])
+def test_explore_counts_match_the_generalized_catalan_numbers(name):
+    # FZ, Y-systems and generalized associahedra: a finite type of rank n
+    # with Coxeter number h and exponents e_i has prod (h + e_i + 1)/(e_i + 1)
+    # clusters and n(h + 2)/2 cluster variables.  h - 1 is the largest root
+    # height, and the exponents are the partition dual to the multiplicities
+    # of the heights (Kostant).
+    cartan = cartan_data(name)
+    heights = [sum(beta) for beta in cartan.positive_roots]
+    h = max(heights) + 1
+    mult = [heights.count(k) for k in range(h + 1)]
+    exponents = [k for k in range(1, h) for _ in range(mult[k] - mult[k + 1])]
+    assert len(exponents) == cartan.rank
+    top, bottom = prod(h + e + 1 for e in exponents), prod(e + 1 for e in exponents)
+    assert top % bottom == 0
+    clusters = top // bottom
+    rep = explore_exchange_graph(bipartite_seed(name))
+    assert rep.exhausted
+    assert (rep.clusters, rep.variables) == (clusters, cartan.rank * (h + 2) // 2)
 
 
 def test_explore_e6_census():
