@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from itertools import islice
-from operator import add
+from operator import add, neg
 from typing import Iterator, Sequence
 
 from .coxeter import cartan_entries
@@ -439,8 +439,7 @@ class ExplorationReport:
     """Census of the exchange graph reachable from a seed.
 
     ``mutations`` is clusters * n: the edge traversals, from both ends, of
-    a BFS that mutates every counted seed in every direction.  Each
-    distinct exchange relation is divided once (see exchange_seeds).
+    a BFS that mutates every counted seed in every direction.
     """
 
     clusters: int
@@ -456,6 +455,11 @@ class ExplorationReport:
 def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     """BFS over seeds: yield (seed, depth) per newly reached cluster, in order.
 
+    The Laurent census: each cluster variable is named by its expression in
+    the initial extended cluster, so it serves every seed, with frozen rows,
+    formal coefficients or a matrix that is not skew-symmetrizable, and it
+    is the search that hands out the expressions (tp-check reads them).
+    Each seed is expanded in the directions 0..n-1 in turn.
     Clusters are deduplicated as unordered sets of expression ids, starting
     with the initial seed at depth 0.  Each exchange relation is divided
     once: x'_k = P_k / x_k, and P_k is the sum of the products of the other
@@ -527,19 +531,86 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
                 yield s2, depth + 1
 
 
-def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:
-    """Census of the first max_seeds clusters of exchange_seeds (at least one).
+class NotSignCoherent(ArithmeticError):
+    """A c-vector with a positive and a negative entry."""
 
+
+def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
+    """The BFS of exchange_seeds on integers: yield (g-vectors, depth).
+
+    For a skew-symmetrizable seed with no frozen rows.  Each cluster is
+    the tuple of the g-vectors of its variables, position by position, in
+    the initial seed's basis (Fomin-Zelevinsky, *Cluster algebras IV*,
+    math/0602259, Section 6).  A seed is held as its extended matrix
+    [B; C], where the n frozen rows C start as the identity and their
+    columns are the c-vectors.  Mutation in direction k takes
+    g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the sign of c_k
+    (Nakanishi-Zelevinsky, arXiv 1101.3736, Prop. 1.3), and matrix_mutate
+    mutates [B; C].  Both formulas need c_k to be sign-coherent, so every
+    edge checks it and raises NotSignCoherent otherwise.
+
+    A cluster variable is determined by its g-vector, and c-vectors are
+    sign-coherent (conjectured in FZ IV, proved by Gross-Hacking-Keel-
+    Kontsevich, arXiv 1411.1394), so sets of g-vectors name clusters
+    exactly and no Laurent polynomial is needed.  Seeds are expanded in
+    the order of exchange_seeds, so the clusters arrive in its order, at
+    its depths, with each position's g-vector naming the variable that
+    exchange_seeds holds there.  g'_k is computed and looked up first;
+    the matrix is mutated only when the cluster is new, so the sign-skew-
+    symmetry check of matrix_mutate runs once per cluster (by FZ I,
+    Prop. 4.5, it cannot fail on skew-symmetrizable input).
+    """
+    n = seed.n
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    ids = {g: i for i, g in enumerate(identity)}
+    cids = tuple(range(n))
+    visited = {frozenset(cids)}
+    queue = deque([(ExchangeMatrix.make(seed.matrix.entries + identity), identity, cids, 0)])
+    yield identity, 0
+    while queue:
+        M, cluster, cids, depth = queue.popleft()
+        for k, column in enumerate(zip(*M.entries)):
+            c = column[n:]
+            positive = max(c) > 0
+            if positive and min(c) < 0:
+                raise NotSignCoherent(f"c-vector {c} at direction {k}")
+            g = [-x for x in cluster[k]]
+            # -e b_ik over the n cluster rows, where zip stops
+            for b, gi in zip(map(neg, column) if positive else column, cluster):
+                if b > 0:
+                    g = [x + b * y for x, y in zip(g, gi)]
+            g = tuple(g)
+            reached_ids = cids[:k] + (ids.setdefault(g, len(ids)),) + cids[k + 1:]
+            key = frozenset(reached_ids)
+            if key not in visited:
+                visited.add(key)
+                reached = cluster[:k] + (g,) + cluster[k + 1:]
+                queue.append((matrix_mutate(M, k), reached, reached_ids, depth + 1))
+                yield reached, depth + 1
+
+
+def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:
+    """Census of the first max_seeds clusters of the seed BFS (at least one).
+
+    A skew-symmetrizable seed with no frozen rows (m = n) and no formal
+    coefficients is counted by gvector_seeds, on integers, with each
+    variable named by its g-vector.  Every other seed is counted by
+    exchange_seeds, with each variable named by its Laurent expression.
+    Both searches reach the same clusters in the same order, so the report
+    is the same either way.  ``variables`` counts the distinct names.
     ``exhausted`` says that no further cluster exists.  Every counted seed
     has all n directions, so ``mutations`` is clusters * n.
     """
-    search = exchange_seeds(seed)
+    if seed.m == seed.n and not seed.general and is_skew_symmetrizable(seed.matrix):
+        search = gvector_seeds(seed)
+    else:
+        search = ((tuple(e.key() for e in s.exprs), depth)
+                  for s, depth in exchange_seeds(seed))
     found = list(islice(search, max(1, max_seeds)))
     return ExplorationReport(
         clusters=len(found),
-        variables=len({e.key() for s, _ in found for e in s.exprs}),
+        variables=len({v for cluster, _ in found for v in cluster}),
         mutations=len(found) * seed.n,
         exhausted=next(search, None) is None,
         max_depth=max(depth for _, depth in found),
     )
-

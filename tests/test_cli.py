@@ -1,9 +1,10 @@
 import argparse
 import json
+import time
 
 import pytest
 
-from clusterforge import cli
+from clusterforge import cli, graphs, seeds
 from clusterforge.cli import main
 from clusterforge.laurent import LaurentPoly
 from clusterforge.seeds import ExchangeMatrix
@@ -246,10 +247,40 @@ def test_error_exit_2(capsys):
 
 
 def test_out_of_range_direction_exits_2(capsys):
-    code = main(["mutate", "--matrix", "[[0,1],[-1,0]]", "--directions", "3"])
+    # the direction as typed, and the 1-based range of a 2-column matrix
+    for directions, bad in (("3", 3), ("0", 0), ("-1", -1), ("1 3", 3)):
+        code = main(["mutate", "--matrix", "[[0,1],[-1,0]]", "--directions", directions])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: IndexError: direction {bad} out of range 1..2\n"
+
+
+@pytest.mark.parametrize("matrix, report", [
+    ([[0, 2], [-2, 0]], {"clusters": 10_000, "variables": 10_001, "max_depth": 5_000}),
+    (MARKOV, {"clusters": 10_000, "variables": 10_002, "max_depth": 12}),
+])
+def test_infinite_types_reach_the_default_cap(capsys, matrix, report):
+    start = time.perf_counter()
+    code, data = run(capsys, "explore", "--seed", json.dumps(matrix))
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and not data["exhausted"]
+    assert {key: data[key] for key in report} == report
+
+
+def test_c_vector_without_sign_coherence_exits_2(capsys, monkeypatch):
+    # a mutation that negates the entry of the first frozen row in column 1:
+    # after the first mutation at direction 0, c_1 = (1, 1) reads (-1, 1)
+    def corrupted(B, k):
+        out = seeds.matrix_mutate(B, k)
+        rows = [list(r) for r in out.entries]
+        rows[out.n][1] = -rows[out.n][1]
+        return ExchangeMatrix.make(rows, out.labels)
+
+    monkeypatch.setattr(graphs, "matrix_mutate", corrupted)
+    code = main(["explore", "--seed", "[[0,1],[-1,0]]"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith("error: IndexError: ")
+    assert err.startswith("error: NotSignCoherent: ")
 
 
 def test_non_type_a_cell_exits_2(capsys):

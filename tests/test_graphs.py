@@ -1,7 +1,7 @@
 import random
 import time
 from collections import Counter, deque
-from itertools import islice, permutations
+from itertools import islice, permutations, zip_longest
 from math import comb, gcd, prod
 
 import pytest
@@ -20,6 +20,7 @@ from clusterforge.graphs import (
     dynkin_name,
     exchange_seeds,
     explore_exchange_graph,
+    gvector_seeds,
     is_acyclic,
     relabel_matrix,
 )
@@ -799,6 +800,7 @@ def bipartite_seed(type_name):
 
 
 def test_explore_divides_once_per_relation(monkeypatch):
+    # exchange_seeds itself: explore counts this seed by g-vectors, with no division
     calls = []
 
     def counting_mutate(seed, k):
@@ -806,8 +808,9 @@ def test_explore_divides_once_per_relation(monkeypatch):
         return seed_mutate(seed, k)
 
     monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
-    rep = explore_exchange_graph(bipartite_seed("A3"))
-    assert rep == ExplorationReport(14, 9, 42, True, 4)
+    found = list(exchange_seeds(bipartite_seed("A3")))
+    assert len(found) == 14
+    assert len({e.key() for s, _ in found for e in s.exprs}) == 9
     # 21 edges of the A3 associahedron, but 15 exchange relations: one per
     # exchangeable pair, a pair of crossing diagonals of the hexagon
     assert len(calls) == 15
@@ -951,9 +954,11 @@ def test_explore_denominators_are_the_positive_roots(name):
     assert all(c > 0 for e in found.values() for c in e.terms.values())
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4",
-                                  "C3", "C4", "D4", "D5", "D6", "F4", "G2", "E6",
-                                  pytest.param("E7", marks=pytest.mark.slow)])
+CATALAN_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "C4",
+                 "D4", "D5", "D6", "F4", "G2", "E6"]
+
+
+@pytest.mark.parametrize("name", CATALAN_TYPES + ["E7", "E8"])
 def test_explore_counts_match_the_generalized_catalan_numbers(name):
     # FZ, Y-systems and generalized associahedra: a finite type of rank n
     # with Coxeter number h and exponents e_i has prod (h + e_i + 1)/(e_i + 1)
@@ -969,14 +974,24 @@ def test_explore_counts_match_the_generalized_catalan_numbers(name):
     top, bottom = prod(h + e + 1 for e in exponents), prod(e + 1 for e in exponents)
     assert top % bottom == 0
     clusters = top // bottom
-    rep = explore_exchange_graph(bipartite_seed(name))
+    rep = explore_exchange_graph(bipartite_seed(name), max_seeds=30_000)
     assert rep.exhausted
     assert (rep.clusters, rep.variables) == (clusters, cartan.rank * (h + 2) // 2)
+    if name == "E8":
+        assert (rep.clusters, rep.variables, rep.max_depth) == (25_080, 128, 19)
 
 
-def test_explore_e6_census():
+def test_explore_e6_census(monkeypatch):
+    calls = []
+
+    def counting_mutate(seed, k):
+        calls.append(k)
+        return seed_mutate(seed, k)
+
+    monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
     rep = explore_exchange_graph(bipartite_seed("E6"))
     assert rep == ExplorationReport(833, 42, 4998, True, 11)
+    assert calls == []  # counted by g-vectors
 
 
 def test_e6_census_unpacks_only_quotients_and_interns_expressions(monkeypatch):
@@ -1008,10 +1023,88 @@ def test_explore_refuses_second_mutation_of_general_seed():
     )
 
 
-@pytest.mark.slow
 def test_explore_e7_census():
     rep = explore_exchange_graph(bipartite_seed("E7"))
     assert rep == ExplorationReport(4160, 70, 29120, True, 14)
+
+
+def _lockstep(seed, count):
+    """Zip the first count clusters of exchange_seeds and gvector_seeds.
+
+    Asserts that both searches end together, that each pair of clusters
+    has one depth, and that "position k holds the expression key e and the
+    g-vector g" is a bijection between keys and g-vectors.  Returns the
+    number of clusters compared.
+    """
+    relation = set()
+    pairs = list(islice(zip_longest(exchange_seeds(seed), gvector_seeds(seed)), count))
+    for laurent, integer in pairs:
+        assert laurent is not None and integer is not None
+        (s, depth), (gs, g_depth) = laurent, integer
+        assert depth == g_depth
+        relation |= {(e.key(), g) for e, g in zip(s.exprs, gs, strict=True)}
+    assert len(relation) == len({e for e, _ in relation}) == len({g for _, g in relation})
+    return len(pairs)
+
+
+def _randomly_mutated(name, rng_seed):
+    """The bipartite matrix of type name after 4 to 8 seeded random mutations."""
+    rng = random.Random(rng_seed)
+    B = bipartite_seed(name).matrix
+    for _ in range(rng.randint(4, 8)):
+        B = matrix_mutate(B, rng.randrange(B.n))
+    return B.entries
+
+
+INFINITE = {"Kronecker": ((0, 2), (-2, 0)), "A1(1,4)": ((0, 1), (-4, 0)),
+            "Markov": MARKOV, "acyclic triangle": ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))}
+
+
+@pytest.mark.parametrize("name", CATALAN_TYPES + [
+    # E7's Laurent side takes seconds, and E8's is out of reach
+    pytest.param("E7", marks=pytest.mark.slow),
+    *(f"{t} mutated {r}" for t in ("B3", "C4", "F4", "G2") for r in range(3)),
+    *INFINITE,
+])
+def test_gvector_census_matches_the_laurent_census(name):
+    # a cluster variable is determined by its g-vector, and c-vectors are
+    # sign-coherent (Gross-Hacking-Keel-Kontsevich, arXiv 1411.1394)
+    if name in INFINITE:
+        assert _lockstep(initial_seed(ExchangeMatrix.make(INFINITE[name])), 60) == 60
+    elif " mutated " in name:
+        t, _, r = name.split(" ")
+        rows = _randomly_mutated(t, int(r))
+        count = _lockstep(initial_seed(ExchangeMatrix.make(rows)), 100_000)
+        assert count == explore_exchange_graph(bipartite_seed(t)).clusters
+    else:
+        _lockstep(bipartite_seed(name), 100_000)
+
+
+@pytest.mark.parametrize("name", ["SL3", "general A1", "unsymmetrizable"])
+def test_frozen_formal_and_unsymmetrizable_seeds_take_the_laurent_census(monkeypatch, name):
+    calls = []
+
+    def counting_mutate(seed, k):
+        calls.append(k)
+        return seed_mutate(seed, k)
+
+    monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
+    if name == "SL3":
+        seed = initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS))
+        rep = ExplorationReport(50, 16, 200, True, 5)
+    elif name == "general A1":
+        seed, rep = general_seed([[0]]), ExplorationReport(2, 2, 2, True, 1)
+    else:
+        seed = initial_seed(ExchangeMatrix.make(UNSYMMETRIZABLE[name]))
+        rep = ExplorationReport(40, 32, 120, False, 6)
+    assert explore_exchange_graph(seed, max_seeds=rep.clusters) == rep
+    assert calls
+
+
+def test_explore_loses_sign_skew_symmetry_on_the_first_edge():
+    seed = initial_seed(ExchangeMatrix.make(UNSYMMETRIZABLE["lossy"]))
+    with pytest.raises(SignSkewSymmetryLost, match="direction 0"):
+        explore_exchange_graph(seed)
 
 
 def test_census_independent_of_start_seed():
