@@ -1,6 +1,5 @@
 import argparse
 import json
-import time
 
 import pytest
 
@@ -259,12 +258,23 @@ def test_out_of_range_direction_exits_2(capsys):
     ([[0, 2], [-2, 0]], {"clusters": 10_000, "variables": 10_001, "max_depth": 5_000}),
     (MARKOV, {"clusters": 10_000, "variables": 10_002, "max_depth": 12}),
 ])
-def test_infinite_types_reach_the_default_cap(capsys, matrix, report):
-    start = time.perf_counter()
+def test_infinite_types_reach_the_default_cap(capsys, monkeypatch, matrix, report):
+    # on integers only: one matrix mutation per cluster after the first and
+    # one for the cluster past the cap, and no Laurent mutation
+    calls = {"matrix_mutate": 0, "seed_mutate": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(graphs, name, counting(name, getattr(graphs, name)))
     code, data = run(capsys, "explore", "--seed", json.dumps(matrix))
-    assert time.perf_counter() - start < 2.0
     assert code == 1 and not data["exhausted"]
     assert {key: data[key] for key in report} == report
+    assert calls == {"matrix_mutate": report["clusters"], "seed_mutate": 0}
 
 
 def test_c_vector_without_sign_coherence_exits_2(capsys, monkeypatch):
