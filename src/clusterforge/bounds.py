@@ -189,7 +189,7 @@ def cycle_dependency(seed: Seed, cycle: Sequence[int]) -> dict:
 
 def _find_oriented_three_cycle(seed: Seed) -> tuple | None:
     """The lexicographically first oriented 3-cycle (i, j, k) of Gamma(B)."""
-    E = diagram_of(seed.matrix).weights.keys()
+    E = diagram_of(seed.matrix).keys()
     return next(
         ((i, j, k) for i, j in sorted(E) for k in range(seed.n) if {(j, k), (k, i)} <= E),
         None,

@@ -141,7 +141,7 @@ def _cmd_btilde(args) -> int:
     payload = bt.to_json()
     payload["direct_construction_agrees"] = bt.rows == check.rows
     payload["gamma_dot"] = double_bruhat.gamma_tilde_dot(
-        double_bruhat.build_gamma_tilde(iw, cartan)
+        iw, double_bruhat.build_gamma_tilde(iw, cartan)
     )
     _emit(payload)
     return 0

@@ -37,6 +37,8 @@ def cartan_entries(family: str, r: int) -> list[list[int]]:
         A[j][i] = aji
 
     if family == "A":
+        if r < 1:
+            raise ValueError("A requires rank >= 1")
         for i in range(r - 1):
             bond(i, i + 1)
     elif family == "B":
@@ -148,69 +150,38 @@ def cartan_data(type_name: str) -> CartanData:
 # -- Weyl elements -------------------------------------------------------------
 
 
-def _identity(r: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """Group element as its action on simple-root coordinates."""
-
-    cartan: CartanData
-    matrix: tuple
-
-    @staticmethod
-    def identity(cartan: CartanData) -> "WeylElement":
-        return WeylElement(cartan, _identity(cartan.rank))
-
-    @staticmethod
-    def simple(cartan: CartanData, i: int) -> "WeylElement":
-        return WeylElement(cartan, cartan.simple_reflection_matrix(i))
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.cartan, mat_mul(self.matrix, other.matrix))
-
-    def apply_root(self, beta: Sequence[int]) -> tuple:
-        r = self.cartan.rank
-        return tuple(
-            sum(self.matrix[i][j] * beta[j] for j in range(r)) for i in range(r)
-        )
-
-    def length(self) -> int:
-        """Number of positive roots sent to negative roots."""
-        count = 0
-        for beta in self.cartan.positive_roots:
-            img = self.apply_root(beta)
-            if all(x <= 0 for x in img):
-                count += 1
-        return count
-
-    def is_identity(self) -> bool:
-        return self.matrix == _identity(self.cartan.rank)
-
-
-def word_product(cartan: CartanData, word: Sequence[int]) -> WeylElement:
-    """Product of simple reflections; letters are 1-based indices."""
-    w = WeylElement.identity(cartan)
+def word_product(cartan: CartanData, word: Sequence[int]) -> tuple:
+    """Product of simple reflections as its matrix on simple-root
+    coordinates; letters are 1-based indices."""
+    r = cartan.rank
+    w = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
     for letter in word:
-        w = w * WeylElement.simple(cartan, abs(letter) - 1)
+        w = mat_mul(w, cartan.simple_reflection_matrix(abs(letter) - 1))
     return w
+
+
+def length(cartan: CartanData, w: Sequence[Sequence[int]]) -> int:
+    """Number of positive roots the Weyl matrix w sends to negative roots."""
+    return sum(
+        all(sum(x * b for x, b in zip(row, beta)) <= 0 for row in w)
+        for beta in cartan.positive_roots
+    )
 
 
 def is_reduced(word: Sequence[int], cartan: CartanData) -> bool:
     """A word is reduced iff the product's length equals the word length."""
-    return word_product(cartan, word).length() == len(word)
+    return length(cartan, word_product(cartan, word)) == len(word)
 
 
-def longest_element(cartan: CartanData) -> tuple[WeylElement, tuple[int, ...]]:
-    """Greedy ascent: append any letter that increases length until stuck."""
-    w = WeylElement.identity(cartan)
+def longest_element(cartan: CartanData) -> tuple[tuple, tuple[int, ...]]:
+    """Greedy ascent: append any letter that increases length until stuck.
+    Returns the matrix of w_0 and the reduced word found."""
+    w = word_product(cartan, ())
     word: list[int] = []
-    target = len(cartan.positive_roots)
-    while w.length() < target:
+    while len(word) < len(cartan.positive_roots):
         for i in range(cartan.rank):
-            cand = w * WeylElement.simple(cartan, i)
-            if cand.length() == w.length() + 1:
+            cand = mat_mul(w, cartan.simple_reflection_matrix(i))
+            if length(cartan, cand) == len(word) + 1:
                 w = cand
                 word.append(i + 1)
                 break
@@ -219,22 +190,11 @@ def longest_element(cartan: CartanData) -> tuple[WeylElement, tuple[int, ...]]:
     return w, tuple(word)
 
 
-def coxeter_element(cartan: CartanData) -> WeylElement:
-    """The Coxeter element s_1 s_2 ... s_n."""
-    return word_product(cartan, range(1, cartan.rank + 1))
-
-
 def coxeter_number(cartan: CartanData) -> int:
-    """Multiplicative order of a Coxeter element."""
-    c = coxeter_element(cartan)
-    power = c
-    h = 1
-    while not power.is_identity():
-        power = power * c
-        h += 1
-        if h > 2 * len(cartan.positive_roots) + 2:
-            raise AssertionError("Coxeter element order runaway")
-    return h
+    """The order h of a Coxeter element, as 2|Phi+| / r: an irreducible
+    root system of rank r has |Phi| = r h roots (Bourbaki, *Lie groups and
+    Lie algebras*, Ch. VI, Sec. 1.11, Prop. 33)."""
+    return 2 * len(cartan.positive_roots) // cartan.rank
 
 
 def dynkin_bipartition(cartan: CartanData) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -86,16 +86,10 @@ def indexed_word(cartan: CartanData, word: Sequence[int]) -> IndexedWord:
 # -- the interaction graph and matrix ------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaTilde:
-    """Directed interaction graph; an edge remembers whether it is horizontal."""
-
-    vertices: tuple
-    edges: tuple  # (src, dst, horizontal: bool)
-
-
-def build_gamma_tilde(iw: IndexedWord, cartan: CartanData) -> GammaTilde:
-    """Edges by the three adjacency rules, directed by the sign of the later letter.
+def build_gamma_tilde(iw: IndexedWord, cartan: CartanData) -> tuple:
+    """The sorted edges (src, dst, horizontal) of the directed interaction
+    graph on iw.positions(), by the three adjacency rules, directed by the
+    sign of the later letter.
 
     A pair k < l is connected only if one of them is exchangeable; the edge
     is horizontal when l is the next occurrence of k's letter, inclined
@@ -127,7 +121,7 @@ def build_gamma_tilde(iw: IndexedWord, cartan: CartanData) -> GammaTilde:
             else:
                 src, dst = (k, l) if sgn(il) == -1 else (l, k)
             edges.append((src, dst, horizontal))
-    return GammaTilde(tuple(positions), tuple(sorted(edges)))
+    return tuple(sorted(edges))
 
 
 @dataclass(frozen=True)
@@ -148,12 +142,12 @@ class BtildeMatrix:
 
 def build_btilde(iw: IndexedWord, cartan: CartanData) -> BtildeMatrix:
     """Matrix from the graph: signs from edge directions, sizes from Cartan entries."""
-    g = build_gamma_tilde(iw, cartan)
+    positions = iw.positions()
     ex = iw.exchangeable()
-    index = {k: i for i, k in enumerate(g.vertices)}
-    entries = [[0] * len(ex) for _ in g.vertices]
+    index = {k: i for i, k in enumerate(positions)}
+    entries = [[0] * len(ex) for _ in positions]
     colpos = {l: j for j, l in enumerate(ex)}
-    for src, dst, horizontal in g.edges:
+    for src, dst, horizontal in build_gamma_tilde(iw, cartan):
         for k, l, sign in ((src, dst, 1), (dst, src, -1)):
             if l in colpos:
                 mag = (
@@ -163,7 +157,7 @@ def build_btilde(iw: IndexedWord, cartan: CartanData) -> BtildeMatrix:
                 )
                 entries[index[k]][colpos[l]] = sign * mag
     return BtildeMatrix(
-        tuple(g.vertices), tuple(ex), tuple(tuple(r) for r in entries)
+        tuple(positions), tuple(ex), tuple(tuple(r) for r in entries)
     )
 
 
@@ -218,10 +212,11 @@ def seed_from_btilde(bt: BtildeMatrix) -> Seed:
     return initial_seed(ExchangeMatrix.make(rows, [f"x{k}" for k in order]))
 
 
-def gamma_tilde_dot(g: GammaTilde) -> str:
-    """Graphviz digraph: horizontal edges solid, inclined edges dashed."""
-    lines = ["digraph G {"] + [f'  "{v}";' for v in g.vertices]
-    for s, d, h in g.edges:
+def gamma_tilde_dot(iw: IndexedWord, edges: Sequence[tuple]) -> str:
+    """Graphviz digraph on iw's positions: horizontal edges solid, inclined
+    edges dashed."""
+    lines = ["digraph G {"] + [f'  "{v}";' for v in iw.positions()]
+    for s, d, h in edges:
         lines.append(f'  "{s}" -> "{d}" [style={"solid" if h else "dashed"}];')
     return "\n".join(lines + ["}"])
 
@@ -229,17 +224,10 @@ def gamma_tilde_dot(g: GammaTilde) -> str:
 # -- minors -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    """Row and column index sets of a type A generalized minor."""
-
-    rows: frozenset
-    cols: frozenset
-
-
-def minor_spec(iw: IndexedWord, cartan: CartanData, k: int) -> MinorSpec:
-    """Rows u([1, i]) and columns v([1, i]) of the minor at position k, for
-    i = |i_k| and the permutations u = u_{<=k}, v = v_{>k}^{-1} of 1..r+1.
+def minor_spec(iw: IndexedWord, cartan: CartanData, k: int) -> tuple:
+    """Rows u([1, i]) and columns v([1, i]) of the minor at position k, as
+    a pair of sorted tuples, for i = |i_k| and the permutations
+    u = u_{<=k}, v = v_{>k}^{-1} of 1..r+1.
 
     Letter a applied on the right swaps entries a and a + 1.  u takes the
     negated negative letters up to k in word order, v the positive letters
@@ -256,7 +244,7 @@ def minor_spec(iw: IndexedWord, cartan: CartanData, k: int) -> MinorSpec:
     ):
         for a in letters:
             perm[a - 1], perm[a] = perm[a], perm[a - 1]
-    return MinorSpec(frozenset(u[:i]), frozenset(v[:i]))
+    return tuple(sorted(u[:i])), tuple(sorted(v[:i]))
 
 
 def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
@@ -272,17 +260,17 @@ def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     return Fraction(pivot, scale) if rank == len(rows) else Fraction(0)
 
 
-def evaluate_minor(spec: MinorSpec, g: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    rows = sorted(spec.rows)
-    cols = sorted(spec.cols)
+def evaluate_minor(spec: tuple, g: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """The minor of g on the sorted 1-based (rows, cols) of spec."""
+    rows, cols = spec
     return det([[g[i - 1][j - 1] for j in cols] for i in rows])
 
 
-def integer_minors(specs: Sequence[MinorSpec], h: Sequence[Sequence[int]]) -> Iterator[int]:
-    """The minor of the integer matrix h at each spec, in order and lazily:
-    a 1x1 minor is read off, a larger one is Bareiss on its submatrix."""
-    for spec in specs:
-        rows, cols = sorted(spec.rows), sorted(spec.cols)
+def integer_minors(specs: Sequence[tuple], h: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The minor of the integer matrix h at each spec (rows, cols), in order
+    and lazily: a 1x1 minor is read off, a larger one is Bareiss on its
+    submatrix."""
+    for rows, cols in specs:
         if len(rows) == 1:
             yield h[rows[0] - 1][cols[0] - 1]
         else:
@@ -319,7 +307,7 @@ def _det_one_diagonal(rng: random.Random, size: int, den_max: int) -> tuple[list
 
 
 def sample_cell(
-    cartan: CartanData, specs: Sequence[MinorSpec], rng: random.Random
+    cartan: CartanData, specs: Sequence[tuple], rng: random.Random
 ) -> tuple[tuple, int, list]:
     """Random determinant-one sample g = h / den whose minors at ``specs``
     are all nonzero, as the integer matrix h, the denominator den and the
@@ -469,7 +457,7 @@ def verify_cell_identities(
             return []
         h, den, minors = draw
         g = [[Fraction(x, den) for x in row] for row in h]
-        values = [Fraction(m, den ** len(s.rows)) for s, m in zip(specs, minors)]
+        values = [Fraction(m, den ** len(rows)) for (rows, _), m in zip(specs, minors)]
         return [
             f"position {l}: quotient != closed form"
             for j, l, P in compared
@@ -485,7 +473,7 @@ def verify_cell_identities(
 
 
 def _minor(rows: Sequence[int], cols: Sequence[int]) -> Callable:
-    spec = MinorSpec(frozenset(rows), frozenset(cols))
+    spec = tuple(rows), tuple(cols)
     return lambda g: evaluate_minor(spec, g)
 
 
@@ -563,7 +551,7 @@ def tp_criterion_check(
         local = []
         h, den = sample
         ms = integer_minors(specs, h)
-        values = [Fraction(m, den ** len(s.rows)) for s, m in zip(specs, ms)]
+        values = [Fraction(m, den ** len(rows)) for (rows, _), m in zip(specs, ms)]
         if any(v <= 0 for v in values):
             local.append("a family minor is not positive")
         if det(h) <= 0:  # det(g) = det(h) / den^size, den > 0

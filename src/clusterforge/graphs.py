@@ -2,10 +2,10 @@
 
 The directed graph Gamma(B) of an exchange matrix has an edge (i, j)
 whenever b_ij > 0; its diagram assigns that edge the weight |b_ij * b_ji|.
-One type, Diagram, holds both: its weights map each edge of Gamma(B) to
-its weight, and canonical_key reads that map.  The diagram of mu_k(B)
-depends only on the diagram of B and on k (Fomin-Zelevinsky, *Cluster
-algebras II*, Prop. 8.1): two skew-symmetrizable matrices with one
+A diagram is the plain dict {(i, j): weight} over the edges of Gamma(B),
+passed with the vertex count n, and canonical_key reads that dict.  The
+diagram of mu_k(B) depends only on the diagram of B and on k (Fomin-
+Zelevinsky, *Cluster algebras II*, Prop. 8.1): two skew-symmetrizable matrices with one
 diagram differ by a positive diagonal conjugation T B T^-1, and mutation
 commutes with it.  So diagrams are mutated as matrices.  Finite
 type is decided by breadth-first search over the diagram mutation class
@@ -36,33 +36,17 @@ from .seeds import (
 )
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """Directed graph on [0, n) with weights: {(i, j): w} per arrow."""
-
-    n: int
-    weights: dict
-
-
-def diagram_of(B: ExchangeMatrix) -> Diagram:
-    """The diagram of B's principal part, unchecked: the weight
-    |b_ij b_ji| on each arrow (i, j) with b_ij > 0, in row order.  Off
+def diagram_of(B: ExchangeMatrix) -> dict:
+    """The diagram of B's principal part, unchecked: {(i, j): |b_ij b_ji|}
+    over the arrows (i, j) with b_ij > 0, in row order.  Off
     sign-skew-symmetry an arrow may weigh 0; it is still an edge of Gamma(B)."""
     E, n = B.entries, B.n
-    return Diagram(n, {
+    return {
         (i, j): abs(x * E[j][i])
         for i in range(n)
         for j, x in enumerate(E[i][:n])
         if x > 0
-    })
-
-
-def _neighbours(d: Diagram) -> list[dict]:
-    """Each vertex's neighbours, with the weight of the arrow either way."""
-    adj: list[dict] = [{} for _ in range(d.n)]
-    for (i, j), w in d.weights.items():
-        adj[i][j] = adj[j][i] = w
-    return adj
+    }
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:
@@ -78,7 +62,7 @@ def acyclic_order(B: ExchangeMatrix) -> tuple[int, ...] | None:
     n = B.n
     out = {i: set() for i in range(n)}
     indeg = [0] * n
-    for i, j in diagram_of(B).weights:
+    for i, j in diagram_of(B):
         out[i].add(j)
         indeg[j] += 1
     ready = sorted(i for i in range(n) if indeg[i] == 0)
@@ -314,15 +298,18 @@ def _component_name(verts: list[int], adj: list[dict]) -> str | None:
     return None
 
 
-def dynkin_name(d: Diagram) -> str | None:
-    """Name each connected component from the Dynkin catalog, or None.
+def dynkin_name(weights: dict, n: int) -> str | None:
+    """Name each connected component of the diagram weights on [0, n)
+    from the Dynkin catalog, or None.
 
     B_n and C_n share one weighted diagram and are reported as B_n.
     Products of components are named like "A1^3" or "D4 x A1".
     """
-    adj = _neighbours(d)
+    adj: list[dict] = [{} for _ in range(n)]
+    for (i, j), w in weights.items():
+        adj[i][j] = adj[j][i] = w
     names = []
-    left = set(range(d.n))
+    left = set(range(n))
     while left:
         comp, stack = set(), [min(left)]
         while stack:
@@ -340,7 +327,7 @@ def dynkin_name(d: Diagram) -> str | None:
 
 
 def _checked_weights(E: tuple) -> dict:
-    """diagram_of(E).weights for the square matrix E, in one loop over the
+    """diagram_of(E) for the square matrix E, in one loop over the
     pairs i < j with a = b_ij, b = b_ji.  Raises SignSkewSymmetryLost
     where is_sign_skew_symmetric is False: b_ii != 0, or a or b nonzero
     with a * b >= 0; so no weight is 0."""
@@ -368,7 +355,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     child, _checked_weights, checks its sign-skew-symmetry and builds the
     weights canonical_key reads; a weight >= 4 is a witness before any
     key, reported as its weight and depth.
-    No Diagram is built per child.  Each class keeps its first
+    No diagram_of runs per child.  Each class keeps its first
     rows X as rep, with pos, the map from canonical positions to X's
     vertices, and a set of known directions.
     A child mu_k(M) keyed to X's class maps onto X by v -> pos[leaf[v]],
@@ -425,7 +412,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     for rows, _, _ in reps.values():
         M = ExchangeMatrix.make(rows)
         if is_acyclic(M):
-            name = dynkin_name(diagram_of(M))
+            name = dynkin_name(diagram_of(M), n)
             if name is not None:
                 return Classification("finite", name, None, None, len(reps))
     return Classification("finite", "unrecognized", None, None, len(reps))

@@ -30,10 +30,6 @@ class NotCyclicEverywhere(ValueError):
     """An acyclic matrix appeared where the cyclic recursion was assumed."""
 
 
-class AcyclicSeedFound(ValueError):
-    """The mutation walk left the cyclic regime (finite generation instead)."""
-
-
 @dataclass(frozen=True)
 class Valuation:
     """Rational weights, one per ambient variable (frozen weights usually 0)."""
@@ -220,7 +216,7 @@ def delta_witness(
         raise ValueError(f"delta0 needs 3 entries, got {len(delta0)}")
     P0 = _principal3(B)
     if not _is_cyclic3(P0):
-        raise AcyclicSeedFound("the initial matrix is not cyclic")
+        raise NotCyclicEverywhere("the initial matrix is not cyclic")
     if skew_symmetrizer(B) is None:
         raise ValueError("delta recursion requires a skew-symmetrizable matrix")
     pairs = [_others(j) for j in range(3)]
@@ -235,7 +231,7 @@ def delta_witness(
             if (P, j) not in weights:
                 P2 = M2.entries
                 if not _is_cyclic3(P2):
-                    raise AcyclicSeedFound(f"acyclic matrix at address {child!r}")
+                    raise NotCyclicEverywhere(f"acyclic matrix at address {child!r}")
                 old, new = abs(P[i][k]), abs(P2[i][k])
                 if abs(P[i][j] * P[j][k]) != old + new:
                     raise AssertionError("square-root recursion mismatch")

@@ -45,13 +45,13 @@ def markov_seed():
 
 def type_a_permutation(w):
     """The images (w(1), ..., w(r+1)) of a type A Weyl element, read off its
-    matrix: column j is w(alpha_j) = e_{w(j)} - e_{w(j+1)}, a run of equal
+    matrix w: column j is w(alpha_j) = e_{w(j)} - e_{w(j+1)}, a run of equal
     signs on the simple-root coordinates [a, b], which gives the pair
     (w(j), w(j+1)) = (a, b + 1) when positive and (b + 1, a) when negative."""
-    r = w.cartan.rank
+    r = len(w)
     perm = []
     for j in range(r):
-        col = [w.matrix[i][j] for i in range(r)]
+        col = [w[i][j] for i in range(r)]
         run = [i + 1 for i in range(r) if col[i]]
         a, b = run[0], run[-1]
         sign = col[a - 1]

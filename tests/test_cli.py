@@ -617,3 +617,20 @@ def test_types_over_the_root_limit_exit_2(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"error: ValueError: {argv[2]} is over the 512-root limit\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["roots", "--type", "A0"], "A requires rank >= 1"),
+        (["btilde", "--type", "A0", "--word", ""], "A requires rank >= 1"),
+        (["roots", "--type", "B1"], "B requires rank >= 2"),
+        (["roots", "--type", "D2"], "D requires rank >= 3"),
+        (["btilde", "--type", "E5", "--word", ""], "E requires rank 6, 7 or 8"),
+    ],
+)
+def test_types_below_their_family_rank_exit_2(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: ValueError: {message}\n"

@@ -11,7 +11,6 @@ from clusterforge.coxeter import bipartite_longest_word, cartan_data, dynkin_bip
 from clusterforge.double_bruhat import build_btilde, indexed_word, seed_from_btilde
 from clusterforge.graphs import (
     Classification,
-    Diagram,
     ExplorationReport,
     acyclic_order,
     canonical_key,
@@ -43,7 +42,7 @@ B219 = ExchangeMatrix.make(SL3_PRINCIPAL)
 
 
 def test_gamma_cycle_detection():
-    edges = diagram_of(B219).weights
+    edges = diagram_of(B219)
     # the triangle 1 -> 3 -> 2 -> 1 sits inside (0-based: 0->2->1->0)
     assert (0, 2) in edges and (2, 1) in edges and (1, 0) in edges
     assert not is_acyclic(B219)
@@ -83,7 +82,7 @@ def test_orientation_reversal_preserves_acyclicity():
 
 def test_diagram_weights():
     d = diagram_of(ExchangeMatrix.make(MARKOV))
-    assert d.weights == {(0, 1): 4, (1, 2): 4, (2, 0): 4}
+    assert d == {(0, 1): 4, (1, 2): 4, (2, 0): 4}
 
 
 def test_diagram_mutation_matches_matrix_mutation():
@@ -106,15 +105,15 @@ def test_diagram_mutation_matches_matrix_mutation():
 def test_single_edge_diagram_mutation_reverses():
     B = ExchangeMatrix.make([[0, 1], [-1, 0]])
     for k in (0, 1):
-        assert diagram_of(matrix_mutate(B, k)).weights == {(1, 0): 1}
+        assert diagram_of(matrix_mutate(B, k)) == {(1, 0): 1}
 
 
 def test_star_after_one_mutation():
     # mutating the cyclic 4-vertex matrix at direction 2 yields a 3-leaf star
     d = diagram_of(matrix_mutate(B219, 1))
-    degrees = sorted(sum(v in a for a in d.weights) for v in range(4))
+    degrees = sorted(sum(v in a for a in d) for v in range(4))
     assert degrees == [1, 1, 1, 3]
-    assert dynkin_name(d) == "D4"
+    assert dynkin_name(d, 4) == "D4"
 
 
 def test_canonical_key_permutation_invariant():
@@ -126,7 +125,7 @@ def test_canonical_key_permutation_invariant():
         perm = list(range(5))
         rng.shuffle(perm)
         Pp = relabel_matrix(P, tuple(perm))
-        assert canonical_key(diagram_of(Pp).weights, 5) == canonical_key(d.weights, 5)
+        assert canonical_key(diagram_of(Pp), 5) == canonical_key(d, 5)
 
 
 def test_canonical_key_edgeless_fast():
@@ -134,9 +133,11 @@ def test_canonical_key_edgeless_fast():
 
 
 def _relabelled(d, rng):
-    p = list(range(d.n))
+    """The diagram d = (weights, n) with its vertices shuffled."""
+    weights, n = d
+    p = list(range(n))
     rng.shuffle(p)
-    return Diagram(d.n, {(p[i], p[j]): w for (i, j), w in d.weights.items()})
+    return {(p[i], p[j]): w for (i, j), w in weights.items()}, n
 
 
 @pytest.mark.parametrize(
@@ -153,8 +154,8 @@ def test_canonical_key_symmetric_ten_vertices(weights, other):
     start = time.perf_counter()
     key = canonical_key(weights, 10)
     assert time.perf_counter() - start < 1.0
-    moved = _relabelled(Diagram(10, weights), random.Random(59))
-    assert canonical_key(moved.weights, 10) == key
+    moved, _ = _relabelled((weights, 10), random.Random(59))
+    assert canonical_key(moved, 10) == key
     assert canonical_key(other, 10) != key
 
 
@@ -169,19 +170,20 @@ def test_canonical_key_symmetric_ten_vertices(weights, other):
 )
 def test_dynkin_name_past_rank_31(weights, name):
     n = int(name[1:])
-    d = _relabelled(Diagram(n, weights), random.Random(name))
+    d = _relabelled((weights, n), random.Random(name))
     start = time.perf_counter()
-    assert dynkin_name(d) == name
+    assert dynkin_name(*d) == name
     assert time.perf_counter() - start < 1.0
 
 
 def _oracle_key(d):
     """Least adjacency serialization over all n! vertex orders."""
-    adj = [[0] * d.n for _ in range(d.n)]
-    for (i, j), w in d.weights.items():
+    weights, n = d
+    adj = [[0] * n for _ in range(n)]
+    for (i, j), w in weights.items():
         adj[i][j] = w
-    orders = permutations(range(d.n))
-    return (d.n, min(tuple(adj[a][b] for a in p for b in p) for p in orders))
+    orders = permutations(range(n))
+    return (n, min(tuple(adj[a][b] for a in p for b in p) for p in orders))
 
 
 def test_canonical_key_agrees_with_brute_force_oracle():
@@ -196,15 +198,15 @@ def test_canonical_key_agrees_with_brute_force_oracle():
                 if rng.random() < density:
                     w = rng.choice((1, 1, 1, 2, 3))
                     weights[(i, j) if rng.random() < 0.5 else (j, i)] = w
-        d = Diagram(n, weights)
+        d = (weights, n)
         diagrams += [d, _relabelled(d, rng)]
     # Oriented 3- and 4-cycles side by side, and a 7-cycle: refinement
     # leaves one cell of 7, whose vertices lie in different orbits.
-    c3c4 = Diagram(7, {(0, 1): 1, (1, 2): 1, (2, 0): 1,
-                       (3, 4): 1, (4, 5): 1, (5, 6): 1, (6, 3): 1})
-    c7 = Diagram(7, {(i, (i + 1) % 7): 1 for i in range(7)})
+    c3c4 = ({(0, 1): 1, (1, 2): 1, (2, 0): 1,
+             (3, 4): 1, (4, 5): 1, (5, 6): 1, (6, 3): 1}, 7)
+    c7 = ({(i, (i + 1) % 7): 1 for i in range(7)}, 7)
     diagrams += [_relabelled(d, rng) for d in (c3c4, c7) for _ in range(4)]
-    keys = [canonical_key(d.weights, d.n) for d in diagrams]
+    keys = [canonical_key(*d) for d in diagrams]
     oracle = [_oracle_key(d) for d in diagrams]
     # the two invariants partition the sample into the same classes
     assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
@@ -233,9 +235,9 @@ def _dense_refine(adj, colors):
 
 def _dense_key(d):
     """The search tree of canonical_key on a dense matrix, pruned by twins only."""
-    n = d.n
+    weights, n = d
     adj = [[0] * n for _ in range(n)]
-    for (i, j), w in d.weights.items():
+    for (i, j), w in weights.items():
         adj[i][j] = w
 
     def twins(u, v):
@@ -295,26 +297,26 @@ def test_canonical_key_equals_dense_search():
             weights = _random_diagram(rng, n)
         p = list(range(n))
         rng.shuffle(p)
-        d = Diagram(n, {(p[i], p[j]): w for (i, j), w in weights.items()})
-        assert canonical_key(d.weights, n) == _dense_key(d), d
-    six = Diagram(12, {(2 * i, 2 * i + 1): 1 for i in range(6)})
-    assert canonical_key(six.weights, 12) == _dense_key(six)
+        d = ({(p[i], p[j]): w for (i, j), w in weights.items()}, n)
+        assert canonical_key(*d) == _dense_key(d), d
+    six = ({(2 * i, 2 * i + 1): 1 for i in range(6)}, 12)
+    assert canonical_key(*six) == _dense_key(six)
     # oriented C3 + C4 + C4: refinement keeps all 11 vertices in one cell,
     # and a search that ends a subtree too early misses the least leaf
     cycles = {(i, (i + 1) % 3): 1 for i in range(3)} | {
         (3 + 4 * t + i, 3 + 4 * t + (i + 1) % 4): 1 for t in range(2) for i in range(4)
     }
     for _ in range(30):
-        d = _relabelled(Diagram(11, cycles), rng)
-        assert canonical_key(d.weights, 11) == _dense_key(d), d
+        d = _relabelled((cycles, 11), rng)
+        assert canonical_key(*d) == _dense_key(d), d
 
 
 def test_canonical_key_eight_disjoint_arrows():
-    d = Diagram(16, {(2 * i, 2 * i + 1): 1 for i in range(8)})
+    d = ({(2 * i, 2 * i + 1): 1 for i in range(8)}, 16)
     start = time.perf_counter()
-    key = canonical_key(d.weights, 16)
+    key = canonical_key(*d)
     assert time.perf_counter() - start < 1.0
-    assert canonical_key(_relabelled(d, random.Random(73)).weights, 16) == key
+    assert canonical_key(*_relabelled(d, random.Random(73))) == key
     seven = {**{(2 * i, 2 * i + 1): 1 for i in range(7)}, (14, 15): 2}
     assert canonical_key(seven, 16) != key
 
@@ -330,26 +332,26 @@ def test_canonical_key_branches_once_per_twin_class(weights, n):
     start = time.perf_counter()
     key = canonical_key(weights, n)
     assert time.perf_counter() - start < 0.25
-    assert canonical_key(_relabelled(Diagram(n, weights), random.Random(79)).weights, n) == key
+    assert canonical_key(*_relabelled((weights, n), random.Random(79))) == key
 
 
 def test_canonical_key_leaf_relabels_to_the_key():
     rng = random.Random(79)
-    diagrams = [Diagram(n, _random_diagram(rng, n))
+    diagrams = [(_random_diagram(rng, n), n)
                 for n in (rng.randint(1, 8) for _ in range(300))]
     diagrams += [
-        Diagram(10, {(i, (i + 1) % 10): 1 for i in range(10)}),
-        Diagram(10, {(2 * i, 2 * i + 1): 1 for i in range(5)}),
-        Diagram(16, {(2 * i, 2 * i + 1): 1 for i in range(8)}),
+        ({(i, (i + 1) % 10): 1 for i in range(10)}, 10),
+        ({(2 * i, 2 * i + 1): 1 for i in range(5)}, 10),
+        ({(2 * i, 2 * i + 1): 1 for i in range(8)}, 16),
     ]
-    for d in diagrams + [_relabelled(d, rng) for d in diagrams]:
+    for weights, n in diagrams + [_relabelled(d, rng) for d in diagrams]:
         leaf = []
-        key = canonical_key(d.weights, d.n, leaf)
-        assert sorted(leaf) == list(range(d.n))
-        ser = [0] * (d.n * d.n)
-        for (i, j), w in d.weights.items():
-            ser[leaf[i] * d.n + leaf[j]] = w
-        assert key == (d.n, tuple(ser)), d
+        key = canonical_key(weights, n, leaf)
+        assert sorted(leaf) == list(range(n))
+        ser = [0] * (n * n)
+        for (i, j), w in weights.items():
+            ser[leaf[i] * n + leaf[j]] = w
+        assert key == (n, tuple(ser)), weights
 
 
 def test_canonical_key_repeated_arrow_keeps_the_last_weight():
@@ -380,23 +382,23 @@ def test_canonical_key_equals_dense_search_on_classify_inputs(monkeypatch, make,
     keyed = []
 
     def recording_canonical_key(weights, n, leaf=None):
-        keyed.append(Diagram(n, weights))
+        keyed.append((weights, n))
         return canonical_key(weights, n, leaf)
 
     monkeypatch.setattr(graphs, "canonical_key", recording_canonical_key)
     classify_finite_type(make(), node_cap=cap)
     discrete_roots = 0
-    for d in keyed:
+    for weights, n in keyed:
         leaf = []
-        key = canonical_key(d.weights, d.n, leaf)
-        assert key == _dense_key(d), d
-        ser = [0] * (d.n * d.n)
-        adj = [[0] * d.n for _ in range(d.n)]
-        for (i, j), w in d.weights.items():
-            ser[leaf[i] * d.n + leaf[j]] = w
+        key = canonical_key(weights, n, leaf)
+        assert key == _dense_key((weights, n)), weights
+        ser = [0] * (n * n)
+        adj = [[0] * n for _ in range(n)]
+        for (i, j), w in weights.items():
+            ser[leaf[i] * n + leaf[j]] = w
             adj[i][j] = w
-        assert key == (d.n, tuple(ser)), d
-        discrete_roots += len(set(_dense_refine(adj, [0] * d.n))) == d.n
+        assert key == (n, tuple(ser)), weights
+        discrete_roots += len(set(_dense_refine(adj, [0] * n))) == n
     # keys returned at the root and keys found by a search both occur
     assert 0 < discrete_roots < len(keyed)
 
@@ -420,7 +422,7 @@ def test_checked_weights_raise_exactly_off_sign_skew_symmetry():
             E[rng.randrange(n)][rng.randrange(n)] = rng.randint(-3, 3)
         M = ExchangeMatrix.make(E)
         if is_sign_skew_symmetric(M):
-            assert graphs._checked_weights(M.entries) == diagram_of(M).weights, E
+            assert graphs._checked_weights(M.entries) == diagram_of(M), E
         else:
             with pytest.raises(SignSkewSymmetryLost):
                 graphs._checked_weights(M.entries)
@@ -436,10 +438,10 @@ def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
     assert is_skew_symmetrizable(B)
     P = ExchangeMatrix.make([list(r) for r in B.principal()])
     d0 = diagram_of(P)
-    top = max(d0.weights.values(), default=0)
+    top = max(d0.values(), default=0)
     if top >= 4:
         return Classification("infinite", None, top, 0, 1)
-    reps = {canonical_key(d0.weights, P.n): P}
+    reps = {canonical_key(d0, P.n): P}
     queue = deque([(P, 0, None)])
     while queue:
         M, depth, back = queue.popleft()
@@ -450,10 +452,10 @@ def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
             if made is not None:
                 made.append((depth + 1, M2.entries))
             d2 = diagram_of(M2)
-            top = max(d2.weights.values(), default=0)
+            top = max(d2.values(), default=0)
             if top >= 4:
                 return Classification("infinite", None, top, depth + 1, len(reps))
-            key = canonical_key(d2.weights, M2.n)
+            key = canonical_key(d2, M2.n)
             if key not in reps:
                 if len(reps) >= node_cap:
                     return Classification("inconclusive", None, None, None, len(reps))
@@ -461,7 +463,7 @@ def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
                 queue.append((M2, depth + 1, k))
     for M in reps.values():
         if is_acyclic(M):
-            name = dynkin_name(diagram_of(M))
+            name = dynkin_name(diagram_of(M), M.n)
             if name is not None:
                 return Classification("finite", name, None, None, len(reps))
     return Classification("finite", "unrecognized", None, None, len(reps))
@@ -672,16 +674,12 @@ def test_classify_node_cap_inconclusive():
 
 
 def test_dynkin_names():
-    path = Diagram(3, {(0, 1): 1, (1, 2): 1})
-    assert dynkin_name(path) == "A3"
-    b2 = Diagram(2, {(0, 1): 2})
-    assert dynkin_name(b2) == "B2"
-    g2 = Diagram(2, {(0, 1): 3})
-    assert dynkin_name(g2) == "G2"
-    f4 = Diagram(4, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
-    assert dynkin_name(f4) == "F4"
-    mixed = Diagram(3, {(0, 1): 1})
-    assert dynkin_name(mixed) == "A2 x A1"
+    assert dynkin_name({(0, 1): 1, (1, 2): 1}, 3) == "A3"
+    assert dynkin_name({(0, 1): 2}, 2) == "B2"
+    assert dynkin_name({(0, 1): 3}, 2) == "G2"
+    assert dynkin_name({(0, 1): 1, (1, 2): 2, (2, 3): 1}, 4) == "F4"
+    # n is the only source of the isolated vertex
+    assert dynkin_name({(0, 1): 1}, 3) == "A2 x A1"
 
 
 CATALOG = (
@@ -706,7 +704,7 @@ def test_dynkin_catalog_named_under_orientation_and_relabelling(name):
     p = list(range(n))
     rng.shuffle(p)
     M = ExchangeMatrix.make([[B[p[i]][p[j]] for j in range(n)] for i in range(n)])
-    assert dynkin_name(diagram_of(M)) == name.replace("C", "B")
+    assert dynkin_name(diagram_of(M), n) == name.replace("C", "B")
 
 
 def _path(weights):
@@ -736,7 +734,7 @@ def _star(*arms):
 )
 def test_non_dynkin_trees_have_no_name(edges):
     n = 1 + max(map(max, edges))
-    assert dynkin_name(Diagram(n, edges)) is None
+    assert dynkin_name(edges, n) is None
 
 
 def test_explore_rank_one():
@@ -1125,28 +1123,27 @@ def test_base_affine_a4_matrix_mutates_to_d6_tree():
     A4 = cartan_data("A4")
     iw = indexed_word(A4, bipartite_longest_word(A4))
     seed = seed_from_btilde(build_btilde(iw, A4))
-    d = diagram_of(seed.matrix)
-    assert dynkin_name(d) is None  # cyclic start
+    assert dynkin_name(diagram_of(seed.matrix), seed.n) is None  # cyclic start
     # mutating at the columns of the first two word positions reaches an
     # acyclic orientation of the D6 tree
     cols = list(seed.matrix.labels[: seed.n])
     k1, k2 = cols.index("x1"), cols.index("x2")
     M = matrix_mutate(matrix_mutate(seed.matrix, k1), k2)
     assert is_acyclic(M)
-    assert dynkin_name(diagram_of(M)) == "D6"
+    assert dynkin_name(diagram_of(M), M.n) == "D6"
 
 
 def test_classification_agrees_across_the_whole_class():
     # every representative of the finite class reports the same type
     reps = [ExchangeMatrix.make(SL3_PRINCIPAL)]
-    seen = {canonical_key(diagram_of(reps[0]).weights, 4)}
+    seen = {canonical_key(diagram_of(reps[0]), 4)}
     idx = 0
     while idx < len(reps):
         M = reps[idx]
         idx += 1
         for k in range(4):
             M2 = matrix_mutate(M, k)
-            key = canonical_key(diagram_of(M2).weights, 4)
+            key = canonical_key(diagram_of(M2), 4)
             if key not in seen:
                 seen.add(key)
                 reps.append(M2)

@@ -14,7 +14,6 @@ from clusterforge.seeds import (
     skew_symmetrizer,
 )
 from clusterforge.tropical import (
-    AcyclicSeedFound,
     NotCyclicEverywhere,
     Valuation,
     delta_witness,
@@ -169,7 +168,7 @@ def test_delta_matches_renormalized_valuation(markov_seed):
 
 
 def test_delta_witness_rejects_acyclic_matrix():
-    with pytest.raises(AcyclicSeedFound):
+    with pytest.raises(NotCyclicEverywhere):
         delta_witness(
             ExchangeMatrix.make([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]), radius=2
         )
@@ -287,7 +286,7 @@ def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
         raise ValueError(f"delta0 needs 3 entries, got {len(delta0)}")
     P0 = tropical._principal3(B)
     if not tropical._is_cyclic3(P0):
-        raise AcyclicSeedFound("the initial matrix is not cyclic")
+        raise NotCyclicEverywhere("the initial matrix is not cyclic")
     d = skew_symmetrizer(B)
     if d is None:
         raise ValueError("delta recursion requires a skew-symmetrizable matrix")
@@ -318,7 +317,7 @@ def reference_delta_witness(B, radius, delta0=(0, 0, 1)):
         M2 = matrix_mutate(M, j)
         P2 = M2.principal()
         if not tropical._is_cyclic3(P2):
-            raise AcyclicSeedFound(f"acyclic matrix at address {child!r}")
+            raise NotCyclicEverywhere(f"acyclic matrix at address {child!r}")
         s2 = roots(P2)
         total = s[j] + s2[j]
         if s[i] * s[k] * cross[j] != total:
@@ -480,7 +479,7 @@ def test_mutation_tree_walk_matches_reference_delta_witness():
             assert not any(isinstance(x, float) for x in _witness_values(got[1]))
         kinds.add(got[0] if got[0] == "value" else got[1])
     # the cases reach a witness and each way the recursion can stop
-    assert {"value", AcyclicSeedFound, ValueError}.issubset(kinds)
+    assert {"value", NotCyclicEverywhere, ValueError}.issubset(kinds)
     assert all(outcome(delta_witness, *c)[1].valid for c in cases[-3:])
 
 
@@ -495,7 +494,7 @@ def test_rank3_acyclic_exactly_off_the_markov_region():
                 B = ExchangeMatrix.make([[0, a, -c], [-a, 0, b], [c, -b, 0]])
                 cyclic = min(a, b, c) >= 2 and a * a + b * b + c * c - a * b * c <= 4
                 got = outcome(delta_witness, B, 5)
-                want = ("value",) if cyclic else ("raised", AcyclicSeedFound)
+                want = ("value",) if cyclic else ("raised", NotCyclicEverywhere)
                 assert got[: len(want)] == want, (a, b, c)
 
 
