@@ -87,8 +87,12 @@ def _load_json_arg(value: str):
 def _load_matrix(value: str) -> seeds.ExchangeMatrix:
     data = _load_json_arg(value)
     if isinstance(data, list):
-        return seeds.ExchangeMatrix.make(data)
-    return seeds.ExchangeMatrix.from_json(data)
+        B = seeds.ExchangeMatrix.make(data)
+    else:
+        B = seeds.ExchangeMatrix.from_json(data)
+    if B.n == 0:  # as --type A0: rank 0 is refused, not the trivial finite type
+        raise ValueError("an exchange matrix needs rank n >= 1, got n = 0")
+    return B
 
 
 def _emit(data) -> None:

@@ -3,8 +3,8 @@
 From a double reduced word this module builds the interaction graph, the
 extended exchange matrix (two independent code paths) and the minor row
 and column sets, and verifies the induced cluster structure numerically
-on random rational matrices of determinant one.  All evaluation is exact
-over Q.
+on random points of the cell, each drawn by factoring along the cell's
+own double word.  All evaluation is exact over Q.
 """
 
 from __future__ import annotations
@@ -12,22 +12,18 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import islice
 from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
 from .coxeter import CartanData, is_reduced
 from .graphs import exchange_seeds
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
-from .util import bareiss, mat_mul, parallel_map
+from .util import bareiss, parallel_map
 
 
 class InvalidWord(ValueError):
     """The negative or positive subword is not reduced."""
-
-
-class SamplingExhausted(RuntimeError):
-    """Retry budget spent without meeting the nonvanishing conditions."""
 
 
 class SubsetFormOnlyTypeA(TypeError):
@@ -281,89 +277,33 @@ def integer_minors(specs: Sequence[tuple], h: Sequence[Sequence[int]]) -> Iterat
 # -- sampling -------------------------------------------------------------------
 
 
-def _unitriangular(rng: random.Random, size: int, lower: bool) -> tuple[list, int]:
-    """A random unitriangular factor with entries in [-3, 3] / [1, 3], as an
-    integer matrix and the denominator it is to be divided by."""
-    draws = [
-        (i, j, rng.randint(-3, 3), rng.randint(1, 3))
-        for i in range(size)
-        for j in range(size)
-        if ((i > j) if lower else (i < j))
-    ]
-    den = lcm(*(b for *_, b in draws))
-    m = [[den * (i == j) for j in range(size)] for i in range(size)]
-    for i, j, a, b in draws:
-        m[i][j] = a * (den // b)
-    return m, den
-
-
-def _det_one_diagonal(rng: random.Random, size: int, den_max: int) -> tuple[list, int]:
-    """size - 1 random positive rationals and the entry that makes their
-    product 1, as integers and the common denominator they are over."""
-    diag = [Fraction(rng.randint(1, 3), rng.randint(1, den_max)) for _ in range(size - 1)]
-    diag.append(1 / prod(diag, start=Fraction(1)))
-    den = lcm(*(d.denominator for d in diag))
-    return [d.numerator * (den // d.denominator) for d in diag], den
-
-
-def sample_cell(
-    cartan: CartanData, specs: Sequence[tuple], rng: random.Random
-) -> tuple[tuple, int, list]:
-    """Random determinant-one sample g = h / den whose minors at ``specs``
-    are all nonzero, as the integer matrix h, the denominator den and the
-    integer minors of h at ``specs``, in order.
-
-    Built as lower-unitriangular x diagonal(det 1) x upper-unitriangular
-    with small random rational entries, resampled until every minor at
-    ``specs`` is nonzero, in at most 200 tries.  Each try clears the
-    denominators of the three factors, so it works on the integer matrix
-    h = den * g: one integer matrix product, one determinant, which must be
-    den^size (else ``ArithmeticError``, also under ``python -O``), and
-    integer minors until one vanishes.  The minor of g at a k x k spec is
-    the returned minor over den^k.  Given the family of a double reduced
-    word (its minor at every position, sentinels included), this keeps
-    the 2r open-cell minors nonzero too: they are the family minors at
-    the sentinel positions and at the last position of each letter.
-    """
-    if cartan.family != "A":
-        raise SubsetFormOnlyTypeA("cell sampling implemented for type A only")
-    size = cartan.rank + 1
-    for _ in range(200):
-        lo, lo_den = _unitriangular(rng, size, lower=True)
-        up, up_den = _unitriangular(rng, size, lower=False)
-        ints, diag_den = _det_one_diagonal(rng, size, 3)
-        h = mat_mul(lo, [[d * x for x in row] for d, row in zip(ints, up)])
-        den = lo_den * diag_den * up_den
-        d = det(h)
-        if d != den**size:
-            raise ArithmeticError(f"cell sample has determinant {d / den**size}, not 1")
-        minors = list(takewhile(bool, integer_minors(specs, h)))
-        if len(minors) == len(specs):
-            return h, den, minors
-    raise SamplingExhausted("no valid sample in 200 tries")
-
-
 def sample_totally_positive(
     cartan: CartanData, word: Sequence[int], rng: random.Random
 ) -> tuple[tuple, int]:
     """Totally positive determinant-one sample g = h / den via positive
     elementary factors, as the integer matrix h and the denominator den.
 
-    Multiplies a positive determinant-one diagonal by the elementary Jacobi
-    matrices x_i(t) (letter i > 0) and y_i(t) (letter -i) of any double
-    word, with positive parameters.  Each factor acts on the right
-    as one column operation: x_i(t) adds t times column i-1 to column i,
-    y_i(t) adds t times column i to column i-1 (columns 0-based).  The
-    product is an integer matrix over one running denominator: for
-    t = a/b, the matrix is scaled by b and a times the old source column
-    is added to the destination column.  The running denominator is
-    handed back as it is, not reduced.
+    Multiplies a determinant-one diagonal of size - 1 random entries in
+    [1, 3] / [1, 2] and the entry that makes their product 1 by the
+    elementary Jacobi matrices x_i(t) (letter i > 0) and y_i(t) (letter -i)
+    of any double word, with parameters t in [1, 4] / [1, 4].  Each factor
+    acts on the right as one column operation: x_i(t) adds t times column
+    i-1 to column i, y_i(t) adds t times column i to column i-1 (columns
+    0-based).  The product is an integer matrix over one running
+    denominator: for t = a/b, the matrix is scaled by b and a times the old
+    source column is added to the destination column.  The running
+    denominator is handed back as it is, not reduced.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("total positivity sampling is type A only")
     size = cartan.rank + 1
-    ints, den = _det_one_diagonal(rng, size, 2)
-    h = [[ints[i] if i == j else 0 for j in range(size)] for i in range(size)]
+    diag = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(size - 1)]
+    diag.append(1 / prod(diag, start=Fraction(1)))
+    den = lcm(*(d.denominator for d in diag))
+    h = [
+        [d.numerator * (den // d.denominator) if i == j else 0 for j in range(size)]
+        for i, d in enumerate(diag)
+    ]
     for letter in word:
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         i = abs(letter)
@@ -374,6 +314,28 @@ def sample_totally_positive(
             row[:] = [b * x for x in row]
             row[dst] += add
     return tuple(map(tuple, h)), den
+
+
+def sample_cell(
+    cartan: CartanData, word: Sequence[int], specs: Sequence[tuple], rng: random.Random
+) -> tuple[tuple, int, list]:
+    """A point g = h / den of the double Bruhat cell of ``word``, as the
+    integer matrix h, the denominator den and the integer minors of h at
+    ``specs``, in order.
+
+    The point is ``sample_totally_positive`` on the cell's own double word:
+    a torus element times one elementary factor per letter, which lies in
+    the cell (Fomin-Zelevinsky, Double Bruhat cells and total positivity,
+    Thm 1.2).  det(h) must be den^size, else ``ArithmeticError``, also
+    under ``python -O``.  The minor of g at a k x k spec is the returned
+    minor over den^k; the family minors of the word are positive on such
+    a point, which the cell checks verify rather than assume.
+    """
+    h, den = sample_totally_positive(cartan, word, rng)
+    d = det(h)
+    if d != den ** len(h):
+        raise ArithmeticError(f"cell sample has determinant {d / den ** len(h)}, not 1")
+    return h, den, list(integer_minors(specs, h))
 
 
 # -- the shared check pipeline ----------------------------------------------------
@@ -387,6 +349,9 @@ def _cell_setup(cartan: CartanData, word: Sequence[int]) -> tuple[Seed, tuple, t
     positions = _seed_order(bt)
     specs = tuple(minor_spec(iw, cartan, k) for k in positions)
     return seed_from_btilde(bt), positions, specs
+
+
+_NOT_POSITIVE = "a family minor is not positive"
 
 
 def _failures(check: Callable, gs: Sequence) -> tuple:
@@ -429,14 +394,13 @@ def verify_cell_identities(
 ) -> CellCheckReport:
     """Check the exchange structure on random cell samples, exactly.
 
-    Samples come from ``sample_cell``, handed the family, which checks
-    determinant one and keeps every family minor nonzero; the open-cell
-    minors are family minors, so each sample lies in the cell.  At each
+    Samples are points of the cell from ``sample_cell``, which checks
+    determinant one and hands back the family minors.  Every family minor
+    must be positive, else the sample fails with no comparison.  At each
     exchangeable position l with a closed form (a callable g ->
     Fraction), the exchange polynomial is evaluated in the sample's minors
     and divided by the minor at l, and must equal the closed form; other
-    positions are not evaluated.  The minors are those the sampler
-    computed to accept the sample; g and the rational minors are built
+    positions are not evaluated.  g and the rational minors are built
     only when a position is compared.  ``relations_checked`` is samples x
     exchangeable positions regardless; ``closed_forms_checked`` is samples
     x compared positions, so a form keyed by a position that is not
@@ -450,12 +414,14 @@ def verify_cell_identities(
         if l in closed_forms
     ]
     rng = random.Random(rng_seed)
-    draws = [sample_cell(cartan, specs, rng) for _ in range(samples)]
+    draws = [sample_cell(cartan, word, specs, rng) for _ in range(samples)]
 
     def check(draw) -> list[str]:
+        h, den, minors = draw
+        if any(m <= 0 for m in minors):
+            return [_NOT_POSITIVE]
         if not compared:
             return []
-        h, den, minors = draw
         g = [[Fraction(x, den) for x in row] for row in h]
         values = [Fraction(m, den ** len(rows)) for (rows, _), m in zip(specs, minors)]
         return [
@@ -529,12 +495,12 @@ def tp_criterion_check(
 ) -> PositivityReport:
     """Positivity of the minor family and of explored clusters on TP samples.
 
-    Each totally positive sample must make every minor of the family
-    positive; additionally, for ``clusters`` explored clusters, the cluster
-    variables (as Laurent polynomials in the initial minors), the frozen
-    minors and the determinant must all evaluate positively.  A sample's
-    family minors and determinant are read from the integer matrix that
-    sample_totally_positive hands back with its denominator.
+    Each totally positive sample from ``sample_cell`` must make every minor
+    of the family positive, the frozen ones included; additionally, for
+    ``clusters`` explored clusters, the cluster variables (as Laurent
+    polynomials in the initial minors) must all evaluate positively.  The
+    family minors are the integer ones the sampler hands back; it has
+    already checked determinant one.
     """
     seed, _, specs = _cell_setup(cartan, word)
     found = [s.exprs for s, _ in islice(exchange_seeds(seed), max(1, clusters))]
@@ -544,31 +510,22 @@ def tp_criterion_check(
     variables = list(index)
 
     rng = random.Random(rng_seed)
-    gs = [sample_totally_positive(cartan, word, rng) for _ in range(samples)]
-    frozen_idx = range(seed.n, seed.m)
+    draws = [sample_cell(cartan, word, specs, rng) for _ in range(samples)]
 
-    def check(sample) -> list[str]:
-        local = []
-        h, den = sample
-        ms = integer_minors(specs, h)
-        values = [Fraction(m, den ** len(rows)) for (rows, _), m in zip(specs, ms)]
-        if any(v <= 0 for v in values):
-            local.append("a family minor is not positive")
-        if det(h) <= 0:  # det(g) = det(h) / den^size, den > 0
-            local.append("determinant is not positive")
+    def check(draw) -> list[str]:
+        _, den, minors = draw
+        local = [_NOT_POSITIVE] if any(m <= 0 for m in minors) else []
+        values = [Fraction(m, den ** len(rows)) for (rows, _), m in zip(specs, minors)]
         positive = [e.evaluate(values) > 0 for e in variables]
         for ci, idx in enumerate(found_idx):
             for i in idx:
                 if not positive[i]:
                     local.append(f"cluster {ci}: variable not positive")
-        for i in frozen_idx:
-            if values[i] <= 0:
-                local.append("frozen minor not positive")
         return local
 
     return PositivityReport(
         samples=samples,
         minors_checked=samples * len(specs),
         clusters_checked=len(found),
-        failures=_failures(check, gs),
+        failures=_failures(check, draws),
     )

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import neg
 from typing import Sequence
 
-from .laurent import Context, LaurentPoly, NotDivisible
+from .laurent import Context, LaurentPoly
 from .util import bareiss, check_keys, decimal_int, symmetrizer
 
 

@@ -634,3 +634,29 @@ def test_types_below_their_family_rank_exit_2(capsys, argv, message):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"error: ValueError: {message}\n"
+
+
+_RANK_ZERO = ['[]', '[[]]', '{"btilde": []}', '{"btilde": [[], []], "n": 0, "m": 2}']
+
+
+@pytest.mark.parametrize("matrix", _RANK_ZERO, ids=["empty", "one-empty-row",
+                                                    "object", "object-frozen-rows"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["classify", "--matrix"],
+        ["explore", "--seed"],
+        ["acyclic", "--matrix"],
+        ["mutate", "--directions", "", "--matrix"],
+        ["straighten", "--poly", '{"vars": [], "terms": []}', "--matrix"],
+        ["upper-member", "--num", '{"vars": [], "terms": []}', "--seed"],
+        ["tropical", "--nu", "1", "--seed"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_rank_zero_matrices_exit_2(capsys, command, matrix):
+    # like --type A0, a matrix or seed with no mutable column is refused
+    code = main([*command, matrix])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: an exchange matrix needs rank n >= 1, got n = 0\n"

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -20,7 +20,6 @@ from clusterforge.coxeter import (
 from clusterforge.double_bruhat import (
     InvalidWord,
     PositivityReport,
-    SamplingExhausted,
     build_btilde,
     build_gamma_tilde,
     btilde_direct,
@@ -45,7 +44,7 @@ from clusterforge.cli import main
 from clusterforge.graphs import explore_exchange_graph
 from clusterforge.laurent import LaurentPoly
 from clusterforge.seeds import rank, seed_mutate, skew_symmetrizer
-from clusterforge.util import mat_mul, symmetrizer
+from clusterforge.util import bareiss, mat_mul, symmetrizer
 
 from conftest import SL3_ROWS, type_a_permutation
 
@@ -431,25 +430,27 @@ def test_sample_cell_hands_back_family_minors(r, cell):
     specs = _family(cartan, word)
     rng = random.Random(1)
     for _ in range(10):
-        h, den, minors = sample_cell(cartan, specs, rng)
+        h, den, minors = sample_cell(cartan, word, specs, rng)
         assert all(type(x) is int for row in h for x in row) and type(den) is int
-        assert all(type(m) is int and m for m in minors)
+        assert all(type(m) is int and m > 0 for m in minors)
         g = _divided(h, den)
         assert _over_den(specs, minors, den) == [evaluate_minor(spec, g) for spec in specs]
 
 
 def test_sample_cell_determinant_check_survives_python_O():
-    # a product that is off by a factor 2 has determinant 8 on A2; under -O
-    # an assert would let it through
+    # a factored point that is off by a factor 2 has determinant 8 on A2;
+    # under -O an assert would let it through
     code = "\n".join([
         "import random, sys",
         "from clusterforge import double_bruhat",
         "from clusterforge.coxeter import cartan_data",
-        "from clusterforge.util import mat_mul",
         "if not sys.flags.optimize: sys.exit('not run under -O')",
-        "double_bruhat.mat_mul = lambda a, b: tuple(",
-        "    tuple(2 * x for x in row) for row in mat_mul(a, b))",
-        "double_bruhat.sample_cell(cartan_data('A2'), (), random.Random(1))",
+        "factor = double_bruhat.sample_totally_positive",
+        "def doubled(cartan, word, rng):",
+        "    h, den = factor(cartan, word, rng)",
+        "    return tuple(tuple(2 * x for x in row) for row in h), den",
+        "double_bruhat.sample_totally_positive = doubled",
+        "double_bruhat.sample_cell(cartan_data('A2'), (), (), random.Random(1))",
     ])
     src = os.path.dirname(os.path.dirname(clusterforge.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -463,12 +464,105 @@ def test_sample_cell_determinant_check_survives_python_O():
 
 def test_sample_cell_open_cell_conditions():
     rng = random.Random(61)
-    g = _divided(*sample_cell(A2, _family(A2, OPEN_CELL_A2), rng)[:2])
+    g = _divided(*sample_cell(A2, OPEN_CELL_A2, _family(A2, OPEN_CELL_A2), rng)[:2])
     assert det(g) == 1
     for spec in nonvanishing_conditions(A2, OPEN_CELL_A2):
         assert evaluate_minor(spec, g) != 0
     # the four open-cell conditions include x13 and x31
     assert g[0][2] != 0 and g[2][0] != 0
+
+
+def _verify_draws(monkeypatch, cartan, word, samples, rng_seed):
+    """The samples verify_cell_identities draws for the word, with its report."""
+    draw, drawn = double_bruhat.sample_cell, []
+
+    def recorded(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(double_bruhat, "sample_cell", recorded)
+    rep = verify_cell_identities(cartan, word, samples=samples, rng_seed=rng_seed)
+    monkeypatch.setattr(double_bruhat, "sample_cell", draw)
+    return rep, drawn
+
+
+def _permutation_matrix(size, letters):
+    """The permutation matrix of s_{a_1} ... s_{a_k}, s_a swapping a and a + 1:
+    each letter, applied on the right, swaps columns a and a + 1."""
+    m = [[int(i == j) for j in range(size)] for i in range(size)]
+    for a in letters:
+        for row in m:
+            row[a - 1], row[a] = row[a], row[a - 1]
+    return m
+
+
+def _corner_ranks(m, lower):
+    """The rank of the bottom k rows x first l columns of m (lower) or of its
+    top k rows x last l columns, for each k and l."""
+    size = len(m)
+    return [
+        [
+            bareiss([row[:l] for row in m[size - k:]] if lower
+                    else [row[size - l:] for row in m[:k]])[0]
+            for l in range(1, size + 1)
+        ]
+        for k in range(1, size + 1)
+    ]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cell_samples_lie_in_the_cell(monkeypatch, r):
+    # g lies in B+ u B+ iff its lower-left corner ranks are those of u's
+    # permutation matrix, and in B- v B- iff its upper-right ones are v's;
+    # u is read from the negative letters, v from the positive ones.  Only
+    # cells with u != v: on u = v = w0 every generic matrix passes.
+    cartan = cartan_data(f"A{r}")
+    rng = random.Random(40 + r)
+    cells = []
+    for word in dict.fromkeys(random_double_word(cartan, rng) for _ in range(40)):
+        u = _permutation_matrix(r + 1, [-x for x in word if x < 0])
+        v = _permutation_matrix(r + 1, [x for x in word if x > 0])
+        if u == v:
+            continue
+        cells.append(word)
+        rep, drawn = _verify_draws(monkeypatch, cartan, word, 3, len(cells))
+        assert rep.ok and len(drawn) == 3
+        for h, _, _ in drawn:
+            assert _corner_ranks(h, lower=True) == _corner_ranks(u, lower=True), word
+            assert _corner_ranks(h, lower=False) == _corner_ranks(v, lower=False), word
+        assert tp_criterion_check(cartan, word, samples=2, clusters=5,
+                                  rng_seed=len(cells)).ok, word
+    assert len(cells) >= min(12, 2 * r)
+
+
+def test_coxeter_cell_samples_vanish_below_the_subdiagonal(monkeypatch):
+    # u = s1 s2 s3: the A3 Coxeter cell's points are zero at (3, 1), (4, 1)
+    # and (4, 2), and a generic matrix is not
+    rep, drawn = _verify_draws(monkeypatch, A3, coxeter_cell_word(A3), 10, 4)
+    assert rep.ok and len(drawn) == 10
+    for h, _, _ in drawn:
+        assert h[2][0] == h[3][0] == h[3][1] == 0
+        assert h[1][0] and h[2][1] and h[3][2]
+
+
+@pytest.mark.parametrize("closed_forms", [None, open_cell_a2_closed_forms()],
+                         ids=["no-forms", "open-cell-forms"])
+def test_verify_reports_a_non_positive_family_minor(monkeypatch, closed_forms):
+    # the family minors' positivity is checked, not assumed: a zero minor
+    # fails its sample, and no comparison divides by it
+    draw, drawn = double_bruhat.sample_cell, []
+
+    def zero_on_second(*args):
+        h, den, minors = draw(*args)
+        drawn.append(1)
+        if len(drawn) == 2:
+            minors[1] = 0
+        return h, den, minors
+
+    monkeypatch.setattr(double_bruhat, "sample_cell", zero_on_second)
+    rep = verify_cell_identities(A2, OPEN_CELL_A2, samples=3, rng_seed=3,
+                                 closed_forms=closed_forms)
+    assert rep.failures == ("sample 1: a family minor is not positive",)
 
 
 def test_sample_cell_identity_for_trivial_pair():
@@ -550,11 +644,12 @@ def test_verify_evaluates_only_compared_relations(
         calls.append(1)
         return evaluate(self, values)
 
-    # the sampler's minors are handed back, so the only det call a try makes
+    # the sampler's minors are handed back, so the only det call a draw makes
     # is its determinant check, and only the closed forms evaluate minors
-    dets, minors, factors = [], [], []
-    det_, evaluate_minor_, unitriangular = (
-        double_bruhat.det, double_bruhat.evaluate_minor, double_bruhat._unitriangular
+    dets, minors, draws = [], [], []
+    det_, evaluate_minor_, factor = (
+        double_bruhat.det, double_bruhat.evaluate_minor,
+        double_bruhat.sample_totally_positive,
     )
 
     def counted_det(rows):
@@ -565,22 +660,21 @@ def test_verify_evaluates_only_compared_relations(
         minors.append(1)
         return evaluate_minor_(spec, g)
 
-    def counted_factor(*args, **kwargs):
-        factors.append(1)
-        return unitriangular(*args, **kwargs)
+    def counted_draw(*args):
+        draws.append(1)
+        return factor(*args)
 
     monkeypatch.setattr(LaurentPoly, "evaluate", counted)
     monkeypatch.setattr(double_bruhat, "det", counted_det)
     monkeypatch.setattr(double_bruhat, "evaluate_minor", counted_minor)
-    monkeypatch.setattr(double_bruhat, "_unitriangular", counted_factor)
+    monkeypatch.setattr(double_bruhat, "sample_totally_positive", counted_draw)
     rep = verify_cell_identities(A3, word, samples=5, rng_seed=11,
                                  closed_forms=closed_forms)
     assert rep.ok and rep.relations_checked == 5 * (len(word) - 3)
     assert len(calls) == evaluations
     assert len(minors) == evaluations
-    tries = len(factors) // 2  # two unitriangular factors per try
-    assert tries >= 5
-    assert sorted(dets) == ["evaluate_minor"] * evaluations + ["sample_cell"] * tries
+    assert len(draws) == 5  # one draw per sample, never a redraw
+    assert sorted(dets) == ["evaluate_minor"] * evaluations + ["sample_cell"] * 5
 
 
 def _divided(h, den):
@@ -622,7 +716,10 @@ def test_tp_criterion_check_a3_forty_clusters(monkeypatch):
 
 
 def reference_tp_failures(cartan, word, gs, clusters):
-    """The per-(cluster, variable) loop: one evaluation per variable per cluster."""
+    """The per-(cluster, variable) loop: one evaluation per variable per cluster.
+
+    The frozen minors are family minors, so a non-positive one is reported
+    as a family minor, once; the sampler itself checks the determinant."""
     seed, _, specs = double_bruhat._cell_setup(cartan, word)
     found = [s.exprs for s, _ in islice(graphs.exchange_seeds(seed), clusters)]
     out = []
@@ -631,31 +728,32 @@ def reference_tp_failures(cartan, word, gs, clusters):
         local = []
         if any(v <= 0 for v in values):
             local.append("a family minor is not positive")
-        if det(g) <= 0:
-            local.append("determinant is not positive")
         for ci, exprs in enumerate(found):
             for e in exprs:
                 if e.evaluate(values) <= 0:
                     local.append(f"cluster {ci}: variable not positive")
-        for j in range(seed.n, seed.m):
-            if values[j] <= 0:
-                local.append("frozen minor not positive")
         out += [f"sample {i}: {msg}" for msg in local]
     return tuple(out)
 
 
+def _integer_form(g):
+    """(h, den) with h = den * g an integer matrix."""
+    den = lcm(*(x.denominator for row in g for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in g), den
+
+
 def test_tp_criterion_check_messages_match_per_cluster_loop(monkeypatch):
     # det-one matrices with nonzero family minors, some of them negative:
-    # cell samples for the family, which are not totally positive
+    # lower x diagonal x upper draws, which are not totally positive
     specs = _family(A3, OPEN_CELL_A3)
     rng = random.Random(5)
-    samples = [sample_cell(A3, specs, rng)[:2] for _ in range(4)]
-    gs = [_divided(h, den) for h, den in samples]
+    gs = [reference_sample_cell(A3, OPEN_CELL_A3, rng, extra_nonzero=specs)
+          for _ in range(4)]
     for g in gs:
         minors = [evaluate_minor(spec, g) for spec in specs]
         assert 0 not in minors and any(v < 0 for v in minors)
 
-    draws = iter(samples)
+    draws = iter([_integer_form(g) for g in gs])
     monkeypatch.setattr(
         double_bruhat, "sample_totally_positive", lambda cartan, word, rng: next(draws)
     )
@@ -664,6 +762,28 @@ def test_tp_criterion_check_messages_match_per_cluster_loop(monkeypatch):
     assert rep.failures == expected
     variable_failures = [f for f in expected if "variable" in f]
     assert 0 < len(variable_failures) < 4 * 40 * 9
+
+
+@pytest.mark.parametrize("clusters", [0, 40])
+def test_tp_criterion_check_reports_a_non_positive_frozen_minor(monkeypatch, clusters):
+    # a frozen position is a family minor: negating the first frozen minor
+    # of sample 1 is reported once for that sample, and sample 0 passes
+    seed, _, _ = double_bruhat._cell_setup(A3, OPEN_CELL_A3)
+    draw, drawn = double_bruhat.sample_cell, []
+
+    def negated_on_second(*args):
+        h, den, minors = draw(*args)
+        drawn.append(1)
+        if len(drawn) == 2:
+            minors[seed.n] = -minors[seed.n]
+        return h, den, minors
+
+    monkeypatch.setattr(double_bruhat, "sample_cell", negated_on_second)
+    rep = tp_criterion_check(A3, OPEN_CELL_A3, samples=2, clusters=clusters, rng_seed=7)
+    family = [f for f in rep.failures if "family" in f]
+    assert family == ["sample 1: a family minor is not positive"]
+    assert all(f.startswith("sample 1: cluster ") for f in rep.failures if f not in family)
+    assert (len(rep.failures) > 1) == (clusters > 0)
 
 
 def test_tp_criterion_check_zero_clusters_keeps_initial():
@@ -785,7 +905,9 @@ def elementary_matrix(size, i, t, upper):
 
 def reference_sample_cell(cartan, word, rng, extra_nonzero=(), tries=200):
     """lower-unitriangular x diagonal x upper-unitriangular, multiplied out,
-    until the word's open-cell minors and ``extra_nonzero`` are nonzero."""
+    until the word's open-cell minors and ``extra_nonzero`` are nonzero: a
+    generic determinant-one matrix, in the open cell but in no smaller one,
+    and not totally positive."""
     size = cartan.rank + 1
     conditions = nonvanishing_conditions(cartan, word) + list(extra_nonzero)
     for _ in range(tries):
@@ -805,7 +927,7 @@ def reference_sample_cell(cartan, word, rng, extra_nonzero=(), tries=200):
         g = mat_mul(mat_mul(lo, diagonal_matrix(diag)), up)
         if all(evaluate_minor(s, g) != 0 for s in conditions):
             return g
-    raise SamplingExhausted
+    raise AssertionError(f"no sample in {tries} tries")
 
 
 def reference_sample_totally_positive(cartan, word, rng):
@@ -829,8 +951,8 @@ def test_samplers_match_full_matrix_products(r):
     specs = [minor_spec(iw, cartan, k) for k in iw.positions()]
     for s in range(20):
         rng, ref = random.Random(s), random.Random(s)
-        h, den, minors = sample_cell(cartan, specs, rng)
-        g = reference_sample_cell(cartan, word, ref, extra_nonzero=specs)
+        h, den, minors = sample_cell(cartan, word, specs, rng)
+        g = reference_sample_totally_positive(cartan, word, ref)
         assert _divided(h, den) == g
         assert _over_den(specs, minors, den) == [evaluate_minor(spec, g) for spec in specs]
         assert _divided(*sample_totally_positive(cartan, word, rng)) == (

@@ -129,3 +129,27 @@ def test_every_definition_is_reached():
             reached.add(name)
             todo += uses.get(name, ())
     assert sorted(defs - reached - TESTS_ONLY) == []
+
+
+def test_every_module_level_import_is_read():
+    """Each name a module of src/ imports at its top level is read somewhere
+    in that module, so a dead import fails here; __future__ imports are
+    directives, not names."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unread == []
