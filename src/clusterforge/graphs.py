@@ -355,24 +355,25 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     child, _checked_weights, checks its sign-skew-symmetry and builds the
     weights canonical_key reads; a weight >= 4 is a witness before any
     key, reported as its weight and depth.
-    No diagram_of runs per child.  Each class keeps its first
-    rows X as rep, with pos, the map from canonical positions to X's
-    vertices, and a set of known directions.
-    A child mu_k(M) keyed to X's class maps onto X by v -> pos[leaf[v]],
-    leaf being the colouring canonical_key hands back.  The diagram of a
-    mutation is a function of the diagram and the direction (Fomin-
-    Zelevinsky, *Cluster algebras II*, Prop. 8.1) and mutation is an
-    involution, so X mutated at pos[leaf[k]] has M's diagram up to
-    isomorphism: that direction of X is known (for a new rep, the way
-    back).  Expanding a rep skips its known directions.  That is exact: a
-    skipped child lies in a class already in the reps, with all weights
-    below 4, so it changes neither the reps nor the witness.  Mutations in
-    directions i and j with b_ij = 0 commute, so one layer of the search
-    often makes the same rows twice; the rows made while mutating the
-    current layer are kept, and a repeat is dropped before it is checked
-    or weighed.  That is exact too: the first copy had the same diagram
-    and, as the search went on, passed both checks and left its key in
-    the reps, so the repeat would change nothing.
+    No diagram_of runs per child.  Class c keeps its first rows as
+    rows[c], with pos[c], the map from canonical positions to their
+    vertices, and targets[c]: at direction d, the class of rows[c]
+    mutated at d and a vertex map that sends that mutation onto the
+    class's rows as diagrams, or None while unknown.
+    Expanding class c with rows M, a keyed child mu_k(M) lies in class y
+    by f: v -> pos[y][leaf[v]], leaf being the colouring canonical_key
+    hands back.  The diagram of a mutation is a function of the diagram
+    and the direction (Fomin-Zelevinsky, *Cluster algebras II*, Prop.
+    8.1) and mutation is an involution, so rows[y] mutated at f[k] maps
+    onto M by the inverse of f: that way back is recorded with the child.
+    Mutations in directions j and k with b_jk = 0 commute, so
+    mu_k(M) = mu_j(mu_k(mu_j(M))).  Before keying mu_k(M), the search
+    looks for such a j whose three steps are all in targets, and reads
+    the class of mu_k(M) and its map off them, with no mutation and no
+    key.  Expanding a class skips every direction already in its
+    targets.  That is exact: a skipped child lies in a class already
+    found, with all weights below 4, so it changes neither the classes,
+    their order, nor the witness.
     """
     if not is_skew_symmetrizable(B):
         raise ValueError("classification requires a skew-symmetrizable matrix")
@@ -382,40 +383,63 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     if top >= 4:
         return Classification("infinite", None, top, 0, 1)
     leaf: list = []
-    key = canonical_key(weights, n, leaf)
-    reps = {key: (P, sorted(range(n), key=leaf.__getitem__), set())}
-    queue = deque([(reps[key], 0)])
-    layer, made = 0, set()
+    ids = {canonical_key(weights, n, leaf): 0}
+    rows, pos, targets = [P], [sorted(range(n), key=leaf.__getitem__)], [[None] * n]
+    maps: dict = {}  # each vertex map once: most are the identity
+
+    def record(c: int, k: int, y: int, f: tuple) -> None:
+        """f maps mu_k(rows[c]) onto rows[y]; its inverse is the way back."""
+        f = maps.setdefault(f, f)
+        back = tuple(sorted(range(n), key=f.__getitem__))
+        targets[c][k] = (y, f)
+        targets[y][f[k]] = (c, maps.setdefault(back, back))
+
+    queue = deque([(0, 0)])
     while queue:
-        (M, _, known), depth = queue.popleft()
-        if depth != layer:
-            layer, made = depth, set()
+        c, depth = queue.popleft()
+        M, here = rows[c], targets[c]
         for k in range(n):
-            if k in known:
+            if here[k] is not None:
                 continue
-            M2 = mutate_rows(M, k)
-            if M2 in made:
-                continue
-            made.add(M2)
-            weights = _checked_weights(M2)
-            top = max(weights.values(), default=0)
-            if top >= 4:
-                return Classification("infinite", None, top, depth + 1, len(reps))
-            key = canonical_key(weights, n, leaf)
-            X = reps.get(key)
-            if X is None:
-                if len(reps) >= node_cap:
-                    return Classification("inconclusive", None, None, None, len(reps))
-                X = reps[key] = (M2, sorted(range(n), key=leaf.__getitem__), set())
-                queue.append((X, depth + 1))
-            X[2].add(X[1][leaf[k]])
-    for rows, _, _ in reps.values():
-        M = ExchangeMatrix.make(rows)
+            # directions after k first: ways back, to classes already expanded
+            for j in reversed(range(n)):
+                step = here[j]
+                if step is None or M[j][k]:
+                    continue
+                q, chi = step
+                step = targets[q][chi[k]]
+                if step is None:
+                    continue
+                y, phi = step
+                step = targets[y][phi[chi[j]]]
+                if step is not None:
+                    z, psi = step
+                    record(c, k, z, tuple(psi[phi[x]] for x in chi))
+                    break
+            else:
+                M2 = mutate_rows(M, k)
+                weights = _checked_weights(M2)
+                top = max(weights.values(), default=0)
+                if top >= 4:
+                    return Classification("infinite", None, top, depth + 1, len(rows))
+                key = canonical_key(weights, n, leaf)
+                y = ids.get(key)
+                if y is None:
+                    if len(rows) >= node_cap:
+                        return Classification("inconclusive", None, None, None, len(rows))
+                    y = ids[key] = len(rows)
+                    rows.append(M2)
+                    pos.append(sorted(range(n), key=leaf.__getitem__))
+                    targets.append([None] * n)
+                    queue.append((y, depth + 1))
+                record(c, k, y, tuple(map(pos[y].__getitem__, leaf)))
+    for X in rows:
+        M = ExchangeMatrix.make(X)
         if is_acyclic(M):
             name = dynkin_name(diagram_of(M), n)
             if name is not None:
-                return Classification("finite", name, None, None, len(reps))
-    return Classification("finite", "unrecognized", None, None, len(reps))
+                return Classification("finite", name, None, None, len(rows))
+    return Classification("finite", "unrecognized", None, None, len(rows))
 
 
 # -- exchange graph exploration ------------------------------------------------

@@ -566,9 +566,14 @@ def test_verify_reports_a_non_positive_family_minor(monkeypatch, closed_forms):
 
 
 def test_sample_cell_identity_for_trivial_pair():
-    ident = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    for spec in nonvanishing_conditions(A2, ()):
-        assert evaluate_minor(spec, ident) != 0
+    # the cell of (u, v) = (e, e), drawn along the empty word, is the torus
+    specs = _family(A2, ())
+    assert set(nonvanishing_conditions(A2, ())) <= set(specs)
+    for seed in range(5):
+        h, den, minors = sample_cell(A2, (), specs, random.Random(seed))
+        assert all(h[i][j] == 0 for i in range(3) for j in range(3) if i != j)
+        assert det(h) == den ** 3
+        assert len(minors) == len(specs) and all(m > 0 for m in minors)
 
 
 def test_degenerate_matrix_rejected_by_det():

@@ -495,6 +495,46 @@ def test_classify_equals_search_keying_every_matrix(make, cap, summary):
     assert (out.verdict, out.nodes, out.witness_depth) == summary
 
 
+def _symmetrizable_tree_mutant(rng, n):
+    """A random skew-symmetrizable tree on n vertices, with symmetrizer
+    entries in 1..3 and arrows of multiplicity one, after up to four random
+    mutations."""
+    d = [rng.choice((1, 1, 2, 2, 3)) for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for j in range(1, n):
+        i, s = rng.randrange(j), rng.choice((-1, 1))
+        g = gcd(d[i], d[j])
+        rows[i][j], rows[j][i] = s * d[j] // g, -s * d[i] // g
+    B = ExchangeMatrix.make(rows)
+    for _ in range(rng.randint(0, 4)):
+        B = matrix_mutate(B, rng.randrange(n))
+    return B
+
+
+def test_classify_equals_search_keying_every_matrix_symmetrizable():
+    # skew-symmetrizable, not skew-symmetric inputs: seeded mutants of the
+    # bipartite B4, C4, F4 and G2, and random ranks 2 to 7 with no weight
+    # above 3, some under a node cap small enough to end the search
+    # inconclusive.  The trees reach classes of a few hundred diagrams, where
+    # a wrong vertex map shows.
+    cases = [(ExchangeMatrix.make(_randomly_mutated(name, r)), 100_000)
+             for name in ("B4", "C4", "F4", "G2") for r in range(4)]
+    rng = random.Random(26)
+    while len(cases) < 150:
+        B = _symmetrizable_tree_mutant(rng, rng.randint(2, 7))
+        E = B.entries
+        if (all(E[i][j] == -E[j][i] for i in range(B.n) for j in range(i))
+                or max(diagram_of(B).values(), default=0) >= 4):
+            continue
+        cases.append((B, rng.choice((3, 20, 100_000, 100_000))))
+    verdicts = Counter()
+    for B, cap in cases:
+        out = classify_finite_type(B, node_cap=cap)
+        assert out == _classify_keying_every_matrix(B, node_cap=cap), (B.entries, cap)
+        verdicts[out.verdict] += 1
+    assert min(verdicts[v] for v in ("finite", "infinite", "inconclusive")) >= 20, verdicts
+
+
 @pytest.mark.parametrize(
     "make, cap",
     [
@@ -504,6 +544,12 @@ def test_classify_equals_search_keying_every_matrix(make, cap, summary):
     ids=["open-cell-A3", "base-affine-A5-node-cap"],
 )
 def test_classify_builds_each_matrix_once_per_layer(monkeypatch, make, cap):
+    """classify builds a subsequence of the reference's mutated matrices,
+    each matrix at most once, and fewer than the reference's first copies.
+
+    The queue is recorded to tag each built matrix with its depth, read as
+    the last element of the popped queue item.
+    """
     B = make()
     made = []
     _classify_keying_every_matrix(B, node_cap=cap, made=made)
@@ -526,10 +572,11 @@ def test_classify_builds_each_matrix_once_per_layer(monkeypatch, make, cap):
     classify_finite_type(B, node_cap=cap)
     # the first rows weighed are the input's; both searches stop before naming a
     # type.  The search mutates the reference's reps in the reference's
-    # order but skips known directions and repeats, so it builds a
-    # subsequence of the reference's mutated matrices.  That is not always
-    # a subsequence of the first copies: a matrix whose first copy came
-    # from a skipped direction is built at its next copy in the layer.
+    # order but skips every direction whose class it knows or infers, so it
+    # builds a subsequence of the reference's mutated matrices.  Nothing
+    # drops a repeat, yet on these inputs no matrix is built twice.
+    # That is not always a subsequence of the first copies: a matrix whose
+    # first copy came from a skipped direction is built at a later copy.
     rest = iter(made)
     assert all(x in rest for x in built[1:])
     assert len(set(built)) == len(built)
@@ -539,14 +586,15 @@ def test_classify_builds_each_matrix_once_per_layer(monkeypatch, make, cap):
 @pytest.mark.parametrize(
     "make, keys",
     [
-        (lambda: _cell_matrix("A5"), 6184),
-        (lambda: _cell_matrix("A3", (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)), 1155),
-        (lambda: bipartite_seed("E7").matrix, 1318),
+        (lambda: _cell_matrix("A5"), 2837),
+        (lambda: _cell_matrix("A3", (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)), 552),
+        (lambda: bipartite_seed("E7").matrix, 573),
     ],
     ids=["base-affine-A5", "open-cell-A3", "bipartite-E7"],
 )
-def test_classify_skips_known_directions(monkeypatch, make, keys):
-    # keying every child but the way back takes 7,943, 1,454 and 1,795 keys
+def test_classify_infers_commuting_squares(monkeypatch, make, keys):
+    # keying every child but the way back takes 7,943, 1,454 and 1,795 keys,
+    # and skipping only the ways back found by keying 6,184, 1,155 and 1,304
     calls = []
 
     def counting_canonical_key(weights, n, leaf=None):
