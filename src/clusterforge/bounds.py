@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from math import prod
 from typing import Iterator, Sequence
 
-from .graphs import acyclic_order, diagram_of, is_acyclic, relabel_matrix
+from .graphs import acyclic_order, is_acyclic, relabel_matrix
 from .laurent import Context, LaurentPoly, NotDivisible
-from .seeds import (Seed, exchange_polynomial, initial_seed,
+from .seeds import (Seed, diagram_of, exchange_polynomial, initial_seed,
                     rewrite_in_adjacent_cluster, seed_mutate)
 
 
@@ -189,7 +189,7 @@ def cycle_dependency(seed: Seed, cycle: Sequence[int]) -> dict:
 
 def _find_oriented_three_cycle(seed: Seed) -> tuple | None:
     """The lexicographically first oriented 3-cycle (i, j, k) of Gamma(B)."""
-    E = diagram_of(seed.matrix).keys()
+    E = diagram_of(seed.matrix.entries).keys()
     return next(
         ((i, j, k) for i, j in sorted(E) for k in range(seed.n) if {(j, k), (k, i)} <= E),
         None,

@@ -361,8 +361,10 @@ def main(argv=None) -> int:
             parser.error("tropical needs one of --nu and --delta")
         if (args.depth if args.nu is None else args.radius) is not None:
             parser.error("--nu goes with --depth and --delta with --radius")
-        if args.delta is not None and len(args.delta) != 3:
-            parser.error(f"--delta needs 3 entries, got {len(args.delta)}")
+        # tropical is rank-3 only: one entry per cluster variable
+        option, values = ("--nu", args.nu) if args.delta is None else ("--delta", args.delta)
+        if len(values) != 3:
+            parser.error(f"{option} needs 3 entries, got {len(values)}")
     try:
         return args.fn(args)
     except _UsageError as exc:

@@ -3,7 +3,8 @@
 The directed graph Gamma(B) of an exchange matrix has an edge (i, j)
 whenever b_ij > 0; its diagram assigns that edge the weight |b_ij * b_ji|.
 A diagram is the plain dict {(i, j): weight} over the edges of Gamma(B),
-passed with the vertex count n, and canonical_key reads that dict.  The
+passed with the vertex count n; seeds.diagram_of builds it, checking
+sign-skew-symmetry, and canonical_key reads it.  The
 diagram of mu_k(B) depends only on the diagram of B and on k (Fomin-
 Zelevinsky, *Cluster algebras II*, Prop. 8.1): two skew-symmetrizable matrices with one
 diagram differ by a positive diagonal conjugation T B T^-1, and mutation
@@ -28,25 +29,12 @@ from .coxeter import cartan_entries
 from .seeds import (
     ExchangeMatrix,
     Seed,
-    SignSkewSymmetryLost,
+    diagram_of,
     is_skew_symmetrizable,
     matrix_mutate,
     mutate_rows,
     seed_mutate,
 )
-
-
-def diagram_of(B: ExchangeMatrix) -> dict:
-    """The diagram of B's principal part, unchecked: {(i, j): |b_ij b_ji|}
-    over the arrows (i, j) with b_ij > 0, in row order.  Off
-    sign-skew-symmetry an arrow may weigh 0; it is still an edge of Gamma(B)."""
-    E, n = B.entries, B.n
-    return {
-        (i, j): abs(x * E[j][i])
-        for i in range(n)
-        for j, x in enumerate(E[i][:n])
-        if x > 0
-    }
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:
@@ -62,7 +50,7 @@ def acyclic_order(B: ExchangeMatrix) -> tuple[int, ...] | None:
     n = B.n
     out = {i: set() for i in range(n)}
     indeg = [0] * n
-    for i, j in diagram_of(B):
+    for i, j in diagram_of(B.entries):
         out[i].add(j)
         indeg[j] += 1
     ready = sorted(i for i in range(n) if indeg[i] == 0)
@@ -326,40 +314,19 @@ def dynkin_name(weights: dict, n: int) -> str | None:
     return " x ".join(f"{nm}^{c}" if c > 1 else nm for nm, c in counts)
 
 
-def _checked_weights(E: tuple) -> dict:
-    """diagram_of(E) for the square matrix E, in one loop over the
-    pairs i < j with a = b_ij, b = b_ji.  Raises SignSkewSymmetryLost
-    where is_sign_skew_symmetric is False: b_ii != 0, or a or b nonzero
-    with a * b >= 0; so no weight is 0."""
-    n = len(E)
-    weights = {}
-    for i, row in enumerate(E):
-        if row[i]:
-            raise SignSkewSymmetryLost(f"nonzero diagonal entry {i}")
-        for j in range(i + 1, n):
-            a, b = row[j], E[j][i]
-            if a or b:
-                w = -a * b
-                if w <= 0:
-                    raise SignSkewSymmetryLost(f"entries ({i}, {j}) and ({j}, {i})")
-                weights[(i, j) if a > 0 else (j, i)] = w
-    return weights
-
-
 def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classification:
     """Explore the diagram mutation class; see the module docstring.
 
     The search mutates principal rows with mutate_rows (by Prop. 8.1 the
     realization mutated does not change the mutated diagram) and
-    deduplicates by canonical diagram form.  One more walk over each
-    child, _checked_weights, checks its sign-skew-symmetry and builds the
-    weights canonical_key reads; a weight >= 4 is a witness before any
-    key, reported as its weight and depth.
-    No diagram_of runs per child.  Class c keeps its first rows as
-    rows[c], with pos[c], the map from canonical positions to their
-    vertices, and targets[c]: at direction d, the class of rows[c]
-    mutated at d and a vertex map that sends that mutation onto the
-    class's rows as diagrams, or None while unknown.
+    deduplicates by canonical diagram form.  diagram_of weighs the root
+    and each child, checking its sign-skew-symmetry as matrix_mutate
+    would, and canonical_key reads those weights; a weight >= 4 is a
+    witness before any key, reported as its weight and depth.
+    Class c keeps its first rows as rows[c], with pos[c], the map from
+    canonical positions to their vertices, and targets[c]: at direction
+    d, the class of rows[c] mutated at d and a vertex map that sends that
+    mutation onto the class's rows as diagrams, or None while unknown.
     Expanding class c with rows M, a keyed child mu_k(M) lies in class y
     by f: v -> pos[y][leaf[v]], leaf being the colouring canonical_key
     hands back.  The diagram of a mutation is a function of the diagram
@@ -378,7 +345,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     if not is_skew_symmetrizable(B):
         raise ValueError("classification requires a skew-symmetrizable matrix")
     P, n = B.principal(), B.n
-    weights = _checked_weights(P)
+    weights = diagram_of(P)
     top = max(weights.values(), default=0)
     if top >= 4:
         return Classification("infinite", None, top, 0, 1)
@@ -418,7 +385,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
                     break
             else:
                 M2 = mutate_rows(M, k)
-                weights = _checked_weights(M2)
+                weights = diagram_of(M2)
                 top = max(weights.values(), default=0)
                 if top >= 4:
                     return Classification("infinite", None, top, depth + 1, len(rows))
@@ -434,9 +401,8 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
                     queue.append((y, depth + 1))
                 record(c, k, y, tuple(map(pos[y].__getitem__, leaf)))
     for X in rows:
-        M = ExchangeMatrix.make(X)
-        if is_acyclic(M):
-            name = dynkin_name(diagram_of(M), n)
+        if is_acyclic(ExchangeMatrix.make(X)):
+            name = dynkin_name(diagram_of(X), n)
             if name is not None:
                 return Classification("finite", name, None, None, len(rows))
     return Classification("finite", "unrecognized", None, None, len(rows))

@@ -21,12 +21,46 @@ from .util import bareiss, check_keys, decimal_int, symmetrizer
 
 
 class SignSkewSymmetryLost(ArithmeticError):
-    """A mutation produced a principal part violating sign-skew-symmetry."""
+    """A principal part that is not sign-skew-symmetric, given or mutated."""
+
+
+def diagram_of(rows: Sequence[Sequence[int]]) -> dict:
+    """The diagram of the principal part of rows, checked.
+
+    rows are those of an m x n matrix B with n <= m; the first n make its
+    principal part.  Returns {(i, j): |b_ij b_ji|} over the arrows (i, j)
+    of Gamma(B), those with b_ij > 0, taking the pairs i < j in order.
+    B must be sign-skew-symmetric (Fomin-Zelevinsky, *Cluster algebras I*,
+    Section 4): b_ii = 0, and b_ij = b_ji = 0 or b_ij b_ji < 0, so no weight
+    is 0.  Otherwise SignSkewSymmetryLost names the first bad diagonal
+    entry or entry pair in that order.
+    """
+    n = len(rows[0]) if rows else 0
+    weights = {}
+    for i in range(n):
+        row = rows[i]
+        if row[i]:
+            raise SignSkewSymmetryLost(f"diagonal entry b[{i}][{i}] = {row[i]} is not 0")
+        for j in range(i + 1, n):
+            a, b = row[j], rows[j][i]
+            if a or b:
+                w = -a * b
+                if w <= 0:
+                    raise SignSkewSymmetryLost(
+                        f"entries b[{i}][{j}] = {a} and b[{j}][{i}] = {b} "
+                        "are not of opposite signs")
+                weights[(i, j) if a > 0 else (j, i)] = w
+    return weights
 
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """m x n integer matrix with cluster rows first; immutable."""
+    """m x n integer matrix with cluster rows first; immutable.
+
+    make checks the principal part with diagram_of and matrix_mutate
+    checks every mutation, so every matrix they return is
+    sign-skew-symmetric.
+    """
 
     entries: tuple[tuple[int, ...], ...]
     n: int
@@ -57,6 +91,7 @@ class ExchangeMatrix:
             raise ValueError(f"{len(labels)} labels for {m} rows")
         if len(set(labels)) != m:
             raise ValueError(f"labels {list(labels)!r} repeat")
+        diagram_of(entries)
         return ExchangeMatrix(entries, n, tuple(labels))
 
     def principal(self) -> tuple[tuple[int, ...], ...]:
@@ -94,24 +129,11 @@ class ExchangeMatrix:
         return mat
 
 
-def is_sign_skew_symmetric(B: ExchangeMatrix) -> bool:
-    """Check b_ij = b_ji = 0 or b_ij*b_ji < 0 on the principal part."""
-    E, n = B.entries, B.n
-    for i in range(n):
-        row = E[i]
-        if row[i]:
-            return False
-        for j in range(i + 1, n):
-            a, b = row[j], E[j][i]
-            if (a or b) and a * b >= 0:
-                return False
-    return True
-
-
 def skew_symmetrizer(B: ExchangeMatrix) -> tuple[int, ...] | None:
-    """Positive integer diagonal D with d_i b_ij = -d_j b_ji, or None."""
-    if not is_sign_skew_symmetric(B):
-        return None
+    """Positive integer diagonal D with d_i b_ij = -d_j b_ji, or None.
+
+    B is sign-skew-symmetric, so d_i |b_ij| = d_j |b_ji| is the same condition.
+    """
     return symmetrizer(B.principal())
 
 
@@ -148,16 +170,19 @@ def mutate_rows(entries: tuple, k: int) -> tuple:
 def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation in direction k (0-based), extended to all m rows.
 
-    The rows are mutate_rows(B.entries, k).  Raises SignSkewSymmetryLost
-    if the mutated principal part violates sign-skew-symmetry; that
-    reports a non-totally-mutable input rather than silently continuing.
+    The rows are mutate_rows(B.entries, k).  Raises SignSkewSymmetryLost,
+    naming k, if diagram_of finds the mutated principal part is not
+    sign-skew-symmetric; that reports a non-totally-mutable input rather
+    than silently continuing.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"direction {k} out of range")
-    out = ExchangeMatrix(mutate_rows(B.entries, k), B.n, B.labels)
-    if not is_sign_skew_symmetric(out):
-        raise SignSkewSymmetryLost(f"mutation at direction {k}")
-    return out
+    rows = mutate_rows(B.entries, k)
+    try:
+        diagram_of(rows)
+    except SignSkewSymmetryLost as exc:
+        raise SignSkewSymmetryLost(f"mutation at direction {k}: {exc}") from None
+    return ExchangeMatrix(rows, B.n, B.labels)
 
 
 def rank(B: ExchangeMatrix) -> int:
@@ -227,8 +252,6 @@ class Seed:
 
 
 def initial_seed(B: ExchangeMatrix) -> Seed:
-    if not is_sign_skew_symmetric(B):
-        raise SignSkewSymmetryLost("initial matrix is not sign-skew-symmetric")
     ctx = Context(B.labels)
     exprs = tuple(ctx.var(j) for j in range(B.n))
     return Seed(B, ctx, exprs)

@@ -65,10 +65,12 @@ def test_acyclic_exit_codes(capsys):
     assert code == 1 and data["acyclic"] is False
     code, data = run(capsys, "acyclic", "--matrix", "[[0, 1], [-1, 0]]")
     assert code == 0 and data["acyclic"] is True
-    # an oriented 3-cycle with b_ji = 0 on every arrow: each diagram weight
-    # is 0, but each arrow is still an edge of Gamma(B)
-    code, data = run(capsys, "acyclic", "--matrix", "[[0,1,0],[0,0,1],[1,0,0]]")
+    code, data = run(capsys, "acyclic", "--matrix", "[[0,1,-1],[-1,0,1],[1,-1,0]]")
     assert code == 1 and data == {"acyclic": False, "order": None}
+    # an oriented 3-cycle with b_ji = 0 on every arrow is not sign-skew-symmetric:
+    # an error, not "verified false"
+    code, data = run(capsys, "acyclic", "--matrix", "[[0,1,0],[0,0,1],[1,0,0]]")
+    assert code == 2 and data is None
 
 
 def test_diffcomb(capsys):
@@ -479,9 +481,12 @@ def test_every_typed_option_validates_in_cli():
         ("--nu", "١,1,1"),
         ("--nu", "1e3,1,1"),
         ("--nu", "1,,1"),
+        ("--nu", "1,1"),
+        ("--nu", "1,1,1,1"),
     ],
     ids=["delta-pair", "delta-four", "delta-letter", "zero-denominator",
-         "underscore", "space", "arabic-digit", "exponent", "empty-entry"],
+         "underscore", "space", "arabic-digit", "exponent", "empty-entry",
+         "nu-pair", "nu-four"],
 )
 def test_malformed_rationals_are_usage_errors(capsys, option, value):
     with pytest.raises(SystemExit) as exc:
@@ -650,7 +655,7 @@ _RANK_ZERO = ['[]', '[[]]', '{"btilde": []}', '{"btilde": [[], []], "n": 0, "m":
         ["mutate", "--directions", "", "--matrix"],
         ["straighten", "--poly", '{"vars": [], "terms": []}', "--matrix"],
         ["upper-member", "--num", '{"vars": [], "terms": []}', "--seed"],
-        ["tropical", "--nu", "1", "--seed"],
+        ["tropical", "--nu", "1,1,1", "--seed"],
     ],
     ids=lambda c: c[0],
 )
@@ -660,3 +665,39 @@ def test_rank_zero_matrices_exit_2(capsys, command, matrix):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: ValueError: an exchange matrix needs rank n >= 1, got n = 0\n"
+
+
+@pytest.mark.parametrize(
+    "matrix, directions, fault",
+    [
+        ("[[0,1],[1,0]]", "1", "entries b[0][1] = 1 and b[1][0] = 1"),
+        ("[[1,0],[0,0]]", "1", "diagonal entry b[0][0] = 1"),
+        # the mutation at 3 of this matrix is sign-skew-symmetric again
+        ("[[0,1,1],[1,0,-1],[-2,1,0]]", "3", "entries b[0][1] = 1 and b[1][0] = 1"),
+    ],
+    ids=["symmetric-pair", "diagonal", "pair-mended-by-mutation"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mutate", "--directions", "", "--matrix"],
+        ["mutate", "--directions", None, "--matrix"],
+        ["acyclic", "--matrix"],
+        ["classify", "--matrix"],
+        ["explore", "--seed"],
+        ["upper-member", "--num", '{"vars": [], "terms": []}', "--seed"],
+        ["straighten", "--poly", '{"vars": [], "terms": []}', "--matrix"],
+        ["tropical", "--nu", "1,1,1", "--seed"],
+        ["tropical", "--delta", "0,0,1", "--seed"],
+    ],
+    ids=["mutate-no-directions", "mutate", "acyclic", "classify", "explore",
+         "upper-member", "straighten", "tropical-nu", "tropical-delta"],
+)
+def test_principal_part_off_sign_skew_symmetry_exits_2(capsys, command, matrix,
+                                                       directions, fault):
+    # every command that reads a matrix refuses it before any answer
+    argv = [directions if x is None else x for x in command] + [matrix]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: SignSkewSymmetryLost: {fault}")

@@ -4,7 +4,8 @@ Well-formed and malformed JSON and text go to mutate, acyclic, explore,
 classify, upper-member and tropical; small sizes, words, sample counts
 and seeds go to diffcomb, and to verify-cell and tp-check on A2.  Whatever
 the input, the exit code is 0, 1, 2 or 64, and exit 1 (verified false)
-always comes with JSON on stdout.  Skipped when hypothesis is not installed.
+always comes with JSON on stdout.  Integer matrices with a broken sign
+pattern go to every command that reads a matrix, and exit 2.  Skipped when hypothesis is not installed.
 """
 
 import contextlib
@@ -41,6 +42,22 @@ def _matrix(draw, max_rank=3, entries=2, min_rank=1):
             rows[i][j], rows[j][i] = b, -b * c
     rows += draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
                           max_size=1))
+    return rows
+
+
+@st.composite
+def _broken_matrix(draw):
+    """_matrix with its sign pattern broken at one place: a nonzero diagonal
+    entry, or a pair with b_ij b_ji >= 0 and one of them nonzero."""
+    rows = draw(_matrix(max_rank=4))
+    n = len(rows[0])
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1))
+    if i == j:
+        rows[i][i] = draw(st.integers(-2, 2).filter(bool))
+    else:
+        rows[i][j] = draw(st.integers(-2, 2).filter(bool))
+        rows[j][i] = draw(st.integers(0, 2)) * (1 if rows[i][j] > 0 else -1)
     return rows
 
 
@@ -139,6 +156,33 @@ def test_cli_honours_exit_codes(argv):
     assert code in (0, 1, 2, 64), (argv, code, err.getvalue())
     if code == 1:
         json.loads(out.getvalue())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    _broken_matrix(),
+    st.booleans(),
+    st.sampled_from((
+        ["mutate", "--directions", "", "--matrix"],
+        ["mutate", "--directions", "1", "--matrix"],
+        ["acyclic", "--matrix"],
+        ["classify", "--matrix"],
+        ["explore", "--seed"],
+        ["upper-member", "--num", '{"vars": [], "terms": []}', "--seed"],
+        ["straighten", "--poly", '{"vars": [], "terms": []}', "--matrix"],
+        ["tropical", "--nu", "1,1,1", "--seed"],
+        ["tropical", "--delta", "0,0,1", "--seed"],
+    )),
+)
+def test_broken_sign_pattern_is_never_an_answer(rows, named, command):
+    """A principal part that is not sign-skew-symmetric is an error in
+    every command that reads a matrix: never exit 0 or 1."""
+    matrix = json.dumps({"btilde": rows} if named else rows)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command + [matrix])
+    assert code == 2 and out.getvalue() == "", (command, matrix, code)
+    assert err.getvalue().startswith("error: SignSkewSymmetryLost: "), err.getvalue()
 
 
 # every reduced word of A2; a double word interleaves one as the negative

@@ -15,7 +15,6 @@ from clusterforge.graphs import (
     acyclic_order,
     canonical_key,
     classify_finite_type,
-    diagram_of,
     dynkin_name,
     exchange_seeds,
     explore_exchange_graph,
@@ -26,9 +25,9 @@ from clusterforge.graphs import (
 from clusterforge.seeds import (
     ExchangeMatrix,
     SignSkewSymmetryLost,
+    diagram_of,
     general_seed,
     initial_seed,
-    is_sign_skew_symmetric,
     is_skew_symmetrizable,
     matrix_mutate,
     seed_mutate,
@@ -42,7 +41,7 @@ B219 = ExchangeMatrix.make(SL3_PRINCIPAL)
 
 
 def test_gamma_cycle_detection():
-    edges = diagram_of(B219)
+    edges = diagram_of(B219.entries)
     # the triangle 1 -> 3 -> 2 -> 1 sits inside (0-based: 0->2->1->0)
     assert (0, 2) in edges and (2, 1) in edges and (1, 0) in edges
     assert not is_acyclic(B219)
@@ -81,7 +80,7 @@ def test_orientation_reversal_preserves_acyclicity():
 
 
 def test_diagram_weights():
-    d = diagram_of(ExchangeMatrix.make(MARKOV))
+    d = diagram_of(MARKOV)
     assert d == {(0, 1): 4, (1, 2): 4, (2, 0): 4}
 
 
@@ -95,22 +94,22 @@ def test_diagram_mutation_matches_matrix_mutation():
         B = rand_symmetrizable(rng, 4)
         P = ExchangeMatrix.make([list(r) for r in B.principal()])
         Q = ExchangeMatrix.make([[-P.entries[j][i] for j in range(4)] for i in range(4)])
-        assert diagram_of(Q) == diagram_of(P)
+        assert diagram_of(Q.entries) == diagram_of(P.entries)
         conjugates += Q != P
         k = rng.randrange(4)
-        assert diagram_of(matrix_mutate(P, k)) == diagram_of(matrix_mutate(Q, k))
+        assert diagram_of(matrix_mutate(P, k).entries) == diagram_of(matrix_mutate(Q, k).entries)
     assert conjugates > 10
 
 
 def test_single_edge_diagram_mutation_reverses():
     B = ExchangeMatrix.make([[0, 1], [-1, 0]])
     for k in (0, 1):
-        assert diagram_of(matrix_mutate(B, k)) == {(1, 0): 1}
+        assert diagram_of(matrix_mutate(B, k).entries) == {(1, 0): 1}
 
 
 def test_star_after_one_mutation():
     # mutating the cyclic 4-vertex matrix at direction 2 yields a 3-leaf star
-    d = diagram_of(matrix_mutate(B219, 1))
+    d = diagram_of(matrix_mutate(B219, 1).entries)
     degrees = sorted(sum(v in a for a in d) for v in range(4))
     assert degrees == [1, 1, 1, 3]
     assert dynkin_name(d, 4) == "D4"
@@ -121,11 +120,11 @@ def test_canonical_key_permutation_invariant():
     for _ in range(30):
         B = rand_symmetrizable(rng, 5)
         P = ExchangeMatrix.make([list(r) for r in B.principal()])
-        d = diagram_of(P)
+        d = diagram_of(P.entries)
         perm = list(range(5))
         rng.shuffle(perm)
         Pp = relabel_matrix(P, tuple(perm))
-        assert canonical_key(diagram_of(Pp), 5) == canonical_key(d, 5)
+        assert canonical_key(diagram_of(Pp.entries), 5) == canonical_key(d, 5)
 
 
 def test_canonical_key_edgeless_fast():
@@ -403,11 +402,21 @@ def test_canonical_key_equals_dense_search_on_classify_inputs(monkeypatch, make,
     assert 0 < discrete_roots < len(keyed)
 
 
-def test_checked_weights_raise_exactly_off_sign_skew_symmetry():
+def _first_sign_skew_fault(E):
+    """The first (i, j), i <= j in row order, where the square E breaks
+    sign-skew-symmetry (FZ I, Section 4): b_ii != 0, or b_ij or b_ji
+    nonzero with b_ij b_ji >= 0.  None if E is sign-skew-symmetric."""
+    n = len(E)
+    return next(((i, j) for i in range(n) for j in range(i, n)
+                 if (E[i][j] if i == j else (E[i][j] or E[j][i]) and E[i][j] * E[j][i] >= 0)),
+                None)
+
+
+def test_diagram_of_raises_exactly_off_sign_skew_symmetry():
     # sign-skew-symmetric matrices with 0-2 entries overwritten, the
-    # diagonal included: the fused loop of classify_finite_type raises
-    # exactly where is_sign_skew_symmetric is False, else weighs the
-    # weights of diagram_of
+    # diagonal included: diagram_of raises, naming the first bad entry,
+    # exactly where the definition fails, and else weighs every b_ij > 0
+    # with |b_ij b_ji|; make refuses the same matrices
     rng = random.Random(89)
     outcomes = Counter()
     for _ in range(2000):
@@ -420,13 +429,19 @@ def test_checked_weights_raise_exactly_off_sign_skew_symmetry():
                     E[j][i] = (-1 if a > 0 else 1) * rng.randint(1, 3)
         for _ in range(rng.choice((0, 1, 1, 2))):
             E[rng.randrange(n)][rng.randrange(n)] = rng.randint(-3, 3)
-        M = ExchangeMatrix.make(E)
-        if is_sign_skew_symmetric(M):
-            assert graphs._checked_weights(M.entries) == diagram_of(M), E
+        fault = _first_sign_skew_fault(E)
+        if fault is None:
+            want = {(i, j): abs(x * E[j][i]) for i in range(n) for j, x in enumerate(E[i]) if x > 0}
+            assert diagram_of(E) == want, E
+            assert 0 not in want.values()
+            assert ExchangeMatrix.make(E).entries == tuple(map(tuple, E))
         else:
+            i, j = fault
+            with pytest.raises(SignSkewSymmetryLost, match=rf"b\[{i}\]\[{j}\] = {E[i][j]}\b"):
+                diagram_of(E)
             with pytest.raises(SignSkewSymmetryLost):
-                graphs._checked_weights(M.entries)
-        outcomes[is_sign_skew_symmetric(M)] += 1
+                ExchangeMatrix.make(E)
+        outcomes[fault is None] += 1
     assert min(outcomes.values()) > 500
 
 
@@ -437,7 +452,7 @@ def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
     """
     assert is_skew_symmetrizable(B)
     P = ExchangeMatrix.make([list(r) for r in B.principal()])
-    d0 = diagram_of(P)
+    d0 = diagram_of(P.entries)
     top = max(d0.values(), default=0)
     if top >= 4:
         return Classification("infinite", None, top, 0, 1)
@@ -451,7 +466,7 @@ def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
             M2 = matrix_mutate(M, k)
             if made is not None:
                 made.append((depth + 1, M2.entries))
-            d2 = diagram_of(M2)
+            d2 = diagram_of(M2.entries)
             top = max(d2.values(), default=0)
             if top >= 4:
                 return Classification("infinite", None, top, depth + 1, len(reps))
@@ -463,7 +478,7 @@ def _classify_keying_every_matrix(B, node_cap=100_000, made=None):
                 queue.append((M2, depth + 1, k))
     for M in reps.values():
         if is_acyclic(M):
-            name = dynkin_name(diagram_of(M), M.n)
+            name = dynkin_name(diagram_of(M.entries), M.n)
             if name is not None:
                 return Classification("finite", name, None, None, len(reps))
     return Classification("finite", "unrecognized", None, None, len(reps))
@@ -524,7 +539,7 @@ def test_classify_equals_search_keying_every_matrix_symmetrizable():
         B = _symmetrizable_tree_mutant(rng, rng.randint(2, 7))
         E = B.entries
         if (all(E[i][j] == -E[j][i] for i in range(B.n) for j in range(i))
-                or max(diagram_of(B).values(), default=0) >= 4):
+                or max(diagram_of(E).values(), default=0) >= 4):
             continue
         cases.append((B, rng.choice((3, 20, 100_000, 100_000))))
     verdicts = Counter()
@@ -562,13 +577,12 @@ def test_classify_builds_each_matrix_once_per_layer(monkeypatch, make, cap):
             popped.append(item[-1])  # the depth of the rep being expanded
             return item
 
-    def recording_checked_weights(rows):
+    def recording_diagram_of(rows):
         built.append((popped[-1] + 1 if popped else 0, rows))
-        return checked_weights(rows)
+        return diagram_of(rows)
 
-    checked_weights = graphs._checked_weights
     monkeypatch.setattr(graphs, "deque", RecordingQueue)
-    monkeypatch.setattr(graphs, "_checked_weights", recording_checked_weights)
+    monkeypatch.setattr(graphs, "diagram_of", recording_diagram_of)
     classify_finite_type(B, node_cap=cap)
     # the first rows weighed are the input's; both searches stop before naming a
     # type.  The search mutates the reference's reps in the reference's
@@ -752,7 +766,7 @@ def test_dynkin_catalog_named_under_orientation_and_relabelling(name):
     p = list(range(n))
     rng.shuffle(p)
     M = ExchangeMatrix.make([[B[p[i]][p[j]] for j in range(n)] for i in range(n)])
-    assert dynkin_name(diagram_of(M), n) == name.replace("C", "B")
+    assert dynkin_name(diagram_of(M.entries), n) == name.replace("C", "B")
 
 
 def _path(weights):
@@ -1171,27 +1185,27 @@ def test_base_affine_a4_matrix_mutates_to_d6_tree():
     A4 = cartan_data("A4")
     iw = indexed_word(A4, bipartite_longest_word(A4))
     seed = seed_from_btilde(build_btilde(iw, A4))
-    assert dynkin_name(diagram_of(seed.matrix), seed.n) is None  # cyclic start
+    assert dynkin_name(diagram_of(seed.matrix.entries), seed.n) is None  # cyclic start
     # mutating at the columns of the first two word positions reaches an
     # acyclic orientation of the D6 tree
     cols = list(seed.matrix.labels[: seed.n])
     k1, k2 = cols.index("x1"), cols.index("x2")
     M = matrix_mutate(matrix_mutate(seed.matrix, k1), k2)
     assert is_acyclic(M)
-    assert dynkin_name(diagram_of(M), M.n) == "D6"
+    assert dynkin_name(diagram_of(M.entries), M.n) == "D6"
 
 
 def test_classification_agrees_across_the_whole_class():
     # every representative of the finite class reports the same type
     reps = [ExchangeMatrix.make(SL3_PRINCIPAL)]
-    seen = {canonical_key(diagram_of(reps[0]), 4)}
+    seen = {canonical_key(diagram_of(reps[0].entries), 4)}
     idx = 0
     while idx < len(reps):
         M = reps[idx]
         idx += 1
         for k in range(4):
             M2 = matrix_mutate(M, k)
-            key = canonical_key(diagram_of(M2), 4)
+            key = canonical_key(diagram_of(M2.entries), 4)
             if key not in seen:
                 seen.add(key)
                 reps.append(M2)

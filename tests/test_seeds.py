@@ -8,11 +8,11 @@ from clusterforge.seeds import (
     ExchangeMatrix,
     SignSkewSymmetryLost,
     adjacent_variable,
+    diagram_of,
     exchange_polynomial,
     general_seed,
     initial_seed,
     is_coprime,
-    is_sign_skew_symmetric,
     matrix_mutate,
     rank,
     rewrite_in_adjacent_cluster,
@@ -24,6 +24,13 @@ from conftest import SL3_PRINCIPAL
 
 
 B219 = ExchangeMatrix.make(SL3_PRINCIPAL)
+
+
+def raw_matrix(rows):
+    """An ExchangeMatrix built by the dataclass constructor, unchecked:
+    rank and mutation are tested on integer matrices of any sign pattern."""
+    entries = tuple(tuple(r) for r in rows)
+    return ExchangeMatrix(entries, len(entries[0]), tuple(f"x{i + 1}" for i in range(len(entries))))
 
 
 def fraction_gauss_rank(rows):
@@ -100,8 +107,7 @@ def test_rank_against_fraction_gauss():
             [rng.randint(-4, 4) for _ in range(3)]
             for _ in range(rng.randint(3, 6))
         ]
-        B = ExchangeMatrix.make(rows)
-        assert rank(B) == fraction_gauss_rank(rows)
+        assert rank(raw_matrix(rows)) == fraction_gauss_rank(rows)
 
 
 def test_rank_with_zero_columns_against_fraction_gauss():
@@ -114,9 +120,9 @@ def test_rank_with_zero_columns_against_fraction_gauss():
             [0 if j in zero else rng.randint(-3, 3) for j in range(n)]
             for _ in range(m)
         ]
-        assert rank(ExchangeMatrix.make(rows)) == fraction_gauss_rank(rows)
+        assert rank(raw_matrix(rows)) == fraction_gauss_rank(rows)
     rows = [[0, 2, 0], [0, 0, 0], [0, 1, 0], [0, 3, 0]]
-    assert rank(ExchangeMatrix.make(rows)) == fraction_gauss_rank(rows) == 1
+    assert rank(raw_matrix(rows)) == fraction_gauss_rank(rows) == 1
 
 
 def test_rank_zero_matrix():
@@ -124,16 +130,24 @@ def test_rank_zero_matrix():
 
 
 def test_sign_skew_symmetry_checks():
-    assert is_sign_skew_symmetric(B219)
-    bad = ExchangeMatrix.make([[0, 1], [1, 0]])
-    assert not is_sign_skew_symmetric(bad)
+    assert diagram_of([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]) == {(0, 1): 4, (2, 0): 4, (1, 2): 4}
+    assert diagram_of([[0, 1], [-3, 0], [7, 7]]) == {(0, 1): 3}
+    # make checks the principal part and names the first bad entry
+    with pytest.raises(SignSkewSymmetryLost, match=r"b\[0\]\[1\] = 1 and b\[1\]\[0\] = 1"):
+        ExchangeMatrix.make([[0, 1], [1, 0]])
+    with pytest.raises(SignSkewSymmetryLost, match=r"diagonal entry b\[1\]\[1\] = -2"):
+        ExchangeMatrix.make([[0, 0], [0, -2], [5, 5]])
+    # the frozen rows are not part of the check
+    assert ExchangeMatrix.make([[0, 0], [0, 0], [3, 3]]).n == 2
 
 
 def test_skew_symmetrizer_values():
     assert skew_symmetrizer(B219) == (1, 1, 1, 1)
     B = ExchangeMatrix.make([[0, 2], [-1, 0]])
     assert skew_symmetrizer(B) == (1, 2)
-    assert skew_symmetrizer(ExchangeMatrix.make([[0, 1], [1, 0]])) is None
+    # sign-skew-symmetric, but the cycle of ratios gives d1 = d2 = d3 = 2 d3
+    B = ExchangeMatrix.make([[0, 1, -1], [-1, 0, 1], [2, -1, 0]])
+    assert skew_symmetrizer(B) is None
 
 
 def test_symmetrized_mutation_stays_skew_symmetric():
@@ -154,8 +168,7 @@ def test_symmetrized_mutation_stays_skew_symmetric():
 
 def test_single_mutation_can_lose_sign_skew_symmetry():
     B = ExchangeMatrix.make([[0, 1, -1], [-1, 0, 1], [2, -1, 0]])
-    assert is_sign_skew_symmetric(B)
-    with pytest.raises(SignSkewSymmetryLost):
+    with pytest.raises(SignSkewSymmetryLost, match="direction 0: entries b"):
         matrix_mutate(B, 0)
 
 
@@ -182,7 +195,7 @@ def test_matrix_mutate_matches_textbook_formula():
             assert (M.n, M.labels) == (B.n, B.labels)
             B = M
     # not sign-skew-symmetric: the textbook formula puts 1 on the diagonal
-    bad = ExchangeMatrix.make([[0, 1], [1, 0], [1, -1]])
+    bad = raw_matrix([[0, 1], [1, 0], [1, -1]])
     assert _textbook_mutate(bad.entries, 2, 0)[1][1] == 1
     with pytest.raises(SignSkewSymmetryLost):
         matrix_mutate(bad, 0)
