@@ -104,7 +104,7 @@ def _cmd_mutate(args) -> int:
     for k in args.directions:
         if not 1 <= k <= B.n:  # named as typed, not as matrix_mutate's 0-based k
             raise IndexError(f"direction {k} out of range 1..{B.n}")
-        B = seeds.matrix_mutate(B, k - 1)
+        B = seeds.matrix_mutate(B, k - 1, base=1)
     _emit(B.to_json())
     return 0
 

@@ -415,8 +415,8 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
 class ExplorationReport:
     """Census of the exchange graph reachable from a seed.
 
-    ``mutations`` is clusters * n: the edge traversals, from both ends, of
-    a BFS that mutates every counted seed in every direction.
+    ``mutations`` is clusters * n by definition: the edge ends of the
+    counted clusters, n per cluster, whichever of them a search computes.
     """
 
     clusters: int
@@ -524,7 +524,8 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
     g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the sign of c_k
     (Nakanishi-Zelevinsky, arXiv 1101.3736, Prop. 1.3), and matrix_mutate
     mutates [B; C].  Both formulas need c_k to be sign-coherent, so every
-    edge checks it and raises NotSignCoherent otherwise.
+    edge checks it at the end it is computed from and raises
+    NotSignCoherent otherwise.
 
     A cluster variable is determined by its g-vector, and c-vectors are
     sign-coherent (conjectured in FZ IV, proved by Gross-Hacking-Keel-
@@ -536,17 +537,32 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
     the matrix is mutated only when the cluster is new, so the sign-skew-
     symmetry check of matrix_mutate runs once per cluster (by FZ I,
     Prop. 4.5, it cannot fail on skew-symmetrizable input).
+
+    Each edge is computed once, from the first end the search reaches:
+    bipartite E6 computes 2,499 g-vectors for its 4,998 edge ends.  Each
+    reached cluster keeps the ids of its variables already exchanged
+    across a known edge, and its expansion skips the positions holding
+    them.  The skip goes by variable id, not by direction, because a
+    cluster's stored seed may order its variables differently from the
+    edge that reaches it again.  The far end's check is implied: a seed's
+    c-vectors are determined by its g-vectors and mutation at k negates
+    c_k (FZ IV; Nakanishi-Zelevinsky), so the far end holds -c_k there.
     """
     n = seed.n
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     ids = {g: i for i, g in enumerate(identity)}
     cids = tuple(range(n))
-    visited = {frozenset(cids)}
-    queue = deque([(ExchangeMatrix.make(seed.matrix.entries + identity), identity, cids, 0)])
+    # cluster key -> ids of its variables already exchanged across a known edge
+    skip = set()
+    exchanged = {frozenset(cids): skip}
+    start = ExchangeMatrix.make(seed.matrix.entries + identity)
+    queue = deque([(start, identity, cids, skip, 0)])
     yield identity, 0
     while queue:
-        M, cluster, cids, depth = queue.popleft()
+        M, cluster, cids, skip, depth = queue.popleft()
         for k, column in enumerate(zip(*M.entries)):
+            if cids[k] in skip:
+                continue
             c = column[n:]
             positive = max(c) > 0
             if positive and min(c) < 0:
@@ -557,12 +573,16 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
                 if b > 0:
                     g = [x + b * y for x, y in zip(g, gi)]
             g = tuple(g)
-            reached_ids = cids[:k] + (ids.setdefault(g, len(ids)),) + cids[k + 1:]
+            gid = ids.setdefault(g, len(ids))
+            reached_ids = cids[:k] + (gid,) + cids[k + 1:]
             key = frozenset(reached_ids)
-            if key not in visited:
-                visited.add(key)
+            known = exchanged.get(key)
+            if known is not None:
+                known.add(gid)
+            else:
+                exchanged[key] = known = {gid}
                 reached = cluster[:k] + (g,) + cluster[k + 1:]
-                queue.append((matrix_mutate(M, k), reached, reached_ids, depth + 1))
+                queue.append((matrix_mutate(M, k), reached, reached_ids, known, depth + 1))
                 yield reached, depth + 1
 
 

@@ -24,7 +24,7 @@ class SignSkewSymmetryLost(ArithmeticError):
     """A principal part that is not sign-skew-symmetric, given or mutated."""
 
 
-def diagram_of(rows: Sequence[Sequence[int]]) -> dict:
+def diagram_of(rows: Sequence[Sequence[int]], base: int = 0) -> dict:
     """The diagram of the principal part of rows, checked.
 
     rows are those of an m x n matrix B with n <= m; the first n make its
@@ -33,21 +33,24 @@ def diagram_of(rows: Sequence[Sequence[int]]) -> dict:
     B must be sign-skew-symmetric (Fomin-Zelevinsky, *Cluster algebras I*,
     Section 4): b_ii = 0, and b_ij = b_ji = 0 or b_ij b_ji < 0, so no weight
     is 0.  Otherwise SignSkewSymmetryLost names the first bad diagonal
-    entry or entry pair in that order.
+    entry or entry pair in that order, counting rows and columns from
+    base (1 names them as the CLI types them).
     """
     n = len(rows[0]) if rows else 0
     weights = {}
     for i in range(n):
         row = rows[i]
         if row[i]:
-            raise SignSkewSymmetryLost(f"diagonal entry b[{i}][{i}] = {row[i]} is not 0")
+            raise SignSkewSymmetryLost(
+                f"diagonal entry b[{i + base}][{i + base}] = {row[i]} is not 0")
         for j in range(i + 1, n):
             a, b = row[j], rows[j][i]
             if a or b:
                 w = -a * b
                 if w <= 0:
                     raise SignSkewSymmetryLost(
-                        f"entries b[{i}][{j}] = {a} and b[{j}][{i}] = {b} "
+                        f"entries b[{i + base}][{j + base}] = {a} and "
+                        f"b[{j + base}][{i + base}] = {b} "
                         "are not of opposite signs")
                 weights[(i, j) if a > 0 else (j, i)] = w
     return weights
@@ -167,21 +170,21 @@ def mutate_rows(entries: tuple, k: int) -> tuple:
     return tuple(new_rows)
 
 
-def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
+def matrix_mutate(B: ExchangeMatrix, k: int, base: int = 0) -> ExchangeMatrix:
     """Matrix mutation in direction k (0-based), extended to all m rows.
 
     The rows are mutate_rows(B.entries, k).  Raises SignSkewSymmetryLost,
-    naming k, if diagram_of finds the mutated principal part is not
-    sign-skew-symmetric; that reports a non-totally-mutable input rather
-    than silently continuing.
+    naming the direction and the entries counted from base, if diagram_of
+    finds the mutated principal part is not sign-skew-symmetric; that
+    reports a non-totally-mutable input rather than silently continuing.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"direction {k} out of range")
     rows = mutate_rows(B.entries, k)
     try:
-        diagram_of(rows)
+        diagram_of(rows, base)
     except SignSkewSymmetryLost as exc:
-        raise SignSkewSymmetryLost(f"mutation at direction {k}: {exc}") from None
+        raise SignSkewSymmetryLost(f"mutation at direction {k + base}: {exc}") from None
     return ExchangeMatrix(rows, B.n, B.labels)
 
 

@@ -256,6 +256,21 @@ def test_out_of_range_direction_exits_2(capsys):
         assert err == f"error: IndexError: direction {bad} out of range 1..2\n"
 
 
+@pytest.mark.parametrize("matrix, directions, message", [
+    ("[[0,1,-1],[-1,0,1],[2,-1,0]]", "1",
+     "mutation at direction 1: entries b[2][3] = 0 and b[3][2] = 1"),
+    # the second typed direction loses it: the mutation at 2 keeps it
+    ("[[0,-2,1],[1,0,-2],[-1,2,0]]", "2 1",
+     "mutation at direction 1: entries b[2][3] = -1 and b[3][2] = 0"),
+])
+def test_lost_sign_skew_symmetry_is_named_as_typed(capsys, matrix, directions, message):
+    # the direction and the entries count from 1, as --directions does
+    code = main(["mutate", "--matrix", matrix, "--directions", directions])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: SignSkewSymmetryLost: {message} are not of opposite signs\n"
+
+
 @pytest.mark.parametrize("matrix, report", [
     ([[0, 2], [-2, 0]], {"clusters": 10_000, "variables": 10_001, "max_depth": 5_000}),
     (MARKOV, {"clusters": 10_000, "variables": 10_002, "max_depth": 12}),

@@ -1161,6 +1161,89 @@ def test_frozen_formal_and_unsymmetrizable_seeds_take_the_laurent_census(monkeyp
     assert calls
 
 
+def reference_gvector_seeds(seed, hits=None):
+    """gvector_seeds as it was before the one-end skip: every edge from both ends.
+
+    A test-only oracle.  When hits is a list, each edge A ->k B that
+    reaches a stored cluster B appends (c_k(A), the c-vector of B's stored
+    seed at the variable the edge brings in).
+    """
+    n = seed.n
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    ids = {g: i for i, g in enumerate(identity)}
+    cids = tuple(range(n))
+    start = ExchangeMatrix.make(seed.matrix.entries + identity)
+    stored = {frozenset(cids): (start, cids)}
+    queue = deque([(start, identity, cids, 0)])
+    yield identity, 0
+    while queue:
+        M, cluster, cids, depth = queue.popleft()
+        for k, column in enumerate(zip(*M.entries)):
+            c = column[n:]
+            positive = max(c) > 0
+            if positive and min(c) < 0:
+                raise graphs.NotSignCoherent(f"c-vector {c} at direction {k}")
+            g = [-x for x in cluster[k]]
+            for b, gi in zip([-b for b in column] if positive else column, cluster):
+                if b > 0:
+                    g = [x + b * y for x, y in zip(g, gi)]
+            g = tuple(g)
+            gid = ids.setdefault(g, len(ids))
+            reached_ids = cids[:k] + (gid,) + cids[k + 1:]
+            key = frozenset(reached_ids)
+            if key in stored:
+                if hits is not None:
+                    N, stored_ids = stored[key]
+                    hits.append((c, tuple(zip(*N.entries))[stored_ids.index(gid)][n:]))
+                continue
+            N = matrix_mutate(M, k)
+            stored[key] = (N, reached_ids)
+            reached = cluster[:k] + (g,) + cluster[k + 1:]
+            queue.append((N, reached, reached_ids, depth + 1))
+            yield reached, depth + 1
+
+
+@pytest.mark.parametrize("name", CATALAN_TYPES + [
+    "E7", "E6 relabelled",
+    *(f"{t} mutated {r}" for t in ("B3", "C4", "F4", "G2", "E6") for r in range(5)),
+    *INFINITE,
+])
+def test_gvector_seeds_matches_the_both_ends_search(name):
+    # each edge is computed from the first end the search reaches; a
+    # cluster may store its variables in another order than the edge that
+    # reaches it again, which a skip by direction instead of by variable
+    # id gets wrong
+    cap = 1_500 if name in INFINITE else None
+    if name in INFINITE:
+        seed = initial_seed(ExchangeMatrix.make(INFINITE[name]))
+    elif name == "E6 relabelled":
+        sigma = list(range(6))
+        random.Random(28).shuffle(sigma)
+        seed = initial_seed(relabel_matrix(bipartite_seed("E6").matrix, sigma))
+    elif " mutated " in name:
+        t, _, r = name.split(" ")
+        seed = initial_seed(ExchangeMatrix.make(_randomly_mutated(t, int(r))))
+    else:
+        seed = bipartite_seed(name)
+    # zip_longest pads the search that ends first with None
+    for new, old in zip_longest(islice(gvector_seeds(seed), cap),
+                                islice(reference_gvector_seeds(seed), cap)):
+        assert new == old
+
+
+@pytest.mark.parametrize("name, count", [
+    ("A4", 127), ("B3", 41), ("C4", 211), ("D5", 729), ("E6", 4_166), ("F4", 316), ("G2", 9)])
+def test_an_edge_reached_again_arrives_with_the_negated_c_vector(name, count):
+    # a seed's c-vectors are determined by its g-vectors and mutation at k
+    # negates c_k (FZ IV, math/0602259; Nakanishi-Zelevinsky, arXiv
+    # 1101.3736), so the far end of an edge needs no sign-coherence check
+    # of its own: it stores -c_k(A) at the variable the edge brings in
+    seed, hits = bipartite_seed(name), []
+    clusters = sum(1 for _ in reference_gvector_seeds(seed, hits))
+    assert len(hits) == count == clusters * seed.n - (clusters - 1)
+    assert all(stored == tuple(-x for x in c) for c, stored in hits)
+
+
 def test_explore_loses_sign_skew_symmetry_on_the_first_edge():
     seed = initial_seed(ExchangeMatrix.make(UNSYMMETRIZABLE["lossy"]))
     with pytest.raises(SignSkewSymmetryLost, match="direction 0"):
