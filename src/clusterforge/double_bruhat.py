@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 from .coxeter import CartanData, is_reduced
 from .graphs import exchange_seeds
+from .laurent import evaluate_all
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
 from .util import bareiss, parallel_map
 
@@ -289,31 +290,35 @@ def sample_totally_positive(
     of any double word, with parameters t in [1, 4] / [1, 4].  Each factor
     acts on the right as one column operation: x_i(t) adds t times column
     i-1 to column i, y_i(t) adds t times column i to column i-1 (columns
-    0-based).  The product is an integer matrix over one running
-    denominator: for t = a/b, the matrix is scaled by b and a times the old
-    source column is added to the destination column.  The running
-    denominator is handed back as it is, not reduced.
+    0-based).  So the matrix is kept as columns, each an integer vector
+    col_j over the denominator at_j at which it was last written; the
+    diagonal's columns start over their own denominators, and den is the
+    running common multiple.  For t = a/b only the destination column is
+    rewritten: it becomes b (den / at_dst) col_dst + a (den / at_src)
+    col_src over b den, which is the new den.  At the end every column is
+    scaled to den and the columns are transposed to the rows of h.  den is
+    handed back as it is, not reduced: it may be a multiple of the least
+    common denominator of g.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("total positivity sampling is type A only")
     size = cartan.rank + 1
-    diag = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(size - 1)]
-    diag.append(1 / prod(diag, start=Fraction(1)))
-    den = lcm(*(d.denominator for d in diag))
-    h = [
-        [d.numerator * (den // d.denominator) if i == j else 0 for j in range(size)]
-        for i, d in enumerate(diag)
-    ]
+    diag = [(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(size - 1)]
+    # the last entry makes the product 1
+    diag.append((prod(d for _, d in diag), prod(n for n, _ in diag)))
+    cols = [[n if i == j else 0 for i in range(size)] for j, (n, _) in enumerate(diag)]
+    at = [d for _, d in diag]
+    den = lcm(*at)
     for letter in word:
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         i = abs(letter)
         dst, src = (i, i - 1) if letter > 0 else (i - 1, i)
+        fd, fs = b * (den // at[dst]), a * (den // at[src])
+        cols[dst] = [fd * x + fs * y for x, y in zip(cols[dst], cols[src])]
         den *= b
-        for row in h:
-            add = a * row[src]
-            row[:] = [b * x for x in row]
-            row[dst] += add
-    return tuple(map(tuple, h)), den
+        at[dst] = den
+    scaled = [[x * (den // d) for x in col] for col, d in zip(cols, at)]
+    return tuple(zip(*scaled)), den
 
 
 def sample_cell(
@@ -500,7 +505,8 @@ def tp_criterion_check(
     ``clusters`` explored clusters, the cluster variables (as Laurent
     polynomials in the initial minors) must all evaluate positively.  The
     family minors are the integer ones the sampler hands back; it has
-    already checked determinant one.
+    already checked determinant one.  The distinct cluster variables are
+    evaluated together at each sample, by one ``evaluate_all`` call.
     """
     seed, _, specs = _cell_setup(cartan, word)
     found = [s.exprs for s, _ in islice(exchange_seeds(seed), max(1, clusters))]
@@ -516,7 +522,7 @@ def tp_criterion_check(
         _, den, minors = draw
         local = [_NOT_POSITIVE] if any(m <= 0 for m in minors) else []
         values = [Fraction(m, den ** len(rows)) for (rows, _), m in zip(specs, minors)]
-        positive = [e.evaluate(values) > 0 for e in variables]
+        positive = [v > 0 for v in evaluate_all(variables, values)]
         for ci, idx in enumerate(found_idx):
             for i in idx:
                 if not positive[i]:

@@ -966,6 +966,26 @@ def test_samplers_match_full_matrix_products(r):
         assert rng.getstate() == ref.getstate()  # the same draws, in the same order
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_sampler_matches_full_matrix_products_on_arbitrary_words(r):
+    # any word, reduced or not, with repeated letters of both signs
+    cartan = cartan_data(f"A{r}")
+    words = random.Random(f"words/A{r}")
+    repeated = set()
+    for s in range(40):
+        length = words.randint(0, 20) if s else 0
+        word = tuple(words.choice((-1, 1)) * words.randint(1, r) for _ in range(length))
+        repeated |= {x > 0 for x in word if word.count(x) > 1}
+        rng, ref = random.Random(s), random.Random(s)
+        h, den = sample_totally_positive(cartan, word, rng)
+        assert all(type(x) is int for row in h for x in row) and type(den) is int
+        g = reference_sample_totally_positive(cartan, word, ref)
+        assert _divided(h, den) == tuple(map(tuple, g))  # g is a list for word ()
+        assert rng.getstate() == ref.getstate()  # the same draws, in the same order
+        assert det(h) == den ** (r + 1)
+    assert repeated == {False, True}
+
+
 OPEN_CELL_A3_WORD = "-1 -3 -2 -1 -3 -2 1 3 2 1 3 2"
 
 # stdout of the three cell-numerics benchmark calls, as recorded before the
