@@ -50,8 +50,13 @@ def _capped(cap: int):
 
 # --radius and --depth: a tree of radius R has 3 * 2^(R+1) - 2 vertices
 _radius = _capped(14)
-# diffcomb --size: the check walks 2^s subsets, each +2 costs 6-7x the time
-_size = _capped(16)
+
+
+def _size(text: str) -> int:
+    """argparse type of diffcomb --size: 1..16, as the check walks 2^s subsets."""
+    if _capped(16)(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {text!r}")
+    return int(text)
 
 
 def _rationals(text: str) -> tuple:
@@ -102,9 +107,7 @@ def _emit(data) -> None:
 def _cmd_mutate(args) -> int:
     B = _load_matrix(args.matrix)
     for k in args.directions:
-        if not 1 <= k <= B.n:  # named as typed, not as matrix_mutate's 0-based k
-            raise IndexError(f"direction {k} out of range 1..{B.n}")
-        B = seeds.matrix_mutate(B, k - 1, base=1)
+        B = seeds.matrix_mutate(B, k - 1)
     _emit(B.to_json())
     return 0
 

@@ -155,8 +155,8 @@ def _serialize(weights: dict, colors: list[int], n: int) -> list[int]:
 def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
     """Complete isomorphism invariant: (n, least serialization of a leaf).
 
-    weights maps each arrow (i, j) of a diagram on [0, n) to its weight; a
-    weight of 0 keys like no arrow.  An individualization-refinement search
+    weights maps each arrow (i, j) of a diagram on [0, n) to its positive
+    weight.  An individualization-refinement search
     (McKay-Piperno, *Practical graph isomorphism, II*, arXiv 1301.1493).  Each node refines its
     colouring to an equitable one, then individualizes in turn each vertex
     of the first cell with more than one vertex: the vertex gets colour 2c,
@@ -184,9 +184,8 @@ def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
     span = 2 * n + 2
     nbrs: list[dict] = [{} for _ in range(n)]
     for (i, j), w in weights.items():
-        if w:
-            nbrs[i][j] = nbrs[i].get(j, 0) + w * top * span
-            nbrs[j][i] = nbrs[j].get(i, 0) + w * span
+        nbrs[i][j] = nbrs[i].get(j, 0) + w * top * span
+        nbrs[j][i] = nbrs[j].get(i, 0) + w * span
     colors = _refine_colors(nbrs, [0] * n)
     if max(colors, default=-1) == n - 1:  # colours are ranks: discrete
         if leaf is not None:
@@ -518,14 +517,14 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
     For a skew-symmetrizable seed with no frozen rows.  Each cluster is
     the tuple of the g-vectors of its variables, position by position, in
     the initial seed's basis (Fomin-Zelevinsky, *Cluster algebras IV*,
-    math/0602259, Section 6).  A seed is held as its extended matrix
-    [B; C], where the n frozen rows C start as the identity and their
-    columns are the c-vectors.  Mutation in direction k takes
+    math/0602259, Section 6).  A seed is held as the rows of its extended
+    matrix [B; C], where the n frozen rows C start as the identity and
+    their columns are the c-vectors.  Mutation in direction k takes
     g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the sign of c_k
-    (Nakanishi-Zelevinsky, arXiv 1101.3736, Prop. 1.3), and matrix_mutate
+    (Nakanishi-Zelevinsky, arXiv 1101.3736, Prop. 1.3), and mutate_rows
     mutates [B; C].  Both formulas need c_k to be sign-coherent, so every
     edge checks it at the end it is computed from and raises
-    NotSignCoherent otherwise.
+    NotSignCoherent otherwise, naming the direction from 1.
 
     A cluster variable is determined by its g-vector, and c-vectors are
     sign-coherent (conjectured in FZ IV, proved by Gross-Hacking-Keel-
@@ -533,10 +532,9 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
     exactly and no Laurent polynomial is needed.  Seeds are expanded in
     the order of exchange_seeds, so the clusters arrive in its order, at
     its depths, with each position's g-vector naming the variable that
-    exchange_seeds holds there.  g'_k is computed and looked up first;
-    the matrix is mutated only when the cluster is new, so the sign-skew-
-    symmetry check of matrix_mutate runs once per cluster (by FZ I,
-    Prop. 4.5, it cannot fail on skew-symmetrizable input).
+    exchange_seeds holds there.  g'_k is computed and looked up first,
+    and the rows are mutated, unchecked, only when the cluster is new: by
+    FZ I, Prop. 4.5, sign-skew-symmetry holds on skew-symmetrizable input.
 
     Each edge is computed once, from the first end the search reaches:
     bipartite E6 computes 2,499 g-vectors for its 4,998 edge ends.  Each
@@ -555,18 +553,17 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
     # cluster key -> ids of its variables already exchanged across a known edge
     skip = set()
     exchanged = {frozenset(cids): skip}
-    start = ExchangeMatrix.make(seed.matrix.entries + identity)
-    queue = deque([(start, identity, cids, skip, 0)])
+    queue = deque([(seed.matrix.entries + identity, identity, cids, skip, 0)])
     yield identity, 0
     while queue:
         M, cluster, cids, skip, depth = queue.popleft()
-        for k, column in enumerate(zip(*M.entries)):
+        for k, column in enumerate(zip(*M)):
             if cids[k] in skip:
                 continue
             c = column[n:]
             positive = max(c) > 0
             if positive and min(c) < 0:
-                raise NotSignCoherent(f"c-vector {c} at direction {k}")
+                raise NotSignCoherent(f"c-vector {c} at direction {k + 1}")
             g = [-x for x in cluster[k]]
             # -e b_ik over the n cluster rows, where zip stops
             for b, gi in zip(map(neg, column) if positive else column, cluster):
@@ -582,23 +579,23 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
             else:
                 exchanged[key] = known = {gid}
                 reached = cluster[:k] + (g,) + cluster[k + 1:]
-                queue.append((matrix_mutate(M, k), reached, reached_ids, known, depth + 1))
+                queue.append((mutate_rows(M, k), reached, reached_ids, known, depth + 1))
                 yield reached, depth + 1
 
 
 def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:
     """Census of the first max_seeds clusters of the seed BFS (at least one).
 
-    A skew-symmetrizable seed with no frozen rows (m = n) and no formal
-    coefficients is counted by gvector_seeds, on integers, with each
-    variable named by its g-vector.  Every other seed is counted by
-    exchange_seeds, with each variable named by its Laurent expression.
+    A skew-symmetrizable seed with no frozen rows (m = n, which a formal-
+    coefficient seed has only at rank 0) is counted by gvector_seeds, on integers,
+    with each variable named by its g-vector.  Every other seed is counted
+    by exchange_seeds, with each variable named by its Laurent expression.
     Both searches reach the same clusters in the same order, so the report
     is the same either way.  ``variables`` counts the distinct names.
     ``exhausted`` says that no further cluster exists.  Every counted seed
     has all n directions, so ``mutations`` is clusters * n.
     """
-    if seed.m == seed.n and not seed.general and is_skew_symmetrizable(seed.matrix):
+    if seed.m == seed.n and is_skew_symmetrizable(seed.matrix):
         search = gvector_seeds(seed)
     else:
         search = ((tuple(e.key() for e in s.exprs), depth)

@@ -24,7 +24,7 @@ class SignSkewSymmetryLost(ArithmeticError):
     """A principal part that is not sign-skew-symmetric, given or mutated."""
 
 
-def diagram_of(rows: Sequence[Sequence[int]], base: int = 0) -> dict:
+def diagram_of(rows: Sequence[Sequence[int]]) -> dict:
     """The diagram of the principal part of rows, checked.
 
     rows are those of an m x n matrix B with n <= m; the first n make its
@@ -33,8 +33,8 @@ def diagram_of(rows: Sequence[Sequence[int]], base: int = 0) -> dict:
     B must be sign-skew-symmetric (Fomin-Zelevinsky, *Cluster algebras I*,
     Section 4): b_ii = 0, and b_ij = b_ji = 0 or b_ij b_ji < 0, so no weight
     is 0.  Otherwise SignSkewSymmetryLost names the first bad diagonal
-    entry or entry pair in that order, counting rows and columns from
-    base (1 names them as the CLI types them).
+    entry or entry pair in that order.  Every message of this module
+    counts rows, columns and directions from 1, as the CLI types them.
     """
     n = len(rows[0]) if rows else 0
     weights = {}
@@ -42,15 +42,14 @@ def diagram_of(rows: Sequence[Sequence[int]], base: int = 0) -> dict:
         row = rows[i]
         if row[i]:
             raise SignSkewSymmetryLost(
-                f"diagonal entry b[{i + base}][{i + base}] = {row[i]} is not 0")
+                f"diagonal entry b[{i + 1}][{i + 1}] = {row[i]} is not 0")
         for j in range(i + 1, n):
             a, b = row[j], rows[j][i]
             if a or b:
                 w = -a * b
                 if w <= 0:
                     raise SignSkewSymmetryLost(
-                        f"entries b[{i + base}][{j + base}] = {a} and "
-                        f"b[{j + base}][{i + base}] = {b} "
+                        f"entries b[{i + 1}][{j + 1}] = {a} and b[{j + 1}][{i + 1}] = {b} "
                         "are not of opposite signs")
                 weights[(i, j) if a > 0 else (j, i)] = w
     return weights
@@ -170,21 +169,21 @@ def mutate_rows(entries: tuple, k: int) -> tuple:
     return tuple(new_rows)
 
 
-def matrix_mutate(B: ExchangeMatrix, k: int, base: int = 0) -> ExchangeMatrix:
-    """Matrix mutation in direction k (0-based), extended to all m rows.
+def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Matrix mutation in direction k (0-based, named from 1), on all m rows.
 
-    The rows are mutate_rows(B.entries, k).  Raises SignSkewSymmetryLost,
-    naming the direction and the entries counted from base, if diagram_of
-    finds the mutated principal part is not sign-skew-symmetric; that
-    reports a non-totally-mutable input rather than silently continuing.
+    The rows are mutate_rows(B.entries, k); IndexError refuses any other k
+    than 0..n-1 first.  Raises SignSkewSymmetryLost, naming the direction
+    and the entries, if diagram_of finds the mutated principal part is not
+    sign-skew-symmetric: a non-totally-mutable input is reported, not run on.
     """
     if not 0 <= k < B.n:
-        raise IndexError(f"direction {k} out of range")
+        raise IndexError(f"direction {k + 1} out of range 1..{B.n}")
     rows = mutate_rows(B.entries, k)
     try:
-        diagram_of(rows, base)
+        diagram_of(rows)
     except SignSkewSymmetryLost as exc:
-        raise SignSkewSymmetryLost(f"mutation at direction {k + base}: {exc}") from None
+        raise SignSkewSymmetryLost(f"mutation at direction {k + 1}: {exc}") from None
     return ExchangeMatrix(rows, B.n, B.labels)
 
 

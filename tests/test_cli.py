@@ -271,14 +271,30 @@ def test_lost_sign_skew_symmetry_is_named_as_typed(capsys, matrix, directions, m
     assert err == f"error: SignSkewSymmetryLost: {message} are not of opposite signs\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["explore", "--seed"],
+    ["tropical", "--nu", "1,1,1", "--seed"],
+    ["mutate", "--directions", "1", "--matrix"],
+], ids=["explore", "tropical-nu", "mutate"])
+def test_lost_sign_skew_symmetry_is_named_alike_by_every_command(capsys, command):
+    # explore and tropical mutate at direction 1 themselves, and name the
+    # direction and the entries from 1 as mutate does
+    code = main([*command, "[[0,1,-1],[-1,0,1],[2,-1,0]]"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: SignSkewSymmetryLost: mutation at direction 1: entries "
+                   "b[2][3] = 0 and b[3][2] = 1 are not of opposite signs\n")
+
+
 @pytest.mark.parametrize("matrix, report", [
     ([[0, 2], [-2, 0]], {"clusters": 10_000, "variables": 10_001, "max_depth": 5_000}),
     (MARKOV, {"clusters": 10_000, "variables": 10_002, "max_depth": 12}),
 ])
 def test_infinite_types_reach_the_default_cap(capsys, monkeypatch, matrix, report):
-    # on integers only: one matrix mutation per cluster after the first and
-    # one for the cluster past the cap, and no Laurent mutation
-    calls = {"matrix_mutate": 0, "seed_mutate": 0}
+    # on integers only: one mutation of plain rows per cluster after the
+    # first and one for the cluster past the cap, no checked matrix
+    # mutation and no Laurent mutation
+    calls = {"mutate_rows": 0, "matrix_mutate": 0, "seed_mutate": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -291,19 +307,18 @@ def test_infinite_types_reach_the_default_cap(capsys, monkeypatch, matrix, repor
     code, data = run(capsys, "explore", "--seed", json.dumps(matrix))
     assert code == 1 and not data["exhausted"]
     assert {key: data[key] for key in report} == report
-    assert calls == {"matrix_mutate": report["clusters"], "seed_mutate": 0}
+    assert calls == {"mutate_rows": report["clusters"], "matrix_mutate": 0, "seed_mutate": 0}
 
 
 def test_c_vector_without_sign_coherence_exits_2(capsys, monkeypatch):
-    # a mutation that negates the entry of the first frozen row in column 1:
-    # after the first mutation at direction 0, c_1 = (1, 1) reads (-1, 1)
-    def corrupted(B, k):
-        out = seeds.matrix_mutate(B, k)
-        rows = [list(r) for r in out.entries]
-        rows[out.n][1] = -rows[out.n][1]
-        return ExchangeMatrix.make(rows, out.labels)
+    # a mutation that negates the entry of the first frozen row in column 2:
+    # after the first mutation at direction 1, c_2 = (1, 1) reads (-1, 1)
+    def corrupted(rows, k):
+        out = [list(r) for r in seeds.mutate_rows(rows, k)]
+        out[2][1] = -out[2][1]
+        return tuple(map(tuple, out))
 
-    monkeypatch.setattr(graphs, "matrix_mutate", corrupted)
+    monkeypatch.setattr(graphs, "mutate_rows", corrupted)
     code = main(["explore", "--seed", "[[0,1],[-1,0]]"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -460,11 +475,12 @@ def test_tropical_tree_size_is_bounded(capsys, option):
 
 
 def test_diffcomb_size_is_bounded(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["diffcomb", "--size", "17"])
-    out, err = capsys.readouterr()
-    assert exc.value.code == 64 and out == ""
-    assert "expected at most 16" in err
+    for size, message in (("17", "expected at most 16"), ("0", "expected at least 1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["diffcomb", "--size", size])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 64 and out == ""
+        assert message in err
     # 16 is accepted; running it walks 65,536 subsets
     assert cli.build_parser().parse_args(["diffcomb", "--size", "16"]).size == 16
 
@@ -685,10 +701,10 @@ def test_rank_zero_matrices_exit_2(capsys, command, matrix):
 @pytest.mark.parametrize(
     "matrix, directions, fault",
     [
-        ("[[0,1],[1,0]]", "1", "entries b[0][1] = 1 and b[1][0] = 1"),
-        ("[[1,0],[0,0]]", "1", "diagonal entry b[0][0] = 1"),
+        ("[[0,1],[1,0]]", "1", "entries b[1][2] = 1 and b[2][1] = 1"),
+        ("[[1,0],[0,0]]", "1", "diagonal entry b[1][1] = 1"),
         # the mutation at 3 of this matrix is sign-skew-symmetric again
-        ("[[0,1,1],[1,0,-1],[-2,1,0]]", "3", "entries b[0][1] = 1 and b[1][0] = 1"),
+        ("[[0,1,1],[1,0,-1],[-2,1,0]]", "3", "entries b[1][2] = 1 and b[2][1] = 1"),
     ],
     ids=["symmetric-pair", "diagonal", "pair-mended-by-mutation"],
 )

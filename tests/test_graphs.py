@@ -354,18 +354,22 @@ def test_canonical_key_leaf_relabels_to_the_key():
 
 
 def test_canonical_key_repeated_arrow_keeps_the_last_weight():
-    # 1-3 arrows are given a last weight of 0-4, and a weight of 0 keys
-    # like no arrow: a weight-0 edge of Gamma(B) is no edge of the diagram
+    # 1-3 arrows are given a last weight of 1-4, which may differ from the
+    # weight of the arrow back: the key is the dense search's on the last
+    # weights, and the leaf relabels them to it
     rng = random.Random(83)
     for _ in range(500):
         n = rng.randint(2, 7)
         last = _random_diagram(rng, n)
         for i, j in (rng.sample(range(n), 2) for _ in range(rng.randint(1, 3))):
-            last[(i, j)] = rng.randint(0, 4)
-        nonzero = {a: w for a, w in last.items() if w}
-        leaf, want = [], []
-        assert canonical_key(last, n, leaf) == canonical_key(nonzero, n, want)
-        assert leaf == want
+            last[(i, j)] = rng.randint(1, 4)
+        leaf = []
+        key = canonical_key(last, n, leaf)
+        assert key == _dense_key((last, n)), last
+        ser = [0] * (n * n)
+        for (i, j), w in last.items():
+            ser[leaf[i] * n + leaf[j]] = w
+        assert key == (n, tuple(ser)), last
 
 
 @pytest.mark.parametrize(
@@ -437,7 +441,9 @@ def test_diagram_of_raises_exactly_off_sign_skew_symmetry():
             assert ExchangeMatrix.make(E).entries == tuple(map(tuple, E))
         else:
             i, j = fault
-            with pytest.raises(SignSkewSymmetryLost, match=rf"b\[{i}\]\[{j}\] = {E[i][j]}\b"):
+            # named from 1
+            with pytest.raises(SignSkewSymmetryLost,
+                               match=rf"b\[{i + 1}\]\[{j + 1}\] = {E[i][j]}\b"):
                 diagram_of(E)
             with pytest.raises(SignSkewSymmetryLost):
                 ExchangeMatrix.make(E)
@@ -1161,6 +1167,18 @@ def test_frozen_formal_and_unsymmetrizable_seeds_take_the_laurent_census(monkeyp
     assert calls
 
 
+@pytest.mark.parametrize("make", [lambda: initial_seed(ExchangeMatrix.make([])),
+                                  lambda: general_seed([])], ids=["plain", "general"])
+def test_rank_zero_census_is_one_cluster(make):
+    # m = n = 0 sends a formal-coefficient seed to the g-vector census too,
+    # and both searches report the one empty cluster
+    seed = make()
+    rep = ExplorationReport(1, 0, 0, True, 0)
+    assert explore_exchange_graph(seed) == rep
+    assert list(gvector_seeds(seed)) == [((), 0)]
+    assert [(s.exprs, depth) for s, depth in exchange_seeds(seed)] == [((), 0)]
+
+
 def reference_gvector_seeds(seed, hits=None):
     """gvector_seeds as it was before the one-end skip: every edge from both ends.
 
@@ -1246,7 +1264,7 @@ def test_an_edge_reached_again_arrives_with_the_negated_c_vector(name, count):
 
 def test_explore_loses_sign_skew_symmetry_on_the_first_edge():
     seed = initial_seed(ExchangeMatrix.make(UNSYMMETRIZABLE["lossy"]))
-    with pytest.raises(SignSkewSymmetryLost, match="direction 0"):
+    with pytest.raises(SignSkewSymmetryLost, match="direction 1: entries b"):
         explore_exchange_graph(seed)
 
 

@@ -133,9 +133,10 @@ def test_sign_skew_symmetry_checks():
     assert diagram_of([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]) == {(0, 1): 4, (2, 0): 4, (1, 2): 4}
     assert diagram_of([[0, 1], [-3, 0], [7, 7]]) == {(0, 1): 3}
     # make checks the principal part and names the first bad entry
-    with pytest.raises(SignSkewSymmetryLost, match=r"b\[0\]\[1\] = 1 and b\[1\]\[0\] = 1"):
+    # from 1, as the CLI types them
+    with pytest.raises(SignSkewSymmetryLost, match=r"b\[1\]\[2\] = 1 and b\[2\]\[1\] = 1"):
         ExchangeMatrix.make([[0, 1], [1, 0]])
-    with pytest.raises(SignSkewSymmetryLost, match=r"diagonal entry b\[1\]\[1\] = -2"):
+    with pytest.raises(SignSkewSymmetryLost, match=r"diagonal entry b\[2\]\[2\] = -2"):
         ExchangeMatrix.make([[0, 0], [0, -2], [5, 5]])
     # the frozen rows are not part of the check
     assert ExchangeMatrix.make([[0, 0], [0, 0], [3, 3]]).n == 2
@@ -168,7 +169,9 @@ def test_symmetrized_mutation_stays_skew_symmetric():
 
 def test_single_mutation_can_lose_sign_skew_symmetry():
     B = ExchangeMatrix.make([[0, 1, -1], [-1, 0, 1], [2, -1, 0]])
-    with pytest.raises(SignSkewSymmetryLost, match="direction 0: entries b"):
+    # k = 0 is named direction 1, and the entries are named from 1 too
+    with pytest.raises(SignSkewSymmetryLost,
+                       match=r"direction 1: entries b\[2\]\[3\] = 0 and b\[3\]\[2\] = 1"):
         matrix_mutate(B, 0)
 
 
