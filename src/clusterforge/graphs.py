@@ -432,9 +432,9 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     """BFS over seeds: yield (seed, depth) per newly reached cluster, in order.
 
     The Laurent census: each cluster variable is named by its expression in
-    the initial extended cluster, so it serves every seed, with frozen rows,
-    formal coefficients or a matrix that is not skew-symmetrizable, and it
-    is the search that hands out the expressions (tp-check reads them).
+    the initial extended cluster.  It serves tp-check, which reads the
+    expressions, and explore on a matrix that is not skew-symmetrizable.  A
+    formal-coefficient seed is refused at entry, with seed_mutate's error.
     Each seed is expanded in the directions 0..n-1 in turn.
     Clusters are deduplicated as unordered sets of expression ids, starting
     with the initial seed at depth 0.  Each exchange relation is divided
@@ -456,6 +456,8 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     up by its packed key first and by key() only on a miss, so a quotient
     packed like a known variable is dropped without being unpacked.
     """
+    if seed.general:
+        raise ValueError("formal-coefficient seeds support single mutations only")
     ids: dict[tuple, tuple] = {}
 
     def intern(e) -> tuple:
@@ -484,25 +486,20 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
                               frozenset((r, -b) for r, b in col if b < 0)))
             hit = memo.get((cluster[k], pair))
             matrix = None
-            # seed_mutate refuses to mutate a formal-coefficient seed twice;
-            # only the way back, which needs no division, comes from the memo
-            if hit is None or s.general and s.history[-1:] != (k,):
+            if hit is None:
                 s2 = seed_mutate(s, k)
                 matrix = s2.matrix
-                x, xid = hit = intern(s2.exprs[k])
-                memo[cluster[k], pair] = hit
-                memo[xid, pair] = s.exprs[k], cluster[k]
-            else:
-                x, xid = hit
-                if check_every_edge:
-                    matrix = matrix_mutate(s.matrix, k)
+                hit = memo[cluster[k], pair] = intern(s2.exprs[k])
+                memo[hit[1], pair] = s.exprs[k], cluster[k]
+            elif check_every_edge:
+                matrix = matrix_mutate(s.matrix, k)
+            x, xid = hit
             reached = cluster[:k] + (xid,) + cluster[k + 1:]
             key = frozenset(reached)
             if key not in visited:
                 visited.add(key)
                 s2 = Seed(matrix or matrix_mutate(s.matrix, k), s.ctx,
-                          s.exprs[:k] + (x,) + s.exprs[k + 1:], s.history + (k,),
-                          s.general)
+                          s.exprs[:k] + (x,) + s.exprs[k + 1:], s.history + (k,))
                 queue.append((s2, depth + 1, reached))
                 yield s2, depth + 1
 
@@ -514,21 +511,23 @@ class NotSignCoherent(ArithmeticError):
 def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
     """The BFS of exchange_seeds on integers: yield (g-vectors, depth).
 
-    For a skew-symmetrizable seed with no frozen rows.  Each cluster is
-    the tuple of the g-vectors of its variables, position by position, in
-    the initial seed's basis (Fomin-Zelevinsky, *Cluster algebras IV*,
-    math/0602259, Section 6).  A seed is held as the rows of its extended
-    matrix [B; C], where the n frozen rows C start as the identity and
-    their columns are the c-vectors.  Mutation in direction k takes
+    For a skew-symmetrizable seed, whose frozen rows it ignores.  Each
+    cluster is the tuple of the g-vectors of its variables, position by
+    position, in the initial seed's basis (Fomin-Zelevinsky, *Cluster
+    algebras IV*, math/0602259, Section 6).  A seed is held as the rows of
+    [B; C], with B its principal part and C starting as the n x n identity;
+    the columns of C are the c-vectors.  Mutation in direction k takes
     g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the sign of c_k
     (Nakanishi-Zelevinsky, arXiv 1101.3736, Prop. 1.3), and mutate_rows
     mutates [B; C].  Both formulas need c_k to be sign-coherent, so every
     edge checks it at the end it is computed from and raises
     NotSignCoherent otherwise, naming the direction from 1.
 
-    A cluster variable is determined by its g-vector, and c-vectors are
-    sign-coherent (conjectured in FZ IV, proved by Gross-Hacking-Keel-
-    Kontsevich, arXiv 1411.1394), so sets of g-vectors name clusters
+    Under any geometric coefficients a cluster variable is determined by its
+    g-vector for B (FZ IV, Thm 3.7 and Cor 6.3), c-vectors are sign-coherent
+    (Gross-Hacking-Keel-Kontsevich, arXiv 1411.1394) and the exchange graph
+    does not depend on the coefficients (FZ IV, Conj. 4.3, proved for
+    skew-symmetrizable B by Cao-Li), so sets of g-vectors name clusters
     exactly and no Laurent polynomial is needed.  Seeds are expanded in
     the order of exchange_seeds, so the clusters arrive in its order, at
     its depths, with each position's g-vector naming the variable that
@@ -553,7 +552,7 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
     # cluster key -> ids of its variables already exchanged across a known edge
     skip = set()
     exchanged = {frozenset(cids): skip}
-    queue = deque([(seed.matrix.entries + identity, identity, cids, skip, 0)])
+    queue = deque([(seed.matrix.principal() + identity, identity, cids, skip, 0)])
     yield identity, 0
     while queue:
         M, cluster, cids, skip, depth = queue.popleft()
@@ -586,16 +585,15 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
 def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:
     """Census of the first max_seeds clusters of the seed BFS (at least one).
 
-    A skew-symmetrizable seed with no frozen rows (m = n, which a formal-
-    coefficient seed has only at rank 0) is counted by gvector_seeds, on integers,
-    with each variable named by its g-vector.  Every other seed is counted
+    A skew-symmetrizable seed, frozen rows or not, is counted on integers by
+    gvector_seeds, with each variable named by its g-vector; any other seed
     by exchange_seeds, with each variable named by its Laurent expression.
     Both searches reach the same clusters in the same order, so the report
     is the same either way.  ``variables`` counts the distinct names.
     ``exhausted`` says that no further cluster exists.  Every counted seed
     has all n directions, so ``mutations`` is clusters * n.
     """
-    if seed.m == seed.n and is_skew_symmetrizable(seed.matrix):
+    if is_skew_symmetrizable(seed.matrix):
         search = gvector_seeds(seed)
     else:
         search = ((tuple(e.key() for e in s.exprs), depth)

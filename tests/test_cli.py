@@ -1,5 +1,6 @@
 import argparse
 import json
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from clusterforge.laurent import LaurentPoly
 from clusterforge.seeds import ExchangeMatrix
 
 from conftest import MARKOV, SL3_ROWS, SL3_LABELS
+from test_graphs import cell_seed, principal_coefficient_seed
 
 
 def run(capsys, *argv):
@@ -50,6 +52,32 @@ def test_explore_sl3(capsys):
     code, data = run(capsys, "explore", "--seed", seed_json())
     assert code == 0
     assert data["clusters"] == 50 and data["variables"] == 16
+
+
+@pytest.mark.parametrize("name, max_seeds, clusters", [("A3 open cell", 400, 400),
+                                                       ("principal E6", 10_000, 833)],
+                         ids=["A3 open cell", "principal E6"])
+def test_explore_prints_the_laurent_census_report(capsys, name, max_seeds, clusters):
+    # explore counts these frozen-row seeds by g-vectors; its stdout is the
+    # report of the Laurent census, built here from exchange_seeds, byte for byte
+    seed = cell_seed("A3", "open") if name == "A3 open cell" else principal_coefficient_seed("E6")
+    search = ((tuple(e.key() for e in s.exprs), depth)
+              for s, depth in graphs.exchange_seeds(seed))
+    found = list(islice(search, max_seeds))
+    rep = graphs.ExplorationReport(
+        clusters=len(found),
+        variables=len({v for cluster, _ in found for v in cluster}),
+        mutations=len(found) * seed.n,
+        exhausted=next(search, None) is None,
+        max_depth=max(depth for _, depth in found),
+    )
+    assert rep.clusters == clusters
+    cli._emit(rep.to_json())
+    expected = capsys.readouterr().out
+    code = main(["explore", "--seed", json.dumps(seed.matrix.to_json()),
+                 "--max-seeds", str(max_seeds)])
+    assert capsys.readouterr().out == expected
+    assert code == (0 if rep.exhausted else 1)
 
 
 def test_mutate_roundtrip(capsys):

@@ -8,7 +8,12 @@ import pytest
 
 from clusterforge import graphs
 from clusterforge.coxeter import bipartite_longest_word, cartan_data, dynkin_bipartition
-from clusterforge.double_bruhat import build_btilde, indexed_word, seed_from_btilde
+from clusterforge.double_bruhat import (
+    build_btilde,
+    coxeter_cell_word,
+    indexed_word,
+    seed_from_btilde,
+)
 from clusterforge.graphs import (
     Classification,
     ExplorationReport,
@@ -939,6 +944,8 @@ def _first(search, count):
     return out, None
 
 
+GENERAL = {"A1": [[0]], "A1 x A1": [[0, 0], [0, 0]], "Markov": MARKOV}
+
 # sign-skew-symmetric but not skew-symmetrizable: the first loses
 # sign-skew-symmetry at its first mutation, the second keeps it for 40 seeds
 UNSYMMETRIZABLE = {"lossy": ((0, 1, -1), (-2, 0, 1), (1, -1, 0)),
@@ -963,14 +970,18 @@ def test_exchange_seeds_equals_edge_memo_bfs(name):
     elif name == "Markov":
         seed = initial_seed(ExchangeMatrix.make(MARKOV))
     elif name.startswith("general"):
-        seed = general_seed({"A1": [[0]], "A1 x A1": [[0, 0], [0, 0]],
-                             "Markov": MARKOV}[name.split(" ", 1)[1]])
+        # the Laurent census refuses a formal-coefficient seed before its
+        # first cluster: geometric mutation would reinterpret the symbols
+        seed = general_seed(GENERAL[name.split(" ", 1)[1]])
+        with pytest.raises(ValueError, match="single mutations"):
+            next(exchange_seeds(seed))
+        return
     else:
         seed = bipartite_seed(name)
     got = _first(exchange_seeds(seed), count)
     assert got == _first(_edge_memo_seeds(seed), count)
-    if name in ("E6", "A3 open cell", "Markov", "general Markov", "unsymmetrizable"):
-        assert len(got[0]) == {"E6": 833, "general Markov": 4}.get(name, count)
+    if name in ("E6", "A3 open cell", "Markov", "unsymmetrizable"):
+        assert len(got[0]) == {"E6": 833}.get(name, count)
     if name == "lossy":
         assert (len(got[0]), got[1]) == (1, SignSkewSymmetryLost)
 
@@ -1080,13 +1091,16 @@ def test_e6_census_unpacks_only_quotients_and_interns_expressions(monkeypatch):
     assert len({id(e) for s, _ in found for e in s.exprs}) == 42
 
 
-def test_explore_refuses_second_mutation_of_general_seed():
-    with pytest.raises(ValueError, match="single mutations"):
-        explore_exchange_graph(general_seed(MARKOV))
-    # the only seed after the first mutation is the way back, which is known
-    assert explore_exchange_graph(general_seed([[0]])) == ExplorationReport(
-        2, 2, 2, True, 1
-    )
+@pytest.mark.parametrize("name", [*GENERAL, "A3"])
+def test_explore_counts_a_general_seed_as_its_principal_part(name):
+    # the g-vector census ignores the 2n formal-coefficient rows, and the
+    # exchange graph does not depend on the coefficients (FZ IV, Conj. 4.3;
+    # Cao-Li for skew-symmetrizable B); Markov is capped
+    P = bipartite_seed(name).matrix.entries if name == "A3" else GENERAL[name]
+    cap = 500 if name == "Markov" else 10_000
+    rep = explore_exchange_graph(general_seed(P), max_seeds=cap)
+    assert rep == explore_exchange_graph(initial_seed(ExchangeMatrix.make(P)), max_seeds=cap)
+    assert rep.exhausted == (name != "Markov")
 
 
 def test_explore_e7_census():
@@ -1094,13 +1108,13 @@ def test_explore_e7_census():
     assert rep == ExplorationReport(4160, 70, 29120, True, 14)
 
 
-def _lockstep(seed, count):
+def _lockstep(seed, count, names=None):
     """Zip the first count clusters of exchange_seeds and gvector_seeds.
 
     Asserts that both searches end together, that each pair of clusters
     has one depth, and that "position k holds the expression key e and the
     g-vector g" is a bijection between keys and g-vectors.  Returns the
-    number of clusters compared.
+    number of clusters compared; a names dict is filled with key -> g.
     """
     relation = set()
     pairs = list(islice(zip_longest(exchange_seeds(seed), gvector_seeds(seed)), count))
@@ -1110,7 +1124,29 @@ def _lockstep(seed, count):
         assert depth == g_depth
         relation |= {(e.key(), g) for e, g in zip(s.exprs, gs, strict=True)}
     assert len(relation) == len({e for e, _ in relation}) == len({g for _, g in relation})
+    if names is not None:
+        names.update(relation)
     return len(pairs)
+
+
+def principal_coefficient_seed(type_name):
+    """The bipartite seed of a Dynkin type over n frozen rows holding the identity."""
+    B = bipartite_seed(type_name).matrix
+    identity = tuple(tuple(int(i == j) for j in range(B.n)) for i in range(B.n))
+    return initial_seed(ExchangeMatrix.make(B.entries + identity))
+
+
+def cell_seed(type_name, cell):
+    """The seed of the open, Coxeter or base-affine double Bruhat cell of a type.
+
+    The open cell is (w0, w0) on the bipartite word, the Coxeter cell
+    (c, c) and the base-affine cell (e, w0).
+    """
+    cartan = cartan_data(type_name)
+    w0 = bipartite_longest_word(cartan)
+    word = {"open": tuple(-x for x in w0) + w0, "Coxeter": coxeter_cell_word(cartan),
+            "base-affine": w0}[cell]
+    return seed_from_btilde(build_btilde(indexed_word(cartan, word), cartan))
 
 
 def _randomly_mutated(name, rng_seed):
@@ -1131,10 +1167,17 @@ INFINITE = {"Kronecker": ((0, 2), (-2, 0)), "A1(1,4)": ((0, 1), (-4, 0)),
     pytest.param("E7", marks=pytest.mark.slow),
     *(f"{t} mutated {r}" for t in ("B3", "C4", "F4", "G2") for r in range(3)),
     *INFINITE,
+    *(f"{t} {cell} cell" for t in ("A2", "A3", "A4", "B2", "C3", "G2")
+      for cell in ("open", "Coxeter", "base-affine")),
+    *(f"principal {t}" for t in ("A3", "B3", "C3", "G2", "D4", "F4", "E6")),
+    pytest.param("principal E7", marks=pytest.mark.slow),
 ])
 def test_gvector_census_matches_the_laurent_census(name):
-    # a cluster variable is determined by its g-vector, and c-vectors are
-    # sign-coherent (Gross-Hacking-Keel-Kontsevich, arXiv 1411.1394)
+    # under any geometric coefficients a cluster variable is determined by
+    # its g-vector for the principal part B (FZ IV, Thm 3.7 and Cor 6.3),
+    # c-vectors are sign-coherent (Gross-Hacking-Keel-Kontsevich, arXiv
+    # 1411.1394), and the exchange graph does not depend on the frozen rows
+    # (FZ IV, Conj. 4.3; Cao-Li for skew-symmetrizable B)
     if name in INFINITE:
         assert _lockstep(initial_seed(ExchangeMatrix.make(INFINITE[name])), 60) == 60
     elif " mutated " in name:
@@ -1142,12 +1185,40 @@ def test_gvector_census_matches_the_laurent_census(name):
         rows = _randomly_mutated(t, int(r))
         count = _lockstep(initial_seed(ExchangeMatrix.make(rows)), 100_000)
         assert count == explore_exchange_graph(bipartite_seed(t)).clusters
+    elif name.endswith(" cell"):
+        t, cell, _ = name.split(" ")
+        _lockstep(cell_seed(t, cell), 400)
+    elif name.startswith("principal "):
+        t, names = name.split(" ")[1], {}
+        seed = principal_coefficient_seed(t)
+        count = _lockstep(seed, 100_000, names)
+        assert count == explore_exchange_graph(bipartite_seed(t)).clusters
+        _assert_principal_grading(seed, names)
     else:
         _lockstep(bipartite_seed(name), 100_000)
 
 
-@pytest.mark.parametrize("name", ["SL3", "general A1", "unsymmetrizable"])
-def test_frozen_formal_and_unsymmetrizable_seeds_take_the_laurent_census(monkeypatch, name):
+def _assert_principal_grading(seed, names):
+    """The grading oracle of principal coefficients (FZ IV, Section 6).
+
+    With y_j the frozen variable of row n + j, a term x^a y^e has degree
+    g_i = a_i - sum_j b_ij e_j.  Every term of a census expression must
+    have the one degree that is the g-vector gvector_seeds holds at its
+    position; names maps each distinct expression key to that g-vector,
+    so each expression is graded once.
+    """
+    n, B = seed.n, seed.matrix.principal()
+    for key, g in names.items():
+        degrees = {tuple(exp[i] - sum(B[i][j] * exp[n + j] for j in range(n))
+                         for i in range(n)) for exp, _ in key}
+        assert degrees == {g}
+
+
+@pytest.mark.parametrize("name", ["SL3", "general A1", "unsymmetrizable",
+                                  "general unsymmetrizable"])
+def test_census_is_chosen_by_skew_symmetrizability(monkeypatch, name):
+    # frozen rows and formal coefficients take the g-vector census, with no
+    # division; only a matrix that is not skew-symmetrizable is divided
     calls = []
 
     def counting_mutate(seed, k):
@@ -1160,23 +1231,32 @@ def test_frozen_formal_and_unsymmetrizable_seeds_take_the_laurent_census(monkeyp
         rep = ExplorationReport(50, 16, 200, True, 5)
     elif name == "general A1":
         seed, rep = general_seed([[0]]), ExplorationReport(2, 2, 2, True, 1)
-    else:
+    elif name == "unsymmetrizable":
         seed = initial_seed(ExchangeMatrix.make(UNSYMMETRIZABLE[name]))
         rep = ExplorationReport(40, 32, 120, False, 6)
+    else:  # the Laurent census refuses formal coefficients before any division
+        with pytest.raises(ValueError, match="single mutations"):
+            explore_exchange_graph(general_seed(UNSYMMETRIZABLE["unsymmetrizable"]))
+        assert calls == []
+        return
     assert explore_exchange_graph(seed, max_seeds=rep.clusters) == rep
-    assert calls
+    assert bool(calls) == (name == "unsymmetrizable")
 
 
 @pytest.mark.parametrize("make", [lambda: initial_seed(ExchangeMatrix.make([])),
                                   lambda: general_seed([])], ids=["plain", "general"])
 def test_rank_zero_census_is_one_cluster(make):
-    # m = n = 0 sends a formal-coefficient seed to the g-vector census too,
-    # and both searches report the one empty cluster
+    # the empty matrix is skew-symmetrizable, so the g-vector census reports
+    # the one empty cluster; the Laurent census refuses formal coefficients
     seed = make()
     rep = ExplorationReport(1, 0, 0, True, 0)
     assert explore_exchange_graph(seed) == rep
     assert list(gvector_seeds(seed)) == [((), 0)]
-    assert [(s.exprs, depth) for s, depth in exchange_seeds(seed)] == [((), 0)]
+    if seed.general:
+        with pytest.raises(ValueError, match="single mutations"):
+            next(exchange_seeds(seed))
+    else:
+        assert [(s.exprs, depth) for s, depth in exchange_seeds(seed)] == [((), 0)]
 
 
 def reference_gvector_seeds(seed, hits=None):
