@@ -16,9 +16,8 @@ is exactly divisible by the matching power of the exchange polynomial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import acyclic_order, is_acyclic, relabel_matrix
 from .laurent import Context, LaurentPoly, NotDivisible
@@ -129,7 +128,7 @@ def sorted_acyclic_seed(seed: Seed) -> Seed:
         raise NotAcyclic("seed has an oriented cycle")
     # a formal-coefficient seed stays single-use after relabelling
     sorted_seed = initial_seed(relabel_matrix(seed.matrix, sigma))
-    return replace(sorted_seed, general=seed.general)
+    return sorted_seed._replace(general=seed.general)
 
 
 def _cyclic_terms(u: Sequence[LaurentPoly], v: Sequence[LaurentPoly]) -> Iterator:
@@ -246,8 +245,7 @@ def diffcomb_check(size: int) -> bool:
 # -- upper bound membership -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     member: bool
     reason: str
     certificates: dict  # direction -> list of (power m, exact quotient)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import bounds, coxeter, double_bruhat, graphs, seeds, tropical
 from .laurent import LaurentPoly
@@ -79,14 +79,13 @@ def _word(text: str) -> tuple:
 
 def _load_json_arg(value: str):
     """Accept inline JSON or a path to a JSON file."""
-    text = value
     try:
-        return json.loads(text)
+        return json.loads(value)
     except json.JSONDecodeError:
-        path = Path(value)
-        if not path.is_file():
+        if not os.path.isfile(value):
             raise ValueError(f"not valid JSON and not a file: {value!r}")
-        return json.loads(path.read_text())
+        with open(value) as f:
+            return json.load(f)
 
 
 def _load_matrix(value: str) -> seeds.ExchangeMatrix:

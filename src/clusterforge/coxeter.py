@@ -10,9 +10,8 @@ s_i(alpha_j) = alpha_j - a_ij * alpha_i.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .util import mat_mul
 
@@ -82,8 +81,7 @@ def cartan_entries(family: str, r: int) -> list[list[int]]:
     return A
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(NamedTuple):
     """A finite-type Cartan matrix with its positive roots."""
 
     name: str

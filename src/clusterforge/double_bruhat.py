@@ -10,11 +10,10 @@ own double word.  All evaluation is exact over Q.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .coxeter import CartanData, is_reduced
 from .graphs import exchange_seeds
@@ -31,8 +30,7 @@ class SubsetFormOnlyTypeA(TypeError):
     """Row/column subsets of fundamental weights exist only in type A here."""
 
 
-@dataclass(frozen=True)
-class IndexedWord:
+class IndexedWord(NamedTuple):
     """A double reduced word with the prepended sentinel letters.
 
     Positions are -r..-1 (carrying letters -1..-r set to i_{-j} = -j) and
@@ -121,8 +119,7 @@ def build_gamma_tilde(iw: IndexedWord, cartan: CartanData) -> tuple:
     return tuple(sorted(edges))
 
 
-@dataclass(frozen=True)
-class BtildeMatrix:
+class BtildeMatrix(NamedTuple):
     """Extended exchange matrix in natural row order (-r..-1, 1..N)."""
 
     row_labels: tuple
@@ -368,26 +365,27 @@ def _failures(check: Callable, gs: Sequence) -> tuple:
     )
 
 
-class _Report:
-    """Counts of one check run and its per-sample failure messages."""
+# Shared by the two check reports: the counts of one check run and its
+# per-sample failure messages.
+def _report_ok(self) -> bool:
+    return not self.failures
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
-    def to_json(self) -> dict:
-        return {**asdict(self), "failures": list(self.failures), "ok": self.ok}
+def _report_to_json(self) -> dict:
+    return {**self._asdict(), "failures": list(self.failures), "ok": self.ok}
 
 
 # -- identity verification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellCheckReport(_Report):
+class CellCheckReport(NamedTuple):
     samples: int
     relations_checked: int
     closed_forms_checked: int
     failures: tuple
+
+    ok = property(_report_ok)
+    to_json = _report_to_json
 
 
 def verify_cell_identities(
@@ -483,12 +481,14 @@ def coxeter_cell_closed_forms(cartan: CartanData) -> dict:
 # -- total positivity -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityReport(_Report):
+class PositivityReport(NamedTuple):
     samples: int
     minors_checked: int
     clusters_checked: int
     failures: tuple
+
+    ok = property(_report_ok)
+    to_json = _report_to_json
 
 
 def tp_criterion_check(

@@ -20,10 +20,9 @@ reported honestly as inconclusive.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import asdict, dataclass
 from itertools import islice
 from operator import add, neg
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .coxeter import cartan_entries
 from .seeds import (
@@ -240,8 +239,7 @@ def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
 # -- finite type classification -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str  # "finite" | "infinite" | "inconclusive"
     type_name: str | None
     witness_weight: int | None
@@ -410,8 +408,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
 # -- exchange graph exploration ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExplorationReport:
+class ExplorationReport(NamedTuple):
     """Census of the exchange graph reachable from a seed.
 
     ``mutations`` is clusters * n by definition: the edge ends of the
@@ -425,7 +422,7 @@ class ExplorationReport:
     max_depth: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:

@@ -25,12 +25,11 @@ built only when something reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import mul, sub
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .util import check_keys, decimal_int
 
@@ -47,8 +46,7 @@ class NotInvertible(ArithmeticError):
     """Only monomials with coefficient +-1 are units of the Laurent ring."""
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     """An ordered tuple of variable names fixing the ambient Laurent ring."""
 
     names: tuple[str, ...]
@@ -57,7 +55,7 @@ class Context:
     def nvars(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
+    def index(self, name: str) -> int:  # the variable's position, not tuple.index
         return self.names.index(name)
 
     def zero(self) -> "LaurentPoly":

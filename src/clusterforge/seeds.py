@@ -11,10 +11,9 @@ contradict Laurent behavior) raises NotDivisible instead of approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .laurent import Context, LaurentPoly
 from .util import bareiss, check_keys, decimal_int, symmetrizer
@@ -55,8 +54,7 @@ def diagram_of(rows: Sequence[Sequence[int]]) -> dict:
     return weights
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class ExchangeMatrix(NamedTuple):
     """m x n integer matrix with cluster rows first; immutable.
 
     make checks the principal part with diagram_of and matrix_mutate
@@ -112,7 +110,7 @@ class ExchangeMatrix:
 
     @staticmethod
     def from_json(data) -> "ExchangeMatrix":
-        check_keys(data, ("btilde", "labels", "n", "m"), "seed JSON")
+        check_keys(data, ("btilde",), "seed JSON", ("labels", "n", "m"))
         # a string row is not read as its characters
         btilde = data["btilde"]
         if type(btilde) is not list or any(type(r) is not list for r in btilde):
@@ -222,8 +220,7 @@ def is_coprime(B: ExchangeMatrix) -> bool:
 # -- seeds -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple):
     """A seed of geometric type with exact initial-cluster expressions.
 
     ``exprs`` holds the n current cluster variables as Laurent polynomials

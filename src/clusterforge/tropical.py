@@ -17,10 +17,9 @@ a ratio of two matrix entries, and the recursion needs no square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, matrix_mutate, skew_symmetrizer
@@ -30,8 +29,7 @@ class NotCyclicEverywhere(ValueError):
     """An acyclic matrix appeared where the cyclic recursion was assumed."""
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Rational weights, one per ambient variable (frozen weights usually 0)."""
 
     weights: tuple
@@ -80,8 +78,7 @@ def _others(j: int) -> tuple[int, int]:
     return tuple(i for i in range(3) if i != j)
 
 
-@dataclass(frozen=True)
-class TreeAssignment:
+class TreeAssignment(NamedTuple):
     """Values on the 3-regular tree, addressed by direction strings.
 
     Addresses use 1-based direction digits with no immediate repetition
@@ -151,8 +148,7 @@ def propagate_valuation(seed: Seed, v0: Valuation, depth: int) -> TreeAssignment
 # -- the renormalized recursion -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaWitness:
+class DeltaWitness(NamedTuple):
     """Finite-radius certificate produced by the renormalized recursion.
 
     ``sequence`` is the per-radius minimum of the raw delta values, which
@@ -270,8 +266,7 @@ def delta_witness(
 # -- non-membership certificates -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowerBoundCertificate:
+class LowerBoundCertificate(NamedTuple):
     """Grading certificate that an element avoids the lower bound.
 
     Valid when the valuation makes every exchange polynomial homogeneous,

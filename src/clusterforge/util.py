@@ -17,14 +17,19 @@ def decimal_int(text: str) -> int:
     return int(text)
 
 
-def check_keys(data, keys: tuple, what: str) -> None:
-    """ValueError unless data is a JSON object with no key outside keys:
-    an unknown key is an error, never ignored."""
+def check_keys(data, required: tuple, what: str, optional: tuple = ()) -> None:
+    """ValueError unless data is a JSON object with every key of required
+    and no key outside required and optional: an unknown key is an error,
+    never ignored, and a missing one is named."""
     if type(data) is not dict:
         raise ValueError(f"{what} {data!r} is not a JSON object")
+    keys = required + optional
     unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}; it takes {list(keys)}")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ValueError(f"{what} is missing required keys {missing}")
 
 
 def parallel_map(fn: Callable, items: Sequence) -> list:

@@ -171,6 +171,16 @@ def test_sorted_general_seed_refuses_a_second_mutation():
         seed_mutate(once, 1)
 
 
+@pytest.mark.parametrize(
+    "seed, general",
+    [(initial_seed(ExchangeMatrix.make([[0, 1], [-1, 0]])), False),
+     (general_seed([[0, 1], [-1, 0]]), True)],
+    ids=["initial", "general"],
+)
+def test_sorted_acyclic_seed_keeps_the_general_flag(seed, general):
+    assert sorted_acyclic_seed(seed).general is general
+
+
 def test_diffcomb_small_sizes():
     for size in range(1, 9):
         assert diffcomb_check(size) is True
@@ -256,6 +266,15 @@ def test_membership_negative_invariant_under_mutation(sl3_seed):
     assert not upper_bound_member(bad, sl3_seed).member
     for k in range(4):
         assert not membership_from_adjacent(bad, sl3_seed, k).member
+
+
+def test_membership_is_truthy_only_for_a_member(markov_seed):
+    # a record with fields is never empty, so bool() must read member
+    assert bool(Membership(False, "not a member", {})) is False
+    assert bool(Membership(True, "member", {})) is True
+    ctx = markov_seed.ctx
+    assert not upper_bound_member(ctx.monomial({0: -1}), markov_seed)
+    assert upper_bound_member(markov_y(markov_seed), markov_seed)
 
 
 def test_membership_json(markov_seed):

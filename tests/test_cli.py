@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -461,6 +464,37 @@ def test_malformed_matrix_exits_2(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["explore", "--seed", '{"n": 2}'], "seed JSON is missing required keys ['btilde']"),
+        (_ab_member('{"terms": []}'), "Laurent JSON is missing required keys ['vars']"),
+        (_ab_member('{"vars": ["a", "b"]}'), "Laurent JSON is missing required keys ['terms']"),
+        (_ab_member('{"vars": ["a", "b"], "terms": [{"coef": 1}]}'),
+         "term is missing required keys ['exp']"),
+        (_ab_member('{"vars": ["a", "b"], "terms": [{"exp": [1, 0]}]}'),
+         "term is missing required keys ['coef']"),
+    ],
+    ids=["seed-btilde", "laurent-vars", "laurent-terms", "term-exp", "term-coef"],
+)
+def test_missing_required_key_is_named(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: ValueError: {message}\n"
+
+
+def test_cli_import_skips_dataclasses_inspect_and_pathlib():
+    # every command is a fresh process that pays this import first; -I -S
+    # leaves only the standard library on sys.path, with no site start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import clusterforge.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

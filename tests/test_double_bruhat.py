@@ -720,6 +720,21 @@ def test_tp_criterion_check_a3_forty_clusters(monkeypatch):
     assert len(calls) == 21
 
 
+def test_check_reports_print_their_counts_failures_and_verdict():
+    wrong = {1: lambda g: Fraction(0)}  # position 1 fails on every sample
+    rep = verify_cell_identities(A2, OPEN_CELL_A2, samples=2, rng_seed=1, closed_forms=wrong)
+    assert rep.to_json() == {
+        "samples": 2, "relations_checked": 8, "closed_forms_checked": 2,
+        "failures": ["sample 0: position 1: quotient != closed form",
+                     "sample 1: position 1: quotient != closed form"],
+        "ok": False,
+    }
+    rep = tp_criterion_check(A2, OPEN_CELL_A2, samples=2, clusters=3, rng_seed=1)
+    assert rep.to_json() == {
+        "samples": 2, "minors_checked": 16, "clusters_checked": 3, "failures": [], "ok": True,
+    }
+
+
 def reference_tp_failures(cartan, word, gs, clusters):
     """The per-(cluster, variable) loop: one evaluation per variable per cluster.
 

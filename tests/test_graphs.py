@@ -858,6 +858,17 @@ def test_explore_sl3_full_report():
     assert rep == ExplorationReport(50, 16, 200, True, 5)
 
 
+def test_census_and_classification_json():
+    a3 = ExchangeMatrix.make([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+    assert explore_exchange_graph(initial_seed(a3)).to_json() == {
+        "clusters": 14, "variables": 9, "mutations": 42, "exhausted": True, "max_depth": 3,
+    }
+    assert classify_finite_type(a3).to_json() == {"verdict": "finite", "nodes": 4, "type": "A3"}
+    assert classify_finite_type(ExchangeMatrix.make(MARKOV)).to_json() == {
+        "verdict": "infinite", "nodes": 1, "witness_weight": 4, "witness_depth": 0,
+    }
+
+
 def bipartite_seed(type_name):
     """Initial seed of the bipartite orientation of a Dynkin tree."""
     cartan = cartan_data(type_name)

@@ -27,7 +27,7 @@ B219 = ExchangeMatrix.make(SL3_PRINCIPAL)
 
 
 def raw_matrix(rows):
-    """An ExchangeMatrix built by the dataclass constructor, unchecked:
+    """An ExchangeMatrix built field by field, without make's checks:
     rank and mutation are tested on integer matrices of any sign pattern."""
     entries = tuple(tuple(r) for r in rows)
     return ExchangeMatrix(entries, len(entries[0]), tuple(f"x{i + 1}" for i in range(len(entries))))
@@ -258,6 +258,11 @@ def test_general_seed_exchange_polynomials(markov_seed):
         {ctx.index("p1-"): 1, 1: 2}
     )
     assert p == expected
+
+
+def test_seed_defaults_to_no_history_and_geometric_coefficients():
+    seed = initial_seed(ExchangeMatrix.make([[0, 1], [-1, 0]]))
+    assert seed.history == () and seed.general is False
 
 
 def test_general_seed_refuses_repeated_mutation(markov_seed):

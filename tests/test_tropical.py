@@ -201,6 +201,9 @@ def test_certificate_constant_invalid(markov_seed):
     v = w(markov_seed, (1, 1, 1))
     cert = not_in_lower_bound_certificate(markov_seed.ctx.const(3), markov_seed, v)
     assert not cert.valid
+    # a record with fields is never empty, so bool() must read valid
+    assert bool(cert) is False
+    assert bool(not_in_lower_bound_certificate(markov_y(markov_seed), markov_seed, v)) is True
 
 
 def test_certificate_negative_value_path(markov_seed):
