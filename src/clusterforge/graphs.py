@@ -448,10 +448,8 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     sign-skew-symmetry check of matrix_mutate cannot fire.  On other input
     every hit still runs matrix_mutate, so SignSkewSymmetryLost is raised
     on the first edge that loses it.  Seeds are mutated only as far as the
-    consumer reads.  Expressions are interned: every yielded seed holds the
-    first object found for each distinct expression.  A quotient is looked
-    up by its packed key first and by key() only on a miss, so a quotient
-    packed like a known variable is dropped without being unpacked.
+    consumer reads.  Expressions are interned by key(): every yielded seed
+    holds the first object found for each distinct expression.
     """
     if seed.general:
         raise ValueError("formal-coefficient seeds support single mutations only")
@@ -459,13 +457,7 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
 
     def intern(e) -> tuple:
         """(first object equal to e, its id); ids are distinct ints."""
-        packed = e.packed_key()
-        hit = ids.get(packed)
-        if hit is None:
-            hit = ids.setdefault(e.key(), (e, len(ids)))
-            if packed is not None:
-                ids[packed] = hit
-        return hit
+        return ids.setdefault(e.key(), (e, len(ids)))
 
     check_every_edge = not is_skew_symmetrizable(seed.matrix)
     rows = tuple(intern(e)[1] for e in seed.all_exprs())

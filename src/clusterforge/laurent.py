@@ -208,19 +208,6 @@ class LaurentPoly:
             self._key = tuple(sorted(self.terms.items()))
         return self._key
 
-    def packed_key(self) -> tuple | None:
-        """Hashable packed form of a kernel result, read without unpacking.
-
-        It is (slot width, low corner, packed terms), which determines the
-        polynomial, so equal packed keys mean equal polynomials; equal
-        polynomials packed at other widths have different packed keys.
-        None for a polynomial built from a term dict.
-        """
-        if self._packed is None:
-            return None
-        width, packed = self._packed
-        return width, tuple(self._bounds[0]), frozenset(packed.items())
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

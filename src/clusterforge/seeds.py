@@ -115,7 +115,7 @@ class ExchangeMatrix(NamedTuple):
         btilde = data["btilde"]
         if type(btilde) is not list or any(type(r) is not list for r in btilde):
             raise ValueError(f"btilde {btilde!r} is not a list of lists")
-        # decimal strings carry integers of any size, as in LaurentPoly JSON
+        # decimal strings carry integers up to CPython's int-str digit limit
         rows = [[decimal_int(x) if type(x) is str else x for x in r] for r in btilde]
         # a labels key must hold a list: null is not read as "no labels"
         labels = data.get("labels")

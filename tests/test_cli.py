@@ -198,6 +198,49 @@ def test_upper_member_bad_den_exits_2(capsys, den, error):
     assert err.startswith(f"error: {error}: ")
 
 
+# CPython's limit on int <-> decimal string conversion (0: no limit)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="no int digit limit")
+
+
+def _c_over_x1(digits):
+    """C/x1 + C*x2/x1 with a coefficient C of this many digits, built as
+    text, since C may be past the limit."""
+    c = "9" * digits
+    return json.dumps({"vars": ["x1", "x2"], "terms": [
+        {"exp": [-1, 0], "coef": c}, {"exp": [-1, 1], "coef": c}]})
+
+
+@needs_int_limit
+def test_coefficient_at_the_digit_limit_round_trips(capsys):
+    # the certificate in direction 1 is x1 * num = C + C*x2, so its quotient is C
+    code, data = run(capsys, "upper-member", "--seed", "[[0, 1], [-1, 0]]",
+                     "--num", _c_over_x1(INT_DIGITS))
+    assert code == 0 and data["member"] is True
+    (cert,) = data["certificates"]["1"]
+    assert cert["quotient"]["terms"] == [{"exp": [0, 0], "coef": "9" * INT_DIGITS}]
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upper-member", "--seed", "[[0, 1], [-1, 0]]", "--num", _c_over_x1(INT_DIGITS + 1)],
+        ["explore", "--seed", '{"btilde": [[0, "%s"], [-1, 0]]}' % ("1" * (INT_DIGITS + 1))],
+        ["explore", "--seed", "[[0, %s], [-1, 0]]" % ("1" * (INT_DIGITS + 1))],
+        # entries within the limit whose mutated products are not
+        ["mutate", "--matrix", "[[0, {c}, 0], [-{c}, 0, {c}], [0, -{c}, 0]]".format(
+            c="9" * (INT_DIGITS // 2 + 1)), "--directions", "2"],
+    ],
+    ids=["coefficient", "entry-string", "entry-literal", "printed-entry"],
+)
+def test_integer_past_the_digit_limit_exits_2(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: Exceeds the limit")
+
+
 def test_upper_member_empty_den_is_an_error(capsys):
     # 1/x1 alone exits 1, so exit 2 shows the empty --den was parsed, not dropped
     argv = _upper_member_den("")

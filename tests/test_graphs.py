@@ -1082,23 +1082,29 @@ def test_explore_e6_census(monkeypatch):
     assert calls == []  # counted by g-vectors
 
 
-def test_e6_census_unpacks_only_quotients_and_interns_expressions(monkeypatch):
+def test_e6_census_unpacks_each_quotient_once_and_interns_expressions(monkeypatch):
     from clusterforge import laurent
 
-    unpacks = []
-    unpack = laurent._unpack
+    unpacks, divisions = [], []
+    unpack, mutate = laurent._unpack, graphs.seed_mutate
 
     def counting_unpack(*args):
         unpacks.append(1)
         return unpack(*args)
 
+    def counting_mutate(*args):
+        divisions.append(1)
+        return mutate(*args)
+
     monkeypatch.setattr(laurent, "_unpack", counting_unpack)
+    monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
     found = list(exchange_seeds(bipartite_seed("E6")))
     assert len(found) == 833
-    # one unpack per new expression (42 less the 6 initial variables): a
-    # quotient packed like a known variable is interned unread, and no
-    # product or composed numerator ever leaves the packed form
-    assert len(unpacks) == 36
+    # each exchange relation is divided once, and each quotient is unpacked
+    # once, when key() interns it; no product or composed numerator ever
+    # leaves the packed form
+    assert len(divisions) == 385
+    assert len(unpacks) == 385
     assert len({id(e) for s, _ in found for e in s.exprs}) == 42
 
 
@@ -1351,6 +1357,59 @@ def test_an_edge_reached_again_arrives_with_the_negated_c_vector(name, count):
     clusters = sum(1 for _ in reference_gvector_seeds(seed, hits))
     assert len(hits) == count == clusters * seed.n - (clusters - 1)
     assert all(stored == tuple(-x for x in c) for c, stored in hits)
+
+
+def _narayana(name):
+    """h-vector of the cluster complex of a finite type: the generalized
+    Narayana numbers (Fomin-Reading, *Generalized cluster complexes and
+    Coxeter combinatorics*, math/0505085)."""
+    family, n = name[0], int(name[1:])
+    if family == "A":
+        return [comb(n + 1, k) * comb(n + 1, k + 1) // (n + 1) for k in range(n + 1)]
+    if family in "BC":
+        return [comb(n, k) ** 2 for k in range(n + 1)]
+    if family == "D":
+        return [comb(n, k) ** 2 - n * comb(n - 1, k) * comb(n - 1, k - 1) // (n - 1)
+                if k else 1 for k in range(n + 1)]
+    return {
+        "G2": [1, 6, 1],
+        "F4": [1, 24, 55, 24, 1],
+        "E6": [1, 36, 204, 351, 204, 36, 1],
+        "E7": [1, 63, 546, 1470, 1470, 546, 63, 1],
+        "E8": [1, 120, 1540, 6120, 9518, 6120, 1540, 120, 1],
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "A3", "B3", "C3", "D4", "G2", "F4", "E6",
+    pytest.param("E7", marks=pytest.mark.slow), pytest.param("E8", marks=pytest.mark.slow),
+])
+def test_gvector_census_is_the_cluster_complex(name):
+    # a face-level oracle: the faces are all subsets of the census clusters,
+    # each variable named by its g-vector, held as bitmasks over variable ids
+    seed = bipartite_seed(name)  # b_ij = +-a_ij
+    n, ids, clusters = seed.n, {}, []
+    for gs, _ in gvector_seeds(seed):
+        mask = 0
+        for g in gs:
+            mask |= 1 << ids.setdefault(g, len(ids))
+        clusters.append(mask)
+    assert len(set(clusters)) == len(clusters)
+    faces = {0}
+    for mask in clusters:
+        sub = mask
+        while sub:  # every nonempty submask, in decreasing order
+            faces.add(sub)
+            sub = (sub - 1) & mask
+    f = Counter(bin(face).count("1") for face in faces)  # f[i] faces of size i
+    h = [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
+         for k in range(n + 1)]
+    assert h == _narayana(name)
+    # a pseudomanifold: every ridge lies in exactly two clusters
+    ridges = Counter(mask & ~(1 << b) for mask in clusters for b in range(len(ids))
+                     if mask >> b & 1)
+    assert set(ridges.values()) == {2}
+    assert len(ridges) == n * len(clusters) // 2
 
 
 def test_explore_loses_sign_skew_symmetry_on_the_first_edge():

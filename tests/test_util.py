@@ -153,3 +153,25 @@ def test_every_module_level_import_is_read():
         unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unread == []
+
+
+def test_only_laurent_reads_the_storage_of_a_laurent_poly():
+    """How a LaurentPoly is stored, packed exponents included, is private to
+    laurent.py: no other module of src/ reads an attribute named in
+    LaurentPoly.__slots__ or with "packed" in its name.  The one public
+    slot, ctx, is the polynomial's variable context, not its storage."""
+    from clusterforge.laurent import LaurentPoly
+
+    slots = set(LaurentPoly.__slots__)
+    assert {s for s in slots if not s.startswith("_")} == {"ctx"}
+    private = {s for s in slots if s.startswith("_")}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and (
+                node.attr in private or "packed" in node.attr
+            ):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert offenders == []
