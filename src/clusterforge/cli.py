@@ -372,7 +372,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         parser.error(str(exc))
     except Exception as exc:  # any failure is exit 2, never a traceback's exit 1
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # CPython's digit-limit message names a Python call; name the
+        # interpreter option a command-line user can pass instead
+        message = str(exc).replace(
+            "sys.set_int_max_str_digits()", "python -X int_max_str_digits=N"
+        )
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,7 @@ from .coxeter import CartanData, is_reduced
 from .graphs import exchange_seeds
 from .laurent import evaluate_all
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
-from .util import bareiss, parallel_map
+from .util import int_det, parallel_map
 
 
 class InvalidWord(ValueError):
@@ -243,15 +243,15 @@ def minor_spec(iw: IndexedWord, cartan: CartanData, k: int) -> tuple:
 
 def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """Exact determinant of a rational or integer matrix: clear each row's
-    denominators, then eliminate over Z."""
+    denominators, then take ``util.int_det`` of the integer rows (closed
+    forms up to 3 x 3, Bareiss from 4 x 4 up)."""
     scale = 1
     ints = []
     for row in rows:
         s = lcm(*(x.denominator for x in row))
         scale *= s
         ints.append([x.numerator * (s // x.denominator) for x in row])
-    rank, pivot = bareiss(ints)
-    return Fraction(pivot, scale) if rank == len(rows) else Fraction(0)
+    return Fraction(int_det(ints), scale)
 
 
 def evaluate_minor(spec: tuple, g: Sequence[Sequence[Fraction | int]]) -> Fraction:
@@ -262,14 +262,10 @@ def evaluate_minor(spec: tuple, g: Sequence[Sequence[Fraction | int]]) -> Fracti
 
 def integer_minors(specs: Sequence[tuple], h: Sequence[Sequence[int]]) -> Iterator[int]:
     """The minor of the integer matrix h at each spec (rows, cols), in order
-    and lazily: a 1x1 minor is read off, a larger one is Bareiss on its
-    submatrix."""
+    and lazily: ``util.int_det`` of its submatrix, a closed form up to
+    3 x 3 and Bareiss from 4 x 4 up."""
     for rows, cols in specs:
-        if len(rows) == 1:
-            yield h[rows[0] - 1][cols[0] - 1]
-        else:
-            rank, pivot = bareiss([[h[i - 1][j - 1] for j in cols] for i in rows])
-            yield pivot if rank == len(rows) else 0
+        yield int_det([[h[i - 1][j - 1] for j in cols] for i in rows])
 
 
 # -- sampling -------------------------------------------------------------------
@@ -329,9 +325,11 @@ def sample_cell(
     a torus element times one elementary factor per letter, which lies in
     the cell (Fomin-Zelevinsky, Double Bruhat cells and total positivity,
     Thm 1.2).  det(h) must be den^size, else ``ArithmeticError``, also
-    under ``python -O``.  The minor of g at a k x k spec is the returned
-    minor over den^k; the family minors of the word are positive on such
-    a point, which the cell checks verify rather than assume.
+    under ``python -O``.  The minors come from ``integer_minors``, closed
+    forms up to 3 x 3 and Bareiss from 4 x 4 up.  The minor of g at a
+    k x k spec is the returned minor over den^k; the family minors of the
+    word are positive on such a point, which the cell checks verify
+    rather than assume.
     """
     h, den = sample_totally_positive(cartan, word, rng)
     d = det(h)

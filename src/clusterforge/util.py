@@ -1,6 +1,6 @@
 """The small exact core shared by the modules: decimal integer parsing,
-JSON key checks, symmetrizers, fraction-free elimination and matrix
-products, all over Z or Q."""
+JSON key checks, symmetrizers, fraction-free elimination, integer
+determinants and matrix products, all over Z or Q."""
 
 from __future__ import annotations
 
@@ -101,6 +101,22 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
         if r == m:
             break
     return r, sign * prev
+
+
+def int_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix: closed forms up to
+    3 x 3 (cofactors along the first row), Bareiss from 4 x 4 up."""
+    k = len(m)
+    if k > 3:
+        rank, pivot = bareiss(m)
+        return pivot if rank == k else 0
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if k == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    return m[0][0] if k else 1
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:

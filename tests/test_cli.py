@@ -239,6 +239,9 @@ def test_integer_past_the_digit_limit_exits_2(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ValueError: Exceeds the limit")
+    # the user's lever is the interpreter's -X option, not a Python call
+    assert err.endswith("; use python -X int_max_str_digits=N to increase the limit\n")
+    assert "sys.set_int_max_str_digits" not in err
 
 
 def test_upper_member_empty_den_is_an_error(capsys):

@@ -39,12 +39,12 @@ from clusterforge.double_bruhat import (
     verify_cell_identities,
 )
 import clusterforge
-from clusterforge import double_bruhat, graphs
+from clusterforge import double_bruhat, graphs, util
 from clusterforge.cli import main
 from clusterforge.graphs import explore_exchange_graph
 from clusterforge.laurent import LaurentPoly
 from clusterforge.seeds import rank, seed_mutate, skew_symmetrizer
-from clusterforge.util import bareiss, mat_mul, symmetrizer
+from clusterforge.util import bareiss, int_det, mat_mul, symmetrizer
 
 from conftest import SL3_ROWS, type_a_permutation
 
@@ -336,11 +336,12 @@ def test_det_matches_leibniz_oracle():
 
 def test_integer_minors_match_det():
     # every square submatrix of seeded random integer matrices, some of
-    # them singular and some with a zero leading entry
+    # them singular and some with a zero leading entry, against the
+    # Leibniz oracle; sizes 4 to 6 reach the Bareiss branch of int_det
     rng = random.Random(89)
-    singular = zero_lead = 0
+    singular = zero_lead = large = 0
     for t in range(40):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 6)
         h = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(n)]
              for _ in range(n)]
         if t % 4 == 0 and n > 1:
@@ -353,10 +354,63 @@ def test_integer_minors_match_det():
             for rows in itertools.combinations(range(1, n + 1), k)
             for cols in itertools.combinations(range(1, n + 1), k)
         ]
-        assert list(integer_minors(specs, h)) == [evaluate_minor(s, h) for s in specs]
-        singular += det(h) == 0
+        expected = [
+            leibniz_det([[h[i - 1][j - 1] for j in cols] for i in rows])
+            for rows, cols in specs
+        ]
+        assert list(integer_minors(specs, h)) == expected
+        singular += expected[-1] == 0
         zero_lead += h[0][0] == 0
-    assert singular >= 10 and zero_lead >= 10
+        large += n >= 4
+    assert singular >= 10 and zero_lead >= 10 and large >= 10
+
+
+def test_int_det_matches_leibniz_oracle():
+    # sizes 0 to 6 cover both closed forms, the 1 x 1 and empty cases and
+    # the Bareiss branch; entries run up to 10^40 in absolute value
+    rng = random.Random(97)
+    cases = [
+        [],
+        [[0]],
+        [[0, 5], [7, 0]],  # zero leading entry
+        [[0, 0, 2], [0, 3, 1], [4, 1, 1]],  # zero leading row prefix
+        [[1, 2, 3], [2, 4, 6], [0, 1, -1]],  # singular, proportional rows
+        [[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]],
+        [[10**40, -(10**40)], [10**40 - 1, 10**40 + 1]],
+    ]
+    for t in range(120):
+        n = t % 7
+        bound = 10**40 if t % 3 == 0 else 5
+        m = [[rng.randint(-bound, bound) if rng.random() < 0.8 else 0
+              for _ in range(n)] for _ in range(n)]
+        if t % 5 == 0 and n > 1:
+            m[-1] = [3 * x for x in m[0]]
+        if t % 5 == 1 and n:
+            m[0][0] = 0
+        cases.append(m)
+    singular = zero_lead = 0
+    for m in cases:
+        expected = leibniz_det(m)
+        singular += expected == 0
+        zero_lead += bool(m) and m[0][0] == 0
+        got = int_det(m)
+        assert type(got) is int and got == expected
+    assert singular >= 20 and zero_lead >= 20
+
+
+def test_family_minors_take_no_elimination(monkeypatch):
+    # A3's family minors are at most 3 x 3 and all closed forms, so each
+    # draw's only Bareiss call is its 4 x 4 determinant-one check
+    calls = []
+    bareiss_ = util.bareiss
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss_(rows)
+
+    monkeypatch.setattr(util, "bareiss", counted)
+    rep = verify_cell_identities(A3, OPEN_CELL_A3, samples=5)
+    assert rep.ok and calls == [4] * 5
 
 
 def _family(cartan, word):
