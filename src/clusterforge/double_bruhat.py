@@ -324,17 +324,18 @@ def sample_cell(
     The point is ``sample_totally_positive`` on the cell's own double word:
     a torus element times one elementary factor per letter, which lies in
     the cell (Fomin-Zelevinsky, Double Bruhat cells and total positivity,
-    Thm 1.2).  det(h) must be den^size, else ``ArithmeticError``, also
-    under ``python -O``.  The minors come from ``integer_minors``, closed
-    forms up to 3 x 3 and Bareiss from 4 x 4 up.  The minor of g at a
-    k x k spec is the returned minor over den^k; the family minors of the
-    word are positive on such a point, which the cell checks verify
-    rather than assume.
+    Thm 1.2).  ``util.int_det(h)`` must be den^size, else
+    ``ArithmeticError``, also under ``python -O``.  The minors come from
+    ``integer_minors``, closed forms up to 3 x 3 and Bareiss from 4 x 4 up.
+    The minor of g at a k x k spec is the returned minor over den^k; the
+    family minors of the word are positive on such a point, which the cell
+    checks verify rather than assume.
     """
     h, den = sample_totally_positive(cartan, word, rng)
-    d = det(h)
+    d = int_det(h)
     if d != den ** len(h):
-        raise ArithmeticError(f"cell sample has determinant {d / den ** len(h)}, not 1")
+        raise ArithmeticError(
+            f"cell sample has determinant {Fraction(d, den ** len(h))}, not 1")
     return h, den, list(integer_minors(specs, h))
 
 

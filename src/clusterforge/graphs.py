@@ -30,7 +30,6 @@ from .seeds import (
     Seed,
     diagram_of,
     is_skew_symmetrizable,
-    matrix_mutate,
     mutate_rows,
     seed_mutate,
 )
@@ -432,64 +431,28 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     the initial extended cluster.  It serves tp-check, which reads the
     expressions, and explore on a matrix that is not skew-symmetrizable.  A
     formal-coefficient seed is refused at entry, with seed_mutate's error.
-    Each seed is expanded in the directions 0..n-1 in turn.
-    Clusters are deduplicated as unordered sets of expression ids, starting
-    with the initial seed at depth 0.  Each exchange relation is divided
-    once: x'_k = P_k / x_k, and P_k is the sum of the products of the other
-    ambient variables over the positive and over the negative entries of
-    column k, so x'_k is a function of x_k and that unordered pair of
-    factor sets; no theorem is assumed.  A miss runs seed_mutate (the exact
-    division, which raises NotDivisible on a Laurent failure, and
-    matrix_mutate) and stores x'_k under (x_k, pair) and x_k under
-    (x'_k, pair), exact as P_k / x'_k = x_k; mutating back at k negates
-    column k and keeps the pair, so back edges hit.  A hit mutates the
-    matrix only when it reaches a new cluster: if D*B is skew-symmetric,
-    so is D*mu_k(B) (FZ I, Prop. 4.5), so on skew-symmetrizable input the
-    sign-skew-symmetry check of matrix_mutate cannot fire.  On other input
-    every hit still runs matrix_mutate, so SignSkewSymmetryLost is raised
-    on the first edge that loses it.  Seeds are mutated only as far as the
-    consumer reads.  Expressions are interned by key(): every yielded seed
-    holds the first object found for each distinct expression.
+    Starting with the initial seed at depth 0, each seed is expanded in the
+    directions 0..n-1 in turn, and clusters are deduplicated as unordered
+    sets of expressions (a LaurentPoly hashes by its key()).  Every edge end
+    runs seed_mutate: the exact division, which raises NotDivisible on a
+    Laurent failure, and the checked matrix_mutate, which raises
+    SignSkewSymmetryLost on the first edge that loses sign-skew-symmetry.
+    No theorem is assumed.  Seeds are mutated only as far as the consumer
+    reads.
     """
     if seed.general:
         raise ValueError("formal-coefficient seeds support single mutations only")
-    ids: dict[tuple, tuple] = {}
-
-    def intern(e) -> tuple:
-        """(first object equal to e, its id); ids are distinct ints."""
-        return ids.setdefault(e.key(), (e, len(ids)))
-
-    check_every_edge = not is_skew_symmetrizable(seed.matrix)
-    rows = tuple(intern(e)[1] for e in seed.all_exprs())
-    frozen, cluster = rows[seed.n:], rows[: seed.n]
-    memo: dict[tuple, tuple] = {}
-    visited = {frozenset(cluster)}
-    queue = deque([(seed, 0, cluster)])
+    visited = {frozenset(seed.exprs)}
+    queue = deque([(seed, 0)])
     yield seed, 0
     while queue:
-        s, depth, cluster = queue.popleft()
-        rows = cluster + frozen
+        s, depth = queue.popleft()
         for k in range(s.n):
-            col = [(r, row[k]) for r, row in zip(rows, s.matrix.entries) if row[k]]
-            pair = frozenset((frozenset((r, b) for r, b in col if b > 0),
-                              frozenset((r, -b) for r, b in col if b < 0)))
-            hit = memo.get((cluster[k], pair))
-            matrix = None
-            if hit is None:
-                s2 = seed_mutate(s, k)
-                matrix = s2.matrix
-                hit = memo[cluster[k], pair] = intern(s2.exprs[k])
-                memo[hit[1], pair] = s.exprs[k], cluster[k]
-            elif check_every_edge:
-                matrix = matrix_mutate(s.matrix, k)
-            x, xid = hit
-            reached = cluster[:k] + (xid,) + cluster[k + 1:]
-            key = frozenset(reached)
+            s2 = seed_mutate(s, k)
+            key = frozenset(s2.exprs)
             if key not in visited:
                 visited.add(key)
-                s2 = Seed(matrix or matrix_mutate(s.matrix, k), s.ctx,
-                          s.exprs[:k] + (x,) + s.exprs[k + 1:], s.history + (k,))
-                queue.append((s2, depth + 1, reached))
+                queue.append((s2, depth + 1))
                 yield s2, depth + 1
 
 

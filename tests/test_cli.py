@@ -379,8 +379,10 @@ def test_infinite_types_reach_the_default_cap(capsys, monkeypatch, matrix, repor
             return fn(*args)
         return wrapped
 
-    for name in calls:
-        monkeypatch.setattr(graphs, name, counting(name, getattr(graphs, name)))
+    # the checked matrix mutation is counted where seed_mutate looks it up
+    for module, name in ((graphs, "mutate_rows"), (seeds, "matrix_mutate"),
+                         (graphs, "seed_mutate")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code, data = run(capsys, "explore", "--seed", json.dumps(matrix))
     assert code == 1 and not data["exhausted"]
     assert {key: data[key] for key in report} == report

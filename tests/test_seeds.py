@@ -153,7 +153,8 @@ def test_skew_symmetrizer_values():
 
 def test_symmetrized_mutation_stays_skew_symmetric():
     # FZ I Prop. 4.5: if D*B is skew-symmetric, so is D*mu_k(B), with the
-    # same D; graphs.exchange_seeds relies on it to skip the check
+    # same D; graphs.gvector_seeds relies on it to mutate its rows with the
+    # unchecked mutate_rows
     rng = random.Random(21)
     for _ in range(500):
         n = rng.randint(2, 5)
