@@ -126,22 +126,6 @@ def _twin_classes(weights: dict, n: int) -> list[int]:
     return [next(u for u in range(v + 1) if twins(u, v)) for v in range(n)]
 
 
-def _orbits(n: int, gens: list) -> list[int]:
-    """The least vertex of each vertex's orbit under the group gens generate."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for g in gens:
-        for x in range(n):
-            a, b = find(x), find(g[x])
-            root[max(a, b)] = min(a, b)
-    return [find(x) for x in range(n)]
-
-
 def _serialize(weights: dict, colors: list[int], n: int) -> list[int]:
     """The weighted adjacency matrix, row by row, vertices in colour order."""
     ser = [0] * (n * n)
@@ -154,26 +138,24 @@ def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
     """Complete isomorphism invariant: (n, least serialization of a leaf).
 
     weights maps each arrow (i, j) of a diagram on [0, n) to its positive
-    weight.  An individualization-refinement search
-    (McKay-Piperno, *Practical graph isomorphism, II*, arXiv 1301.1493).  Each node refines its
-    colouring to an equitable one, then individualizes in turn each vertex
-    of the first cell with more than one vertex: the vertex gets colour 2c,
-    the rest of its cell 2c + 1.  A discrete leaf serializes the weighted
-    adjacency matrix with the vertices in colour order.  Refinement
-    commutes with relabelling, so the set of leaf serializations is an
-    invariant, and each one is the diagram relabelled, so equal keys mean
-    isomorphic diagrams.
+    weight.  An individualization-refinement search (McKay-Piperno,
+    *Practical graph isomorphism, II*, arXiv 1301.1493).  Each node refines
+    its colouring to an equitable one, then individualizes in turn each
+    vertex of the first cell with more than one vertex: the vertex gets
+    colour 2c, the rest of its cell 2c + 1.  A discrete leaf serializes the
+    weighted adjacency matrix with the vertices in colour order.
+    Refinement commutes with relabelling, so the set of leaf serializations
+    is an invariant, and each one is the diagram relabelled, so equal keys
+    mean isomorphic diagrams.
 
-    Subtrees that an automorphism maps onto explored ones give the same
-    leaves and are skipped.  A cell branches on one vertex per twin class,
-    since swapping two twins is an automorphism that fixes the colouring.
-    A leaf equal to the least one so far reveals the automorphism between
-    the two; it maps the one individualization sequence onto the other,
-    because a leaf's colouring determines its sequence.  It therefore maps
-    the explored subtree where the two sequences part onto the current
-    one, so the search returns to that node.  A node also skips a vertex
-    in the orbit of an explored one under the automorphisms found so far
-    that fix the node's individualized vertices.
+    Two rules skip subtrees that an automorphism maps onto explored ones.
+    A cell branches on one vertex per twin class, as swapping two twins is
+    an automorphism that fixes the colouring.  A leaf equal to the least so
+    far reveals an automorphism that maps its individualization sequence
+    onto the least leaf's (a leaf's colouring determines its sequence), and
+    so the explored subtree where the two part onto the current one: the
+    search returns to that node.  This keeps disjoint unions polynomial:
+    sixteen disjoint arrows or ten oriented 3-cycles take tens of ms.
     A discrete root colouring is the only leaf: its key needs no search.
     A list passed as leaf receives the least leaf's colouring: relabelling
     the weights by v -> leaf[v] reproduces the key.
@@ -192,7 +174,6 @@ def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
     best: list[int] | None = None
     best_colors: list[int] = []
     best_path: tuple = ()
-    autos: list[list[int]] = []
     twin = _twin_classes(weights, n)  # the root is not discrete
 
     def search(colors: list[int], path: tuple) -> int:
@@ -204,24 +185,14 @@ def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
             if best is None or ser < best:
                 best, best_colors, best_path = ser, colors, path
             elif ser == best:
-                order = sorted(range(n), key=colors.__getitem__)
-                autos.append([order[p] for p in best_colors])
                 return next(t for t, (a, b) in enumerate(zip(path, best_path)) if a != b)
             return depth - 1
         c = min(c for c, size in Counter(colors).items() if size > 1)
         branched: set = set()
-        tried: list[int] = []
-        known = 0
         for v in range(n):
             if colors[v] != c or twin[v] in branched:
                 continue
             branched.add(twin[v])
-            if len(autos) > known:
-                known = len(autos)
-                orbit = _orbits(n, [g for g in autos if all(g[x] == x for x in path)])
-            if known and any(orbit[v] == orbit[u] for u in tried):
-                continue
-            tried.append(v)
             split = [2 * x + (x == c and u != v) for u, x in enumerate(colors)]
             resume = search(_refine_colors(nbrs, split), path + (v,))
             if resume < depth:

@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter, deque
 from itertools import islice, permutations, zip_longest
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 import pytest
 
@@ -36,6 +36,7 @@ from clusterforge.seeds import (
     is_skew_symmetrizable,
     matrix_mutate,
     seed_mutate,
+    skew_symmetrizer,
 )
 
 from conftest import MARKOV, SL3_LABELS, SL3_PRINCIPAL, SL3_ROWS
@@ -290,7 +291,8 @@ def test_canonical_key_equals_dense_search():
     rng = random.Random(67)
     for _ in range(2000):
         if rng.random() < 0.2:
-            # copies of one small diagram: the automorphism pruning works here
+            # copies of one small diagram: the return to the node where an
+            # equal leaf's path parts works here
             size, copies = rng.randint(1, 3), rng.randint(2, 3)
             part = _random_diagram(rng, size)
             n = size * copies
@@ -316,13 +318,19 @@ def test_canonical_key_equals_dense_search():
 
 
 def test_canonical_key_eight_disjoint_arrows():
-    d = ({(2 * i, 2 * i + 1): 1 for i in range(8)}, 16)
-    start = time.perf_counter()
-    key = canonical_key(*d)
-    assert time.perf_counter() - start < 1.0
-    assert canonical_key(*_relabelled(d, random.Random(73))) == key
-    seven = {**{(2 * i, 2 * i + 1): 1 for i in range(7)}, (14, 15): 2}
-    assert canonical_key(seven, 16) != key
+    # k isomorphic parts have k! leaf orders; returning to the node where an
+    # equal leaf's path parts keeps the search polynomial (tens of ms here)
+    def arrows(k):
+        return {(2 * i, 2 * i + 1): 1 for i in range(k)}, 2 * k
+
+    triangles = {(3 * t + i, 3 * t + (i + 1) % 3): 1 for t in range(10) for i in range(3)}, 30
+    for r, d in enumerate([arrows(8), arrows(16), triangles]):
+        start = time.perf_counter()
+        key = canonical_key(*d)
+        assert time.perf_counter() - start < 1.0
+        assert canonical_key(*_relabelled(d, random.Random(73 + r))) == key
+    seven = {**arrows(7)[0], (14, 15): 2}
+    assert canonical_key(seven, 16) != canonical_key(*arrows(8))
 
 
 @pytest.mark.parametrize(
@@ -331,8 +339,9 @@ def test_canonical_key_eight_disjoint_arrows():
     ids=["star-48-leaves", "32-isolated-vertices"],
 )
 def test_canonical_key_branches_once_per_twin_class(weights, n):
-    # orbit pruning alone takes over a second on the star and about 0.2 s
-    # on the isolated vertices; one branch per twin class takes milliseconds
+    # without twin classes the search takes about 1.8 s on the star and
+    # 0.3 s on the isolated vertices; one branch per twin class takes
+    # milliseconds
     start = time.perf_counter()
     key = canonical_key(weights, n)
     assert time.perf_counter() - start < 0.25
@@ -1018,21 +1027,6 @@ def test_exchange_seeds_mutates_the_matrix_on_every_edge(monkeypatch):
     assert len(calls) == parent * seed.n + last.history[-1] + 1
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "B4", "C3", "C4", "D4", "F4", "G2", "E6",
-                                  pytest.param("E7", marks=pytest.mark.slow)])
-def test_explore_denominators_are_the_positive_roots(name):
-    # FZ II Thm 1.9: on a bipartite seed with b_ij = +-a_ij, each non-initial
-    # cluster variable is N(x) / x^d with d a positive root, each root once;
-    # by positivity every coefficient is positive
-    seed = bipartite_seed(name)
-    initial = {e.key() for e in seed.exprs}
-    found = {e.key(): e for s, _ in exchange_seeds(seed) for e in s.exprs}
-    denominators = sorted(tuple(-x for x in e.min_exponents())
-                          for key, e in found.items() if key not in initial)
-    assert denominators == sorted(cartan_data(name).positive_roots)
-    assert all(c > 0 for e in found.values() for c in e.terms.values())
-
-
 CATALAN_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "C4",
                  "D4", "D5", "D6", "F4", "G2", "E6"]
 
@@ -1202,7 +1196,25 @@ def test_gvector_census_matches_the_laurent_census(name):
         assert count == explore_exchange_graph(bipartite_seed(t)).clusters
         _assert_principal_grading(seed, names)
     else:
-        _lockstep(bipartite_seed(name), 100_000)
+        seed, names = bipartite_seed(name), {}
+        _lockstep(seed, 100_000, names)
+        _assert_positive_root_denominators(name, seed, names)
+
+
+def _assert_positive_root_denominators(name, seed, names):
+    """FZ II Thm 1.9 on a bipartite seed with b_ij = +-a_ij.
+
+    Each non-initial cluster variable is N(x) / x^d with d a positive
+    root, each root once, and by positivity every coefficient is positive.
+    names maps each distinct expression key to its g-vector.  With the
+    repo's sign convention this tells B_n from C_n: it fails on the
+    transposed Cartan matrix.
+    """
+    initial = {e.key() for e in seed.exprs}
+    denominators = sorted(tuple(-min(exp[i] for exp, _ in key) for i in range(seed.n))
+                          for key in names if key not in initial)
+    assert denominators == sorted(cartan_data(name).positive_roots)
+    assert all(c > 0 for key in names for _, c in key)
 
 
 def _assert_principal_grading(seed, names):
@@ -1219,6 +1231,36 @@ def _assert_principal_grading(seed, names):
         degrees = {tuple(exp[i] - sum(B[i][j] * exp[n + j] for j in range(n))
                          for i in range(n)) for exp, _ in key}
         assert degrees == {g}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D5", "E6", "B4"])
+def test_gvector_census_satisfies_nakanishi_zelevinsky_duality(monkeypatch, name):
+    # G^T D C = D on every seed, with the g-vectors as the columns of G, the
+    # c-vectors as the columns of C and d_i b_ij = -d_j b_ji (Nakanishi-
+    # Zelevinsky, arXiv 1101.3736, Thm 1.2); D^-1 in its place tells B from C
+    seed = bipartite_seed(name)
+    n, rows, mutate = seed.n, [], graphs.mutate_rows
+
+    def recording(M, k):
+        rows.append(mutate(M, k))
+        return rows[-1]
+
+    monkeypatch.setattr(graphs, "mutate_rows", recording)
+    clusters = [g for g, _ in gvector_seeds(seed)]
+    # the rows [B; C] are mutated once per new cluster, just before its yield
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    cs = [identity] + [M[n:] for M in rows]
+    assert len(cs) == len(clusters)
+
+    def dual(G, C, d):
+        return all(sum(G[i][j] * d[j] * C[j][k] for j in range(n)) == d[i] * (i == k)
+                   for i in range(n) for k in range(n))
+
+    d = skew_symmetrizer(seed.matrix)
+    assert all(dual(G, C, d) for G, C in zip(clusters, cs))
+    inverse = [lcm(*d) // x for x in d]
+    failures = sum(not dual(G, C, inverse) for G, C in zip(clusters, cs))
+    assert failures == {"B3": 13, "C3": 13, "G2": 5, "F4": 89, "B4": 51}.get(name, 0)
 
 
 @pytest.mark.parametrize("name", ["SL3", "general A1", "unsymmetrizable",
