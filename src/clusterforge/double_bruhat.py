@@ -12,13 +12,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .coxeter import CartanData, is_reduced
-from .graphs import exchange_seeds
-from .laurent import evaluate_all
-from .seeds import ExchangeMatrix, Seed, exchange_polynomial, initial_seed
+from .graphs import gvector_seeds
+from .seeds import ExchangeMatrix, Seed, initial_seed
 from .util import int_det, parallel_map
 
 
@@ -352,6 +351,52 @@ def _cell_setup(cartan: CartanData, word: Sequence[int]) -> tuple[Seed, tuple, t
     return seed_from_btilde(bt), positions, specs
 
 
+def _monomials(column: Sequence[int], index: Sequence[int]) -> tuple:
+    """M+ and M- of a B-tilde column as tuples of value indices: row i is
+    read as index[i], repeated by its exponent."""
+    return (tuple(index[i] for i, b in enumerate(column) for _ in range(b)),
+            tuple(index[i] for i, b in enumerate(column) for _ in range(-b)))
+
+
+def exchange_values(plan: Sequence[tuple], p: list, q: list) -> None:
+    """Append to the values p[i] / q[i], q[i] > 0, that of each exchange
+    relation (k, M+, M-) of plan in turn: x' = (M+ + M-) / x_k as one
+    integer pair, cut by one gcd and with q > 0, so x' > 0 when its p is.
+    An x_k of 0 raises ArithmeticError, also under ``python -O``."""
+    for k, plus, minus in plan:
+        if not p[k]:
+            raise ArithmeticError(f"exchanged value {k} is 0")
+        a = b = c = d = 1  # M+ = a / b, M- = c / d
+        for i in plus:
+            a *= p[i]
+            b *= q[i]
+        for i in minus:
+            c *= p[i]
+            d *= q[i]
+        num, den = (a * d + c * b) * q[k], b * d * p[k]
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        p.append(num // g)
+        q.append(den // g)
+
+
+def _relation_plan(seed: Seed, clusters: int) -> tuple[list, list]:
+    """The plan of ``exchange_values`` for the first ``clusters`` clusters
+    of ``gvector_seeds`` (at least one), and each cluster's value indices.
+
+    Values are the seed's ambient variables, then the new variables in the
+    census's order (census id v >= n is value v + m - n), each planned by
+    the relation that first reaches it."""
+    n, shift = seed.n, seed.m - seed.n
+    plan, found = [], []
+    for _, _, ids, relation in islice(gvector_seeds(seed.matrix.entries), max(1, clusters)):
+        index = [v if v < n else v + shift for v in ids] + list(range(n, seed.m))
+        if relation and index[relation[0]] == seed.m + len(plan):  # a new variable
+            k, out, column = relation
+            plan.append((out if out < n else out + shift, *_monomials(column, index)))
+        found.append(index[:n])
+    return plan, found
+
+
 _NOT_POSITIVE = "a family minor is not positive"
 
 
@@ -400,21 +445,19 @@ def verify_cell_identities(
     determinant one and hands back the family minors.  Every family minor
     must be positive, else the sample fails with no comparison.  At each
     exchangeable position l with a closed form (a callable g ->
-    Fraction), the exchange polynomial is evaluated in the sample's minors
-    and divided by the minor at l, and must equal the closed form; other
-    positions are not evaluated.  g and the rational minors are built
-    only when a position is compared.  ``relations_checked`` is samples x
-    exchangeable positions regardless; ``closed_forms_checked`` is samples
-    x compared positions, so a form keyed by a position that is not
-    exchangeable is not counted.
+    Fraction), ``exchange_values`` evaluates the initial seed's relation
+    at l in the sample's minors, and the quotient must equal the closed
+    form; other positions are not evaluated.  g is built only when a
+    position is compared.  ``relations_checked`` is samples x exchangeable
+    positions regardless; ``closed_forms_checked`` is samples x compared
+    positions, so a form keyed by a position that is not exchangeable is
+    not counted.
     """
     seed, positions, specs = _cell_setup(cartan, word)
     closed_forms = closed_forms or {}
-    compared = [
-        (j, l, exchange_polynomial(seed, j))
-        for j, l in enumerate(positions[: seed.n])
-        if l in closed_forms
-    ]
+    compared = [(j, l) for j, l in enumerate(positions[: seed.n]) if l in closed_forms]
+    plan = [(j, *_monomials(seed.matrix.column(j), range(seed.m))) for j, _ in compared]
+    sizes = [len(rows) for rows, _ in specs]
     rng = random.Random(rng_seed)
     draws = [sample_cell(cartan, word, specs, rng) for _ in range(samples)]
 
@@ -425,11 +468,12 @@ def verify_cell_identities(
         if not compared:
             return []
         g = [[Fraction(x, den) for x in row] for row in h]
-        values = [Fraction(m, den ** len(rows)) for (rows, _), m in zip(specs, minors)]
+        p, q = list(minors), [den ** s for s in sizes]
+        exchange_values(plan, p, q)
         return [
             f"position {l}: quotient != closed form"
-            for j, l, P in compared
-            if P.evaluate(values) / values[j] != closed_forms[l](g)
+            for (_, l), x, y in zip(compared, p[seed.m:], q[seed.m:])
+            if Fraction(x, y) != closed_forms[l](g)
         ]
 
     return CellCheckReport(
@@ -500,19 +544,16 @@ def tp_criterion_check(
     """Positivity of the minor family and of explored clusters on TP samples.
 
     Each totally positive sample from ``sample_cell`` must make every minor
-    of the family positive, the frozen ones included; additionally, for
-    ``clusters`` explored clusters, the cluster variables (as Laurent
-    polynomials in the initial minors) must all evaluate positively.  The
-    family minors are the integer ones the sampler hands back; it has
-    already checked determinant one.  The distinct cluster variables are
-    evaluated together at each sample, by one ``evaluate_all`` call.
+    of the family positive, the frozen ones included; additionally the
+    variables of the first ``clusters`` clusters of ``gvector_seeds`` on
+    the cell's B-tilde must all be positive there.  The family minors are
+    the sampler's integer ones over den^k for a k x k minor, and a sample
+    evaluates each distinct variable once, by the relation of
+    ``_relation_plan`` that first reaches it, with ``exchange_values``.
     """
     seed, _, specs = _cell_setup(cartan, word)
-    found = [s.exprs for s, _ in islice(exchange_seeds(seed), max(1, clusters))]
-    # clusters share variables: evaluate each distinct one once per sample
-    index: dict = {}
-    found_idx = [[index.setdefault(e, len(index)) for e in exprs] for exprs in found]
-    variables = list(index)
+    plan, found = _relation_plan(seed, clusters)
+    sizes = [len(rows) for rows, _ in specs]
 
     rng = random.Random(rng_seed)
     draws = [sample_cell(cartan, word, specs, rng) for _ in range(samples)]
@@ -520,13 +561,10 @@ def tp_criterion_check(
     def check(draw) -> list[str]:
         _, den, minors = draw
         local = [_NOT_POSITIVE] if any(m <= 0 for m in minors) else []
-        values = [Fraction(m, den ** len(rows)) for (rows, _), m in zip(specs, minors)]
-        positive = [v > 0 for v in evaluate_all(variables, values)]
-        for ci, idx in enumerate(found_idx):
-            for i in idx:
-                if not positive[i]:
-                    local.append(f"cluster {ci}: variable not positive")
-        return local
+        p, q = list(minors), [den ** s for s in sizes]
+        exchange_values(plan, p, q)
+        return local + [f"cluster {ci}: variable not positive"
+                        for ci, idx in enumerate(found) for i in idx if p[i] <= 0]
 
     return PositivityReport(
         samples=samples,

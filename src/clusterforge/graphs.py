@@ -399,9 +399,9 @@ def exchange_seeds(seed: Seed) -> Iterator[tuple[Seed, int]]:
     """BFS over seeds: yield (seed, depth) per newly reached cluster, in order.
 
     The Laurent census: each cluster variable is named by its expression in
-    the initial extended cluster.  It serves tp-check, which reads the
-    expressions, and explore on a matrix that is not skew-symmetrizable.  A
-    formal-coefficient seed is refused at entry, with seed_mutate's error.
+    the initial extended cluster.  It serves explore on a matrix that is not
+    skew-symmetrizable.  A formal-coefficient seed is refused at entry, with
+    seed_mutate's error.
     Starting with the initial seed at depth 0, each seed is expanded in the
     directions 0..n-1 in turn, and clusters are deduplicated as unordered
     sets of expressions (a LaurentPoly hashes by its key()).  Every edge end
@@ -431,20 +431,28 @@ class NotSignCoherent(ArithmeticError):
     """A c-vector with a positive and a negative entry."""
 
 
-def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
-    """The BFS of exchange_seeds on integers: yield (g-vectors, depth).
+def gvector_seeds(rows: Sequence[Sequence[int]]) -> Iterator[tuple]:
+    """The BFS of exchange_seeds on integers, over the rows of a
+    skew-symmetrizable B-tilde, cluster rows first: yield (g-vectors,
+    depth, ids, relation) per newly reached cluster, in order.
 
-    For a skew-symmetrizable seed, whose frozen rows it ignores.  Each
-    cluster is the tuple of the g-vectors of its variables, position by
-    position, in the initial seed's basis (Fomin-Zelevinsky, *Cluster
-    algebras IV*, math/0602259, Section 6).  A seed is held as the rows of
-    [B; C], with B its principal part and C starting as the n x n identity;
-    the columns of C are the c-vectors.  Mutation in direction k takes
-    g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the sign of c_k
-    (Nakanishi-Zelevinsky, arXiv 1101.3736, Prop. 1.3), and mutate_rows
-    mutates [B; C].  Both formulas need c_k to be sign-coherent, so every
-    edge checks it at the end it is computed from and raises
-    NotSignCoherent otherwise, naming the direction from 1.
+    Each cluster is the tuple of the g-vectors of its variables, position
+    by position, in the initial seed's basis (Fomin-Zelevinsky, *Cluster
+    algebras IV*, math/0602259, Section 6); ids numbers them, 0..n-1 the
+    initial ones and then each new g-vector as it is first computed.
+    relation is None for the initial cluster, else (k, out, column): the
+    parent's mutation at k exchanged id out for the variable now at k, by
+    x'_k x_out = M+ + M- with the monomials of column k of the parent's
+    B-tilde (row i < n is the variable at position i).  A new id comes
+    only with a new cluster, so the first relation to reach it is its own.
+    A seed is held as the rows of [B-tilde; C], C starting as the identity,
+    whose columns are the c-vectors; frozen rows only ride along, so a
+    caller that reads no relation passes the principal part.  Mutation in
+    direction k takes g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the sign
+    of c_k (Nakanishi-Zelevinsky, arXiv 1101.3736, Prop. 1.3), and
+    mutate_rows mutates [B-tilde; C].  Both formulas need c_k to be
+    sign-coherent, so every edge checks it at the end it is computed from
+    and raises NotSignCoherent otherwise, naming the direction from 1.
 
     Under any geometric coefficients a cluster variable is determined by its
     g-vector for B (FZ IV, Thm 3.7 and Cor 6.3), c-vectors are sign-coherent
@@ -468,21 +476,21 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
     c-vectors are determined by its g-vectors and mutation at k negates
     c_k (FZ IV; Nakanishi-Zelevinsky), so the far end holds -c_k there.
     """
-    n = seed.n
+    m, n = len(rows), len(rows[0]) if rows else 0
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     ids = {g: i for i, g in enumerate(identity)}
     cids = tuple(range(n))
     # cluster key -> ids of its variables already exchanged across a known edge
     skip = set()
     exchanged = {frozenset(cids): skip}
-    queue = deque([(seed.matrix.principal() + identity, identity, cids, skip, 0)])
-    yield identity, 0
+    queue = deque([(tuple(rows) + identity, identity, cids, skip, 0)])
+    yield identity, 0, cids, None
     while queue:
         M, cluster, cids, skip, depth = queue.popleft()
         for k, column in enumerate(zip(*M)):
             if cids[k] in skip:
                 continue
-            c = column[n:]
+            c = column[m:]
             positive = max(c) > 0
             if positive and min(c) < 0:
                 raise NotSignCoherent(f"c-vector {c} at direction {k + 1}")
@@ -502,30 +510,34 @@ def gvector_seeds(seed: Seed) -> Iterator[tuple[tuple, int]]:
                 exchanged[key] = known = {gid}
                 reached = cluster[:k] + (g,) + cluster[k + 1:]
                 queue.append((mutate_rows(M, k), reached, reached_ids, known, depth + 1))
-                yield reached, depth + 1
+                yield reached, depth + 1, reached_ids, (k, cids[k], column[:m])
 
 
 def explore_exchange_graph(seed: Seed, max_seeds: int = 10_000) -> ExplorationReport:
     """Census of the first max_seeds clusters of the seed BFS (at least one).
 
     A skew-symmetrizable seed, frozen rows or not, is counted on integers by
-    gvector_seeds, with each variable named by its g-vector; any other seed
-    by exchange_seeds, with each variable named by its Laurent expression.
-    Both searches reach the same clusters in the same order, so the report
-    is the same either way.  ``variables`` counts the distinct names.
-    ``exhausted`` says that no further cluster exists.  Every counted seed
-    has all n directions, so ``mutations`` is clusters * n.
+    gvector_seeds on its principal part (the exchange graph does not depend
+    on the frozen rows), with each variable named by its g-vector; any other
+    seed by exchange_seeds, with each variable named by its Laurent
+    expression.  Both searches reach the same clusters in the same order,
+    so the report is the same either way.  ``variables`` counts the
+    distinct names.  ``exhausted`` says that no further cluster exists.
+    Every counted seed has all n directions, so ``mutations`` is clusters * n.
     """
     if is_skew_symmetrizable(seed.matrix):
-        search = gvector_seeds(seed)
+        search = gvector_seeds(seed.matrix.principal())
     else:
         search = ((tuple(e.key() for e in s.exprs), depth)
                   for s, depth in exchange_seeds(seed))
-    found = list(islice(search, max(1, max_seeds)))
+    names, depths = set(), []
+    for step in islice(search, max(1, max_seeds)):
+        names.update(step[0])
+        depths.append(step[1])
     return ExplorationReport(
-        clusters=len(found),
-        variables=len({v for cluster, _ in found for v in cluster}),
-        mutations=len(found) * seed.n,
+        clusters=len(depths),
+        variables=len(names),
+        mutations=len(depths) * seed.n,
         exhausted=next(search, None) is None,
-        max_depth=max(depth for _, depth in found),
+        max_depth=max(depths),
     )

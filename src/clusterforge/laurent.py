@@ -134,7 +134,7 @@ def _packed_result(
     ``box`` must be the exact (low, high) exponent box of the terms.
     """
     p = object.__new__(LaurentPoly)
-    p.ctx, p._terms, p._key, p._used = ctx, None, None, None
+    p.ctx, p._terms, p._key = ctx, None, None
     p._packed, p._bounds = (width, packed), box
     return p
 
@@ -148,12 +148,12 @@ class LaurentPoly:
     ``terms`` from them on first read.
     """
 
-    __slots__ = ("ctx", "_terms", "_key", "_packed", "_bounds", "_used")
+    __slots__ = ("ctx", "_terms", "_key", "_packed", "_bounds")
 
     def __init__(self, ctx: Context, terms: Mapping[tuple[int, ...], int]):
         self.ctx = ctx
         self._terms = {e: int(c) for e, c in terms.items() if c != 0}
-        self._key = self._packed = self._bounds = self._used = None
+        self._key = self._packed = self._bounds = None
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
@@ -167,16 +167,6 @@ class LaurentPoly:
         if self._bounds is None:
             self._bounds = _box(self.terms)
         return self._bounds
-
-    def _used_box(self) -> tuple:
-        """(i, low_i, high_i) for each variable i that the support uses,
-        that is whose exponents are not all 0 (nonzero poly), cached."""
-        if self._used is None:
-            low, high = self._exponent_box()
-            self._used = tuple(
-                (i, lo, hi) for i, (lo, hi) in enumerate(zip(low, high)) if lo or hi
-            )
-        return self._used
 
     def _packing(self, width: int) -> dict[int, int]:
         """Terms keyed by packed ``e - low`` at this slot width (do not mutate)."""
@@ -396,12 +386,39 @@ class LaurentPoly:
         return _packed_result(tgt, width, out, (low, high))
 
     def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
-        """Exact numeric evaluation at rationals: ``evaluate_all`` of this
-        polynomial alone.  Always a Fraction; a zero value at a negative
-        exponent raises ZeroDivisionError, and fewer values than variables
-        raise IndexError.
+        """Exact numeric value at rationals, always a Fraction.
+
+        With x_i = p_i / q_i and the support in the exponent box [low,
+        high], x^e = p^(e - low) q^(high - e) * p^low / q^high: an integer
+        sum with nonnegative powers times one factor.  The powers of p_i
+        and q_i are tabulated for the variables the support uses.  A zero
+        value at a negative exponent raises ZeroDivisionError, and fewer
+        values than the context's variables raise IndexError.
         """
-        return evaluate_all((self,), values)[0]
+        if len(values) < self.ctx.nvars:
+            raise IndexError(f"{len(values)} values for {self.ctx.nvars} variables")
+        if self.is_zero():
+            return Fraction(0)
+        num = den = 1
+        active = []
+        for i, (lo, hi) in enumerate(zip(*self._exponent_box())):
+            if not (lo or hi):
+                continue
+            p, q = values[i].numerator, values[i].denominator
+            ppow, qpow = [1, p], [1, q]
+            for _ in range(max(hi, 0) - min(lo, 0) - 1):
+                ppow.append(ppow[-1] * p)
+                qpow.append(qpow[-1] * q)
+            num *= ppow[max(lo, 0)] * qpow[max(-hi, 0)]
+            den *= ppow[max(-lo, 0)] * qpow[max(hi, 0)]
+            if lo != hi:
+                active.append((i, lo, hi, ppow, qpow))
+        total = 0
+        for e, c in self.terms.items():
+            for i, lo, hi, ppow, qpow in active:
+                c *= ppow[e[i] - lo] * qpow[hi - e[i]]
+            total += c
+        return Fraction(total * num, den)
 
     # -- serialization and display ------------------------------------------
 
@@ -464,71 +481,3 @@ class LaurentPoly:
                 parts.append(f"{c}*{body}")
         out = " + ".join(parts).replace("+ -", "- ")
         return out
-
-
-def evaluate_all(
-    polys: Sequence[LaurentPoly], values: Sequence[Fraction | int]
-) -> list[Fraction]:
-    """Exact numeric values of polynomials over one context at one point.
-
-    With x_i = p_i / q_i and a polynomial's support in the exponent box
-    [low, high], x^e = p^(e - low) q^(high - e) * p^low / q^high, so each
-    polynomial is an integer sum with nonnegative powers times one fixed
-    factor, over one common denominator.  The powers of p_i and q_i are
-    tabulated once for the whole batch, only for the variables that some
-    support uses and up to the largest power that some polynomial reads;
-    each value is then read off those tables.  Exact for int and Fraction
-    values, and always Fractions; a zero value at a negative exponent
-    raises ZeroDivisionError.  ``values`` must give every variable of the
-    context, also those no support uses, else IndexError.
-    """
-    if not polys:
-        return []
-    names = polys[0].ctx.names
-    if len(values) < len(names):
-        raise IndexError(f"{len(values)} values for {len(names)} variables")
-    boxes = []
-    top: dict[int, int] = {}  # the largest power of p_i or q_i a box reads
-    for poly in polys:
-        if poly.ctx.names != names:
-            raise ContextMismatch(f"{names} vs {poly.ctx.names}")
-        box = None if poly.is_zero() else poly._used_box()
-        boxes.append(box)
-        for i, lo, hi in box or ():
-            t = (hi if hi > 0 else 0) - (lo if lo < 0 else 0)
-            if t > top.get(i, 0):
-                top[i] = t
-    tables = {}
-    for i, t in top.items():
-        p, q = values[i].numerator, values[i].denominator
-        ppow, qpow = [1, p], [1, q]
-        for _ in range(t - 1):
-            ppow.append(ppow[-1] * p)
-            qpow.append(qpow[-1] * q)
-        tables[i] = ppow, qpow
-    out = []
-    for poly, box in zip(polys, boxes):
-        if box is None:
-            out.append(Fraction(0))
-            continue
-        num = den = 1
-        active = []
-        for i, lo, hi in box:
-            ppow, qpow = tables[i]
-            if lo < 0:
-                den *= ppow[-lo]
-            elif lo:
-                num *= ppow[lo]
-            if hi < 0:
-                num *= qpow[-hi]
-            elif hi:
-                den *= qpow[hi]
-            if lo != hi:
-                active.append((i, lo, hi, ppow, qpow))
-        total = 0
-        for e, c in poly.terms.items():
-            for i, lo, hi, ppow, qpow in active:
-                c *= ppow[e[i] - lo] * qpow[hi - e[i]]
-            total += c
-        out.append(Fraction(total * num, den))
-    return out

@@ -42,11 +42,11 @@ import clusterforge
 from clusterforge import double_bruhat, graphs, util
 from clusterforge.cli import main
 from clusterforge.graphs import explore_exchange_graph
-from clusterforge.laurent import LaurentPoly
 from clusterforge.seeds import rank, seed_mutate, skew_symmetrizer
 from clusterforge.util import bareiss, int_det, mat_mul, symmetrizer
 
 from conftest import SL3_ROWS, type_a_permutation
+from test_graphs import cell_seed
 
 
 A2 = cartan_data("A2")
@@ -696,12 +696,12 @@ def test_verify_reports_each_wrong_closed_form():
 def test_verify_evaluates_only_compared_relations(
     monkeypatch, word, closed_forms, evaluations
 ):
-    calls = []
-    evaluate = LaurentPoly.evaluate
+    relations = []
+    exchange = double_bruhat.exchange_values
 
-    def counted(self, values):
-        calls.append(1)
-        return evaluate(self, values)
+    def counted(plan, p, q):
+        relations.append(len(plan))
+        return exchange(plan, p, q)
 
     # the sampler's minors are handed back and its determinant check takes
     # util.int_det of the integer matrix, so a draw makes no det call and
@@ -724,14 +724,14 @@ def test_verify_evaluates_only_compared_relations(
         draws.append(1)
         return factor(*args)
 
-    monkeypatch.setattr(LaurentPoly, "evaluate", counted)
+    monkeypatch.setattr(double_bruhat, "exchange_values", counted)
     monkeypatch.setattr(double_bruhat, "det", counted_det)
     monkeypatch.setattr(double_bruhat, "evaluate_minor", counted_minor)
     monkeypatch.setattr(double_bruhat, "sample_totally_positive", counted_draw)
     rep = verify_cell_identities(A3, word, samples=5, rng_seed=11,
                                  closed_forms=closed_forms)
     assert rep.ok and rep.relations_checked == 5 * (len(word) - 3)
-    assert len(calls) == evaluations
+    assert sum(relations) == evaluations
     assert len(minors) == evaluations
     assert len(draws) == 5  # one draw per sample, never a redraw
     assert dets == ["evaluate_minor"] * evaluations
@@ -762,17 +762,100 @@ OPEN_CELL_A3 = (-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2)
 
 
 def test_tp_criterion_check_a3_forty_clusters(monkeypatch):
-    calls = []
+    # the census runs on integers and mutates no seed; each sample evaluates
+    # one relation per distinct new variable of the 40 clusters: 17, the
+    # variables explore counts beyond the initial 9
+    calls, plans = [], []
+    exchange = double_bruhat.exchange_values
 
     def counting_mutate(seed, k):
         calls.append(k)
         return seed_mutate(seed, k)
 
+    def recording(plan, p, q):
+        plans.append(len(plan))
+        return exchange(plan, p, q)
+
     monkeypatch.setattr(graphs, "seed_mutate", counting_mutate)
+    monkeypatch.setattr(double_bruhat, "exchange_values", recording)
     rep = tp_criterion_check(A3, OPEN_CELL_A3, samples=3, clusters=40, rng_seed=7)
     assert rep == PositivityReport(3, 45, 40, ())
-    # one division per edge end met while reaching 40 clusters
-    assert len(calls) == 45
+    assert calls == [] and plans == [17] * 3
+    seed, _, _ = double_bruhat._cell_setup(A3, OPEN_CELL_A3)
+    assert explore_exchange_graph(seed, max_seeds=40).variables == seed.n + 17
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_tp_criterion_check_raises_on_a_zero_exchanged_value(flags):
+    # the first relation exchanges the initial variable at position 0; a
+    # minor of 0 there is an explicit ArithmeticError, never a silent q = 0,
+    # and no assert that -O would strip
+    code = "\n".join([
+        "import sys",
+        "from clusterforge import double_bruhat",
+        "from clusterforge.coxeter import cartan_data",
+        f"if sys.flags.optimize != {len(flags)}: sys.exit('wrong -O flag')",
+        "draw = double_bruhat.sample_cell",
+        "def zero_first(*args):",
+        "    h, den, minors = draw(*args)",
+        "    return h, den, [0] + minors[1:]",
+        "double_bruhat.sample_cell = zero_first",
+        f"double_bruhat.tp_criterion_check(cartan_data('A3'), {OPEN_CELL_A3}, 1, 2, 7)",
+    ])
+    src = os.path.dirname(os.path.dirname(clusterforge.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr.rstrip().endswith("ArithmeticError: exchanged value 0 is 0")
+
+
+CELL_SEEDS = [f"{t} {cell}" for t in ("A2", "A3", "A4", "B2", "C3", "G2")
+              for cell in ("open", "Coxeter", "base-affine")]
+
+
+def _plan_values(plan, point):
+    """The rationals point, then the value of each relation of plan."""
+    p, q = [x.numerator for x in point], [x.denominator for x in point]
+    double_bruhat.exchange_values(plan, p, q)
+    return [Fraction(a, b) for a, b in zip(p, q)]
+
+
+@pytest.mark.parametrize("name", CELL_SEEDS)
+def test_relation_plan_matches_the_laurent_census(name):
+    # at random rational points of both signs, each cluster's values by the
+    # relation plan are its Laurent expressions in the initial extended
+    # cluster, evaluated; one frozen entry of B-tilde with its sign flipped
+    # (its factor moved to the other monomial) gives other values
+    seed = cell_seed(*name.split(" "))
+    plan, found = double_bruhat._relation_plan(seed, 60)
+    laurent = [s.exprs for s, _ in islice(graphs.exchange_seeds(seed), 60)]
+    assert len(found) == len(laurent) > 1
+    t, (k, plus, minus) = next((t, rel) for t, rel in enumerate(plan)
+                               if any(i >= seed.n for i in rel[1] + rel[2]))
+    f = next(i for i in plus + minus if i >= seed.n)
+    flipped = list(plan)
+    flipped[t] = (k, tuple(i for i in plus if i != f) + (f,) * minus.count(f),
+                  tuple(i for i in minus if i != f) + (f,) * plus.count(f))
+    rng = random.Random(name)
+    compared = caught = 0
+    for _ in range(6):
+        point = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+                 for _ in range(seed.m)]
+        expected = {e: e.evaluate(point) for exprs in laurent for e in exprs}
+        try:
+            values = _plan_values(plan, point)
+        except ArithmeticError:  # only a variable that is 0 can stop the plan
+            assert 0 in expected.values()
+            continue
+        for idx, exprs in zip(found, laurent):
+            assert [values[i] for i in idx] == [expected[e] for e in exprs]
+        compared += 1
+        try:
+            caught += _plan_values(flipped, point) != values
+        except ArithmeticError:
+            caught += 1
+    assert compared >= 4 and caught > 0
 
 
 def test_check_reports_print_their_counts_failures_and_verdict():

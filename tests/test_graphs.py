@@ -1119,23 +1119,27 @@ def test_explore_e7_census():
 
 
 def _lockstep(seed, count, names=None):
-    """Zip the first count clusters of exchange_seeds and gvector_seeds.
+    """Zip the first count clusters of exchange_seeds and gvector_seeds,
+    the latter run on all rows of B-tilde, frozen ones included.
 
     Asserts that both searches end together, that each pair of clusters
-    has one depth, and that "position k holds the expression key e and the
-    g-vector g" is a bijection between keys and g-vectors.  Returns the
-    number of clusters compared; a names dict is filled with key -> g.
+    has one depth, and that "position k holds the expression key e, the
+    g-vector g and the census id v" is a bijection between any two of keys,
+    g-vectors and ids.  Returns the number of clusters compared; a names
+    dict is filled with key -> g.
     """
     relation = set()
-    pairs = list(islice(zip_longest(exchange_seeds(seed), gvector_seeds(seed)), count))
+    pairs = list(islice(zip_longest(exchange_seeds(seed),
+                                    gvector_seeds(seed.matrix.entries)), count))
     for laurent, integer in pairs:
         assert laurent is not None and integer is not None
-        (s, depth), (gs, g_depth) = laurent, integer
+        (s, depth), (gs, g_depth, ids, _) = laurent, integer
         assert depth == g_depth
-        relation |= {(e.key(), g) for e, g in zip(s.exprs, gs, strict=True)}
-    assert len(relation) == len({e for e, _ in relation}) == len({g for _, g in relation})
+        relation |= {(e.key(), g, v) for e, g, v in zip(s.exprs, gs, ids, strict=True)}
+    assert len(relation) == len({e for e, _, _ in relation}) == len({g for _, g, _ in relation})
+    assert len(relation) == len({v for _, _, v in relation})
     if names is not None:
-        names.update(relation)
+        names.update((e, g) for e, g, _ in relation)
     return len(pairs)
 
 
@@ -1210,6 +1214,47 @@ def test_gvector_census_matches_the_laurent_census(name):
         _assert_positive_root_denominators(name, seed, names)
 
 
+@pytest.mark.parametrize("name", ["A3 open cell", "B2 Coxeter cell", "G2 base-affine cell",
+                                  "principal A3", "SL3"])
+def test_gvector_seeds_hands_back_each_exchange_relation(name):
+    # x'_k x_out = M+ + M- over the parent's extended cluster, checked on the
+    # Laurent expressions that exchange_seeds holds at the same positions
+    if name == "SL3":
+        seed = initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS))
+    elif name.startswith("principal "):
+        seed = principal_coefficient_seed(name.split(" ")[1])
+    else:
+        seed = cell_seed(*name.split(" ")[:2])
+    frozen, one = seed.all_exprs()[seed.n:], seed.ctx.one()
+    expression = {}  # census id -> the Laurent expression it names
+    steps = zip(exchange_seeds(seed), gvector_seeds(seed.matrix.entries))
+    for (s, _), (_, _, ids, relation) in islice(steps, 100):
+        expression.update(zip(ids, s.exprs))
+        if relation is None:
+            continue
+        k, out, column = relation
+        assert len(column) == seed.m and column[k] == 0
+        ambient = list(s.exprs) + frozen
+        plus = prod((ambient[i] ** b for i, b in enumerate(column) if b > 0), start=one)
+        minus = prod((ambient[i] ** -b for i, b in enumerate(column) if b < 0), start=one)
+        assert s.exprs[k] * expression[out] == plus + minus
+
+
+def test_explore_mutates_the_principal_part_only(monkeypatch):
+    # the exchange graph does not depend on the frozen rows, so explore
+    # leaves them out of the rows it mutates: [B; C] is 2n rows
+    seed = initial_seed(ExchangeMatrix.make(SL3_ROWS, SL3_LABELS))
+    heights, mutate = set(), graphs.mutate_rows
+
+    def recording(M, k):
+        heights.add(len(M))
+        return mutate(M, k)
+
+    monkeypatch.setattr(graphs, "mutate_rows", recording)
+    assert explore_exchange_graph(seed).clusters == 50
+    assert seed.m > seed.n and heights == {2 * seed.n}
+
+
 def _assert_positive_root_denominators(name, seed, names):
     """FZ II Thm 1.9 on a bipartite seed with b_ij = +-a_ij.
 
@@ -1255,7 +1300,7 @@ def test_gvector_census_satisfies_nakanishi_zelevinsky_duality(monkeypatch, name
         return rows[-1]
 
     monkeypatch.setattr(graphs, "mutate_rows", recording)
-    clusters = [g for g, _ in gvector_seeds(seed)]
+    clusters = [g for g, *_ in gvector_seeds(seed.matrix.entries)]
     # the rows [B; C] are mutated once per new cluster, just before its yield
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     cs = [identity] + [M[n:] for M in rows]
@@ -1309,7 +1354,7 @@ def test_rank_zero_census_is_one_cluster(make):
     seed = make()
     rep = ExplorationReport(1, 0, 0, True, 0)
     assert explore_exchange_graph(seed) == rep
-    assert list(gvector_seeds(seed)) == [((), 0)]
+    assert list(gvector_seeds(seed.matrix.entries)) == [((), 0, (), None)]
     if seed.general:
         with pytest.raises(ValueError, match="single mutations"):
             next(exchange_seeds(seed))
@@ -1382,8 +1427,8 @@ def test_gvector_seeds_matches_the_both_ends_search(name):
     else:
         seed = bipartite_seed(name)
     # zip_longest pads the search that ends first with None
-    for new, old in zip_longest(islice(gvector_seeds(seed), cap),
-                                islice(reference_gvector_seeds(seed), cap)):
+    found = (step[:2] for step in gvector_seeds(seed.matrix.entries))
+    for new, old in zip_longest(islice(found, cap), islice(reference_gvector_seeds(seed), cap)):
         assert new == old
 
 
@@ -1430,7 +1475,7 @@ def test_gvector_census_is_the_cluster_complex(name):
     # each variable named by its g-vector, held as bitmasks over variable ids
     seed = bipartite_seed(name)  # b_ij = +-a_ij
     n, ids, clusters = seed.n, {}, []
-    for gs, _ in gvector_seeds(seed):
+    for gs, *_ in gvector_seeds(seed.matrix.entries):
         mask = 0
         for g in gs:
             mask |= 1 << ids.setdefault(g, len(ids))

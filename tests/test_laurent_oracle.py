@@ -15,10 +15,8 @@ import pytest
 
 from clusterforge.laurent import (
     Context,
-    ContextMismatch,
     LaurentPoly,
     NotDivisible,
-    evaluate_all,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -237,60 +235,53 @@ def rand_poly_on(rng, ctx, variables, nterms):
 
 
 @pytest.mark.parametrize("nvars", SIZES)
-def test_evaluate_all_matches_sympy(nvars):
+def test_evaluate_on_variable_blocks_matches_sympy(nvars):
     rng = random.Random(f"evaluate_all/{nvars}")
     ctx = Context(tuple(f"x{i + 1}" for i in range(nvars)))
     syms = symbols(ctx)
     kinds = set()
     for _ in range(25):
-        # one batch of 1-8: zero polynomials, kernel products, and
-        # polynomials on disjoint blocks of the variables
+        # 1-8 polynomials at one point: zero polynomials, kernel products,
+        # and polynomials on disjoint blocks of the variables, so that many
+        # supports leave variables unused
         size = rng.randint(1, 8)
         blocks = list(range(nvars))
         rng.shuffle(blocks)
         cuts = sorted(rng.randint(0, nvars) for _ in range(size - 1))
         blocks = [blocks[a:b] for a, b in zip([0] + cuts, cuts + [nvars])]
-        batch = []
+        polys = []
         for block in blocks:
             kind = rng.choice(("zero", "product", "block", "block"))
             kinds.add(kind)
             if kind == "zero":
-                batch.append(ctx.zero())
+                polys.append(ctx.zero())
             elif kind == "product":
                 a = rand_poly(rng, ctx, rng.randint(1, 3), -2, 2)
-                batch.append(a * rand_poly(rng, ctx, rng.randint(1, 3), -2, 2))
+                polys.append(a * rand_poly(rng, ctx, rng.randint(1, 3), -2, 2))
             else:
-                batch.append(rand_poly_on(rng, ctx, block, rng.randint(1, 4)))
+                polys.append(rand_poly_on(rng, ctx, block, rng.randint(1, 4)))
         values = [rand_value(rng) for _ in range(nvars)]
-        got = evaluate_all(batch, values)
-        assert len(got) == len(batch)
-        for p, v in zip(batch, got):
-            expected = to_sympy(p, syms).subs(
-                {s: sympy.Rational(x.numerator, x.denominator)
+        point = {s: sympy.Rational(x.numerator, x.denominator)
                  for s, x in zip(syms, values)}
-            )
+        for p in polys:
+            v = p.evaluate(values)
+            expected = to_sympy(p, syms).subs(point)
             assert type(v) is Fraction
             assert (v.numerator, v.denominator) == (expected.p, expected.q)
-            assert p.evaluate(values) == v  # the one-polynomial case agrees
     assert kinds == {"zero", "product", "block"}
 
 
-def test_evaluate_all_edge_cases():
+def test_evaluate_edge_cases():
     ctx = Context(("x1", "x2", "x3"))
-    assert evaluate_all([], []) == []
-    assert evaluate_all([], [1, 2, 3]) == []
     x1, x2 = ctx.var(0), ctx.var(1)
     p = x1 + ctx.monomial({1: -1})
-    assert evaluate_all([ctx.zero(), x1, p], [0, 2, 5]) == [0, 0, Fraction(1, 2)]
-    # a zero value at a negative exponent, in any member of the batch
+    assert [q.evaluate([0, 2, 5]) for q in (ctx.zero(), x1, p)] == [0, 0, Fraction(1, 2)]
+    # a zero value at a negative exponent
     with pytest.raises(ZeroDivisionError):
-        evaluate_all([x1, p], [Fraction(1, 2), Fraction(0), 1])
+        p.evaluate([Fraction(1, 2), Fraction(0), 1])
     # too few values raises even when no support uses the missing variable
-    for batch in ([x1], [x1, x2], [ctx.zero()]):
+    for q in (x1, x2, ctx.zero()):
         with pytest.raises(IndexError):
-            evaluate_all(batch, [1, 2])
+            q.evaluate([1, 2])
     with pytest.raises(IndexError):
         x1.evaluate([3])
-    with pytest.raises(ContextMismatch):
-        evaluate_all([x1, Context(("y1", "y2", "y3")).var(0)], [1, 2, 3])
-
