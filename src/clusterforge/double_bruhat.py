@@ -441,22 +441,25 @@ def verify_cell_identities(
 ) -> CellCheckReport:
     """Check the exchange structure on random cell samples, exactly.
 
-    Samples are points of the cell from ``sample_cell``, which checks
-    determinant one and hands back the family minors.  Every family minor
-    must be positive, else the sample fails with no comparison.  At each
-    exchangeable position l with a closed form (a callable g ->
-    Fraction), ``exchange_values`` evaluates the initial seed's relation
-    at l in the sample's minors, and the quotient must equal the closed
-    form; other positions are not evaluated.  g is built only when a
-    position is compared.  ``relations_checked`` is samples x exchangeable
-    positions regardless; ``closed_forms_checked`` is samples x compared
-    positions, so a form keyed by a position that is not exchangeable is
-    not counted.
+    Samples are points g = h / den of the cell from ``sample_cell``, which
+    checks determinant one and hands back the family minors.  Every family
+    minor must be positive, else the sample fails with no comparison.  A
+    closed form is a pair (d, f): f maps the integer matrix h (0-based
+    rows) to an integer and is a homogeneous integer polynomial of degree
+    d in its entries, so its value at g is f(h) / den^d.  At each
+    exchangeable position l with a closed form, ``exchange_values``
+    evaluates the initial seed's relation at l in the sample's minors, and
+    its quotient p / q must satisfy p den^d == q f(h); other positions are
+    not evaluated, and no rational matrix is built.  ``relations_checked``
+    is samples x exchangeable positions regardless; ``closed_forms_checked``
+    is samples x compared positions, so a form keyed by a position that is
+    not exchangeable is not counted.
     """
     seed, positions, specs = _cell_setup(cartan, word)
     closed_forms = closed_forms or {}
     compared = [(j, l) for j, l in enumerate(positions[: seed.n]) if l in closed_forms]
     plan = [(j, *_monomials(seed.matrix.column(j), range(seed.m))) for j, _ in compared]
+    forms = [(l, *closed_forms[l]) for _, l in compared]
     sizes = [len(rows) for rows, _ in specs]
     rng = random.Random(rng_seed)
     draws = [sample_cell(cartan, word, specs, rng) for _ in range(samples)]
@@ -467,13 +470,12 @@ def verify_cell_identities(
             return [_NOT_POSITIVE]
         if not compared:
             return []
-        g = [[Fraction(x, den) for x in row] for row in h]
         p, q = list(minors), [den ** s for s in sizes]
         exchange_values(plan, p, q)
         return [
             f"position {l}: quotient != closed form"
-            for (_, l), x, y in zip(compared, p[seed.m:], q[seed.m:])
-            if Fraction(x, y) != closed_forms[l](g)
+            for (l, d, f), x, y in zip(forms, p[seed.m:], q[seed.m:])
+            if x * den ** d != y * f(h)
         ]
 
     return CellCheckReport(
@@ -484,25 +486,29 @@ def verify_cell_identities(
     )
 
 
-def _minor(rows: Sequence[int], cols: Sequence[int]) -> Callable:
-    spec = tuple(rows), tuple(cols)
-    return lambda g: evaluate_minor(spec, g)
+def _minor(rows: Sequence[int], cols: Sequence[int]) -> tuple:
+    """The closed form (k, f) of the k x k minor on the 1-based rows and
+    cols: f is ``util.int_det`` of that submatrix of h, as in
+    ``integer_minors``."""
+    rows, cols = [i - 1 for i in rows], [j - 1 for j in cols]
+    return len(rows), lambda h: int_det([[h[i][j] for j in cols] for i in rows])
 
 
 def open_cell_a2_closed_forms() -> dict:
-    """Exchange partners of the initial cluster for the A2 open cell word.
+    """Exchange partners of the initial cluster for the A2 open cell word,
+    as closed forms (degree, h -> integer) in the entries of h.
 
     Positions follow the word (1, 2, 1, -1, -2, -1).
     """
     return {
         1: _minor([1, 2], [1, 3]),
-        2: lambda g: (
-            g[0][1] * g[1][0] * g[2][2]
-            - g[0][1] * g[1][2] * g[2][0]
-            - g[0][2] * g[1][0] * g[2][1]
-            + g[0][2] * g[1][1] * g[2][0]
-        ),
-        3: lambda g: g[1][1],
+        2: (3, lambda h: (
+            h[0][1] * h[1][0] * h[2][2]
+            - h[0][1] * h[1][2] * h[2][0]
+            - h[0][2] * h[1][0] * h[2][1]
+            + h[0][2] * h[1][1] * h[2][0]
+        )),
+        3: (1, lambda h: h[1][1]),
         4: _minor([1, 3], [1, 2]),
     }
 

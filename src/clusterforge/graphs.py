@@ -106,24 +106,38 @@ def _refine_colors(nbrs: list[dict], colors: list[int]) -> list[int]:
         cells = len(rank)
 
 
-def _twin_classes(weights: dict, n: int) -> list[int]:
+def _twin_classes(weights: dict, colors: list[int]) -> list[int]:
     """The least twin of each vertex.
 
     Twins are vertices whose transposition is a weight-preserving
-    automorphism; being twins is an equivalence relation.
+    automorphism; being twins is an equivalence relation.  Such an
+    automorphism keeps the colours of an equitable refinement, so only
+    pairs inside one cell of colors are tested, and a vertex only against
+    the least vertex of each class found so far in its cell.
     """
-    adj = [[0] * n for _ in range(n)]
+    n = len(colors)
+    rows = [[0] * n for _ in range(n)]
     for (i, j), w in weights.items():
-        adj[i][j] = w
+        rows[i][j] = w
+    cols = list(zip(*rows))
 
-    def twins(u: int, v: int) -> bool:
-        return adj[u][v] == adj[v][u] and all(
-            adj[u][x] == adj[v][x] and adj[x][u] == adj[x][v]
-            for x in range(n)
-            if x not in (u, v)
-        )
+    def twins(u: int, v: int) -> bool:  # u < v; rows and columns agree off u, v
+        ru, rv, cu, cv = rows[u], rows[v], cols[u], cols[v]
+        return (ru[v] == rv[u]
+                and ru[:u] == rv[:u] and ru[u + 1:v] == rv[u + 1:v] and ru[v + 1:] == rv[v + 1:]
+                and cu[:u] == cv[:u] and cu[u + 1:v] == cv[u + 1:v] and cu[v + 1:] == cv[v + 1:])
 
-    return [next(u for u in range(v + 1) if twins(u, v)) for v in range(n)]
+    twin = list(range(n))
+    least: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        reps = least.setdefault(c, [])
+        for u in reps:
+            if twins(u, v):
+                twin[v] = u
+                break
+        else:
+            reps.append(v)
+    return twin
 
 
 def _serialize(weights: dict, colors: list[int], n: int) -> list[int]:
@@ -174,7 +188,7 @@ def canonical_key(weights: dict, n: int, leaf: list | None = None) -> tuple:
     best: list[int] | None = None
     best_colors: list[int] = []
     best_path: tuple = ()
-    twin = _twin_classes(weights, n)  # the root is not discrete
+    twin = _twin_classes(weights, colors)  # the root is not discrete
 
     def search(colors: list[int], path: tuple) -> int:
         """Explore below path; return the depth of the node to resume at."""

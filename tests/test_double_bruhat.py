@@ -647,7 +647,7 @@ def test_verify_open_cell_identities_small():
 def test_closed_forms_checked_counts_only_compared_forms():
     # position 6 of the open cell word is frozen, so its form is never compared
     rep = verify_cell_identities(
-        A2, OPEN_CELL_A2, samples=3, closed_forms={6: lambda g: 12345}
+        A2, OPEN_CELL_A2, samples=3, closed_forms={6: (0, lambda h: 12345)}
     )
     assert rep.ok
     assert rep.closed_forms_checked == 0
@@ -668,73 +668,145 @@ def test_verify_coxeter_cell_identities_small():
 def test_verify_detects_wrong_closed_form():
     rep = verify_cell_identities(
         A2, OPEN_CELL_A2, samples=3, rng_seed=3,
-        closed_forms={3: lambda g: g[0][0]},  # wrong on purpose
+        closed_forms={3: (1, lambda h: h[0][0])},  # wrong on purpose
     )
-    assert not rep.ok
+    assert not rep.ok and len(rep.failures) == 3
 
 
 def test_verify_reports_each_wrong_closed_form():
     rep = verify_cell_identities(
         A2, OPEN_CELL_A2, samples=3, rng_seed=3,
-        closed_forms={3: lambda g: g[1][1] + 1},  # off by one on every sample
+        # off by 1 / den from g[1][1] on every sample
+        closed_forms={3: (1, lambda h: h[1][1] + 1)},
     )
     assert rep.failures == tuple(
         f"sample {i}: position 3: quotient != closed form" for i in range(3)
     )
 
 
+def _counted_forms(closed_forms, evaluations):
+    """closed_forms with each evaluation of a form appended to evaluations."""
+    def counted(d, f):
+        return d, lambda h: evaluations.append(1) or f(h)
+    return {l: counted(*form) for l, form in (closed_forms or {}).items()}
+
+
 @pytest.mark.parametrize(
     "word, closed_forms, evaluations",
     [
-        # no closed form: no exchange relation and no minor is evaluated
+        # no closed form: no exchange relation and no form is evaluated
         ((-1, -3, -2, -1, -3, -2, 1, 3, 2, 1, 3, 2), None, 0),
-        # the three Coxeter positions, on each of 5 samples; the minors
-        # evaluated are the closed forms' only
+        # the three Coxeter positions, on each of 5 samples
         (coxeter_cell_word(A3), coxeter_cell_closed_forms(A3), 15),
     ],
 )
 def test_verify_evaluates_only_compared_relations(
     monkeypatch, word, closed_forms, evaluations
 ):
-    relations = []
-    exchange = double_bruhat.exchange_values
+    relations, forms, draws = [], [], []
+    exchange, factor = double_bruhat.exchange_values, double_bruhat.sample_totally_positive
 
     def counted(plan, p, q):
         relations.append(len(plan))
         return exchange(plan, p, q)
-
-    # the sampler's minors are handed back and its determinant check takes
-    # util.int_det of the integer matrix, so a draw makes no det call and
-    # only the closed forms evaluate minors
-    dets, minors, draws = [], [], []
-    det_, evaluate_minor_, factor = (
-        double_bruhat.det, double_bruhat.evaluate_minor,
-        double_bruhat.sample_totally_positive,
-    )
-
-    def counted_det(rows):
-        dets.append(sys._getframe(1).f_code.co_name)
-        return det_(rows)
-
-    def counted_minor(spec, g):
-        minors.append(1)
-        return evaluate_minor_(spec, g)
 
     def counted_draw(*args):
         draws.append(1)
         return factor(*args)
 
     monkeypatch.setattr(double_bruhat, "exchange_values", counted)
-    monkeypatch.setattr(double_bruhat, "det", counted_det)
-    monkeypatch.setattr(double_bruhat, "evaluate_minor", counted_minor)
     monkeypatch.setattr(double_bruhat, "sample_totally_positive", counted_draw)
     rep = verify_cell_identities(A3, word, samples=5, rng_seed=11,
-                                 closed_forms=closed_forms)
+                                 closed_forms=_counted_forms(closed_forms, forms))
     assert rep.ok and rep.relations_checked == 5 * (len(word) - 3)
     assert sum(relations) == evaluations
-    assert len(minors) == evaluations
+    assert len(forms) == evaluations
     assert len(draws) == 5  # one draw per sample, never a redraw
-    assert dets == ["evaluate_minor"] * evaluations
+
+
+def test_verify_compares_on_integers(monkeypatch):
+    # the sampler's minors are handed back and the Coxeter forms take
+    # util.int_det of the integer matrix, so the check calls neither det
+    # nor evaluate_minor and constructs no Fraction
+    calls = []
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            calls.append("Fraction")
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(double_bruhat, "det", counted("det", double_bruhat.det))
+    monkeypatch.setattr(double_bruhat, "evaluate_minor",
+                        counted("evaluate_minor", double_bruhat.evaluate_minor))
+    monkeypatch.setattr(double_bruhat, "Fraction", CountedFraction)
+    for cartan in (A2, A3, cartan_data("A4")):
+        rep = verify_cell_identities(cartan, coxeter_cell_word(cartan), samples=5,
+                                     rng_seed=11,
+                                     closed_forms=coxeter_cell_closed_forms(cartan))
+        assert rep.ok and rep.closed_forms_checked == 5 * cartan.rank
+    assert calls == []
+    # the counters count: the determinant check's message builds a Fraction
+    assert double_bruhat.det([[1, 2], [3, 4]]) == -2 and calls == ["det", "Fraction"]
+
+
+def _cubic(g):
+    """The A2 open cell's closed form at position 2, on the rational g."""
+    return (g[0][1] * g[1][0] * g[2][2] - g[0][1] * g[1][2] * g[2][0]
+            - g[0][2] * g[1][0] * g[2][1] + g[0][2] * g[1][1] * g[2][0])
+
+
+@pytest.mark.parametrize("cartan, word, old", [
+    (A2, OPEN_CELL_A2, {
+        1: lambda g: evaluate_minor(((1, 2), (1, 3)), g),
+        2: _cubic,
+        3: lambda g: g[1][1],
+        4: lambda g: evaluate_minor(((1, 3), (1, 2)), g),
+    }),
+    *[(cartan, coxeter_cell_word(cartan), {
+        j: (lambda g, s=tuple(range(1, j + 1)): evaluate_minor((s, s), g))
+        for j in range(1, cartan.rank + 1)
+    }) for cartan in (A3, cartan_data("A4"))],
+], ids=["A2-open", "A3-coxeter", "A4-coxeter"])
+def test_integer_forms_match_the_rational_route(monkeypatch, cartan, word, old):
+    # every compared quotient equals the closed form taken on the rational
+    # matrix g = h / den, by evaluate_minor or the cubic on g, and the
+    # integer form f(h) / den^d gives the same value
+    forms = (open_cell_a2_closed_forms() if word == OPEN_CELL_A2
+             else coxeter_cell_closed_forms(cartan))
+    assert set(forms) == set(old)
+    draws, quotients = [], []
+    draw, exchange = double_bruhat.sample_cell, double_bruhat.exchange_values
+
+    def recorded_draw(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    def recorded(plan, p, q):
+        exchange(plan, p, q)
+        quotients.append([Fraction(x, y) for x, y in zip(p[-len(plan):], q[-len(plan):])])
+
+    monkeypatch.setattr(double_bruhat, "sample_cell", recorded_draw)
+    monkeypatch.setattr(double_bruhat, "exchange_values", recorded)
+    rep = verify_cell_identities(cartan, word, samples=50, rng_seed=23, closed_forms=forms)
+    assert rep.ok and rep.closed_forms_checked == 50 * len(forms)
+    assert len(draws) == len(quotients) == 50
+    positions = sorted(forms)  # compared in seed order, which is word order here
+    for (h, den, _), values in zip(draws, quotients):
+        g = _divided(h, den)
+        for l, value in zip(positions, values):
+            d, f = forms[l]
+            assert value == old[l](g) == Fraction(f(h), den ** d)
+    # a form given the wrong degree fails on every sample
+    l = positions[-1]
+    d, f = forms[l]
+    monkeypatch.setattr(double_bruhat, "exchange_values", exchange)
+    rep = verify_cell_identities(cartan, word, samples=50, rng_seed=23,
+                                 closed_forms={l: (d + 1, f)})
+    assert rep.failures == tuple(
+        f"sample {i}: position {l}: quotient != closed form" for i in range(50))
 
 
 def _divided(h, den):
@@ -859,7 +931,7 @@ def test_relation_plan_matches_the_laurent_census(name):
 
 
 def test_check_reports_print_their_counts_failures_and_verdict():
-    wrong = {1: lambda g: Fraction(0)}  # position 1 fails on every sample
+    wrong = {1: (2, lambda h: 0)}  # position 1 fails on every sample
     rep = verify_cell_identities(A2, OPEN_CELL_A2, samples=2, rng_seed=1, closed_forms=wrong)
     assert rep.to_json() == {
         "samples": 2, "relations_checked": 8, "closed_forms_checked": 2,

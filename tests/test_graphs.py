@@ -348,6 +348,68 @@ def test_canonical_key_branches_once_per_twin_class(weights, n):
     assert canonical_key(*_relabelled((weights, n), random.Random(79))) == key
 
 
+def _least_twins(weights, n):
+    """The least twin of each vertex, by testing every pair against every
+    third vertex: O(n^3)."""
+    adj = [[0] * n for _ in range(n)]
+    for (i, j), w in weights.items():
+        adj[i][j] = w
+
+    def twins(u, v):
+        return adj[u][v] == adj[v][u] and all(
+            adj[u][x] == adj[v][x] and adj[x][u] == adj[x][v]
+            for x in range(n) if x not in (u, v)
+        )
+
+    return [next(u for u in range(v + 1) if twins(u, v)) for v in range(n)]
+
+
+def test_twin_classes_match_the_definition(monkeypatch):
+    # twins are tested only inside the cells of the root colouring, each
+    # vertex against the least vertex of each class so far; on the colouring
+    # canonical_key passes, and on the uniform one, that must give the least
+    # twin of the O(n^3) definition
+    rng = random.Random(83)
+    diagrams = []
+    for _ in range(300):
+        kind = rng.random()
+        if kind < 0.25:  # disjoint copies of one small diagram
+            size, copies = rng.randint(1, 3), rng.randint(2, 4)
+            part = _random_diagram(rng, size)
+            n = size * copies
+            weights = {(i + t * size, j + t * size): w
+                       for t in range(copies) for (i, j), w in part.items()}
+        elif kind < 0.4:  # a star, its arrows either way, some double
+            n = rng.randint(2, 12)
+            w = rng.randint(1, 3)
+            weights = {}
+            for v in range(1, n):
+                side = rng.random()
+                if side < 0.2:
+                    weights[(0, v)] = weights[(v, 0)] = w
+                else:
+                    weights[(0, v) if side < 0.6 else (v, 0)] = w
+        else:
+            n = rng.randint(1, 10)
+            weights = _random_diagram(rng, n)
+        diagrams.append(_relabelled((weights, n), rng))
+    calls, twin_classes = [], graphs._twin_classes
+
+    def recorded(weights, colors):
+        calls.append((weights, list(colors)))
+        return twin_classes(weights, colors)
+
+    monkeypatch.setattr(graphs, "_twin_classes", recorded)
+    for d in diagrams:
+        canonical_key(*d)
+    assert len(calls) > 100  # symmetric diagrams, whose root is not discrete
+    for weights, colors in calls:
+        n = len(colors)
+        expected = _least_twins(weights, n)
+        assert twin_classes(weights, colors) == expected, (weights, colors)
+        assert twin_classes(weights, [0] * n) == expected, weights
+
+
 def test_canonical_key_leaf_relabels_to_the_key():
     rng = random.Random(79)
     diagrams = [(_random_diagram(rng, n), n)
