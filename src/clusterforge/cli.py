@@ -29,34 +29,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _count(text: str) -> int:
-    """argparse type of every integer option: ASCII digits, so an int >= 0."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _within(least: int, most: int | None = None):
+    """argparse type of an integer option: ASCII digits, so an int >= 0,
+    and in least..most."""
+
+    def count(text: str) -> int:
+        if not (text.isascii() and text.isdigit()):
+            raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        n = int(text)
+        if most is not None and n > most:
+            raise argparse.ArgumentTypeError(f"expected at most {most}, got {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"expected at least {least}, got {text!r}")
+        return n
+
+    return count
 
 
-def _capped(cap: int):
-    """argparse type of a count whose cost is exponential in it: as _count,
-    and at most cap."""
-
-    def capped_count(text: str) -> int:
-        if _count(text) > cap:
-            raise argparse.ArgumentTypeError(f"expected at most {cap}, got {text!r}")
-        return int(text)
-
-    return capped_count
-
-
-# --radius and --depth: a tree of radius R has 3 * 2^(R+1) - 2 vertices
-_radius = _capped(14)
-
-
-def _size(text: str) -> int:
-    """argparse type of diffcomb --size: 1..16, as the check walks 2^s subsets."""
-    if _capped(16)(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected at least 1, got {text!r}")
-    return int(text)
+_count = _within(0)
+# a count whose cost is exponential in it has a most: a tree of radius R
+# (--radius, --depth) has 3 * 2^(R+1) - 2 vertices, and diffcomb walks 2^s
+# subsets; a cell check that draws no sample (--samples 0) verifies nothing
+_radius = _within(0, 14)
+_size = _within(1, 16)
+_samples = _within(1)
 
 
 def _rationals(text: str) -> tuple:
@@ -306,7 +302,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-cell", help="verify exchange identities on samples")
     p.add_argument("--type", required=True)
     p.add_argument("--word", type=_word, required=True)
-    p.add_argument("--samples", type=_count, default=100)
+    p.add_argument("--samples", type=_samples, default=100)
     p.add_argument("--rng-seed", type=_count, default=1)
     p.add_argument(
         "--closed-forms",
@@ -318,7 +314,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tp-check", help="total positivity criteria on TP samples")
     p.add_argument("--type", required=True)
     p.add_argument("--word", type=_word, required=True)
-    p.add_argument("--samples", type=_count, default=50)
+    p.add_argument("--samples", type=_samples, default=50)
     p.add_argument("--clusters", type=_count, default=10)
     p.add_argument("--rng-seed", type=_count, default=1)
     p.set_defaults(fn=_cmd_tp_check)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from math import prod
 from operator import mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
@@ -65,20 +66,23 @@ class Context(NamedTuple):
         return self.const(1)
 
     def const(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly(self, {})
-        return LaurentPoly(self, {(0,) * self.nvars: int(c)})
+        """The constant c; an int, checked as every coefficient is."""
+        return LaurentPoly(self, {(0,) * self.nvars: c})
 
     def var(self, i: int) -> "LaurentPoly":
         return self.monomial({i: 1})
 
     def monomial(self, powers: Mapping[int, int], coeff: int = 1) -> "LaurentPoly":
-        if coeff == 0:
-            return LaurentPoly(self, {})
+        """coeff * prod x_i^e over powers' items (i, e): an index outside
+        0..nvars-1 raises IndexError and a non-int exponent TypeError."""
         exp = [0] * self.nvars
         for i, e in powers.items():
+            if type(i) is not int or not 0 <= i < self.nvars:
+                raise IndexError(f"variable index {i!r} is not in 0..{self.nvars - 1}")
+            if type(e) is not int:
+                raise TypeError(f"exponent {e!r} is not an int")
             exp[i] = e
-        return LaurentPoly(self, {tuple(exp): int(coeff)})
+        return LaurentPoly(self, {tuple(exp): coeff})
 
 
 def _check_ctx(a: "LaurentPoly", b: "LaurentPoly") -> None:
@@ -142,17 +146,20 @@ def _packed_result(
 class LaurentPoly:
     """Immutable Laurent polynomial; ``terms`` maps exponent tuples to ints.
 
-    Zero coefficients are never stored; the zero polynomial has an empty
-    term dict.  Instances are hashable and compare by exact term equality.
-    A kernel result holds its packed terms and exponent box, and builds
-    ``terms`` from them on first read.
+    A coefficient that is not an int raises TypeError and a zero one is
+    dropped, so the zero polynomial has an empty term dict.  Instances are
+    hashable and compare by exact term equality.  A kernel result holds its
+    packed terms and exponent box, and builds ``terms`` on first read.
     """
 
     __slots__ = ("ctx", "_terms", "_key", "_packed", "_bounds")
 
     def __init__(self, ctx: Context, terms: Mapping[tuple[int, ...], int]):
+        for c in terms.values():
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an int")
         self.ctx = ctx
-        self._terms = {e: int(c) for e, c in terms.items() if c != 0}
+        self._terms = {e: c for e, c in terms.items() if c}
         self._key = self._packed = self._bounds = None
 
     @property
@@ -179,12 +186,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return self._terms is not None and not self._terms
-
-    def min_exponents(self) -> tuple[int, ...]:
-        """Per-variable minimum exponent over the support (zero poly: all 0)."""
-        if self.is_zero():
-            return (0,) * self.ctx.nvars
-        return tuple(self._exponent_box()[0])
 
     def leading_exponent(self) -> tuple[int, ...]:
         """The lexicographically first exponent of the support."""
@@ -386,39 +387,22 @@ class LaurentPoly:
         return _packed_result(tgt, width, out, (low, high))
 
     def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
-        """Exact numeric value at rationals, always a Fraction.
+        """Exact numeric value, the sum of c * prod x_i^e_i, as a Fraction.
 
-        With x_i = p_i / q_i and the support in the exponent box [low,
-        high], x^e = p^(e - low) q^(high - e) * p^low / q^high: an integer
-        sum with nonnegative powers times one factor.  The powers of p_i
-        and q_i are tabulated for the variables the support uses.  A zero
+        A value that is not an int or a Fraction raises TypeError, a zero
         value at a negative exponent raises ZeroDivisionError, and fewer
         values than the context's variables raise IndexError.
         """
         if len(values) < self.ctx.nvars:
             raise IndexError(f"{len(values)} values for {self.ctx.nvars} variables")
-        if self.is_zero():
-            return Fraction(0)
-        num = den = 1
-        active = []
-        for i, (lo, hi) in enumerate(zip(*self._exponent_box())):
-            if not (lo or hi):
-                continue
-            p, q = values[i].numerator, values[i].denominator
-            ppow, qpow = [1, p], [1, q]
-            for _ in range(max(hi, 0) - min(lo, 0) - 1):
-                ppow.append(ppow[-1] * p)
-                qpow.append(qpow[-1] * q)
-            num *= ppow[max(lo, 0)] * qpow[max(-hi, 0)]
-            den *= ppow[max(-lo, 0)] * qpow[max(hi, 0)]
-            if lo != hi:
-                active.append((i, lo, hi, ppow, qpow))
-        total = 0
-        for e, c in self.terms.items():
-            for i, lo, hi, ppow, qpow in active:
-                c *= ppow[e[i] - lo] * qpow[hi - e[i]]
-            total += c
-        return Fraction(total * num, den)
+        for x in values:
+            if type(x) not in (int, Fraction):
+                raise TypeError(f"value {x!r} is not an int or a Fraction")
+        xs = [Fraction(x) for x in values]
+        return sum(
+            (c * prod(x**p for x, p in zip(xs, e) if p) for e, c in self.terms.items()),
+            Fraction(0),
+        )
 
     # -- serialization and display ------------------------------------------
 
@@ -479,5 +463,4 @@ class LaurentPoly:
                 parts.append(f"-{body}")
             else:
                 parts.append(f"{c}*{body}")
-        out = " + ".join(parts).replace("+ -", "- ")
-        return out
+        return " + ".join(parts).replace("+ -", "- ")

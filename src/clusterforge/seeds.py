@@ -265,7 +265,7 @@ def general_seed(principal: Sequence[Sequence[int]]) -> Seed:
     computations (bounds, straightening); repeated mutation is refused.
     """
     n = len(principal)
-    rows = [list(map(int, row)) for row in principal]
+    rows = [list(row) for row in principal]  # make refuses a non-int entry
     for j in range(n):
         rows.append([1 if i == j else 0 for i in range(n)])
     for j in range(n):

@@ -595,6 +595,16 @@ def test_diffcomb_size_is_bounded(capsys):
     assert cli.build_parser().parse_args(["diffcomb", "--size", "16"]).size == 16
 
 
+@pytest.mark.parametrize("command", ["verify-cell", "tp-check"])
+def test_cell_check_without_samples_is_usage_error(capsys, command):
+    # a check that draws no sample verifies nothing, so it must not exit 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--type", "A2", "--word", "1 2 1 -1 -2 -1", "--samples", "0"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert "expected at least 1" in err
+
+
 def test_every_typed_option_validates_in_cli():
     # README: integer options take ASCII integers >= 0, which the builtin
     # int (it reads "-1", " 7 " and "1_0") would not enforce

@@ -47,6 +47,26 @@ def test_zero_terms_dropped():
     assert p.terms == {(0, 1, 0): 2}
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda ctx: ctx.const(2.5), TypeError),
+        (lambda ctx: ctx.monomial({0: 1}, Fraction(7, 2)), TypeError),
+        (lambda ctx: LaurentPoly(ctx, {(1, 0): 1.9}), TypeError),
+        (lambda ctx: ctx.monomial({-1: 1}), IndexError),
+        (lambda ctx: ctx.var(-2), IndexError),
+        (lambda ctx: ctx.monomial({0: 1.5}), TypeError),
+        (lambda ctx: ctx.var(0).evaluate([0.5, 1]), TypeError),
+    ],
+    ids=["const-float", "monomial-fraction-coeff", "init-float", "monomial-index",
+         "var-index", "monomial-float-exponent", "evaluate-float"],
+)
+def test_non_integer_input_is_refused(build, error):
+    # each of these was truncated, wrapped or stored before it was refused
+    with pytest.raises(error):
+        build(Context(("x", "y")))
+
+
 def test_context_mismatch():
     other = Context(("y1", "y2", "y3"))
     with pytest.raises(ContextMismatch):

@@ -167,7 +167,7 @@ def test_compose_matches_sympy(nvars):
     ssyms, tsyms = symbols(src), symbols(tgt)
     for _ in range(4):
         p = rand_poly(rng, src, rng.randint(1, 4), -2, 2)
-        low = p.min_exponents()
+        low = tuple(map(min, zip(*p.terms)))
         values = []
         for i in range(nvars):
             if low[i] < 0:  # negative powers need a unit monomial argument
@@ -196,10 +196,11 @@ def test_evaluate_matches_sympy(nvars):
     for trial in range(20):
         p = rand_poly(rng, ctx, rng.randint(1, 6), -3, 3)
         if trial % 2:  # shift every other one to a polynomial, to admit zeros
-            p = p * ctx.monomial({i: -e for i, e in enumerate(p.min_exponents())})
+            low = tuple(map(min, zip(*p.terms)))
+            p = p * ctx.monomial({i: -e for i, e in enumerate(low)})
         values = [rand_value(rng) for _ in range(nvars)]
         # a zero value only where the variable has no negative exponent
-        low = p.min_exponents()
+        low = tuple(map(min, zip(*p.terms)))
         for i in range(nvars):
             if low[i] >= 0 and rng.random() < 0.3:
                 values[i] = Fraction(0)

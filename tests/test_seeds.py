@@ -272,6 +272,13 @@ def test_general_seed_refuses_repeated_mutation(markov_seed):
         seed_mutate(once, 1)
 
 
+@pytest.mark.parametrize("entry", [1.7, 1.0, True, Fraction(1)])
+def test_general_seed_refuses_non_integer_entries(entry):
+    # an entry is refused, not truncated to int(entry)
+    with pytest.raises(ValueError, match="is not an integer"):
+        general_seed([[0, entry], [-1, 0]])
+
+
 def test_rewrite_in_adjacent_cluster_roundtrip(sl3_seed):
     ctx = sl3_seed.ctx
     # x1 = P_1 / x'_1 in the mutated cluster
