@@ -21,8 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import acyclic_order, is_acyclic, relabel_matrix
 from .laurent import Context, LaurentPoly, NotDivisible
-from .seeds import (Seed, diagram_of, exchange_polynomial, initial_seed,
-                    rewrite_in_adjacent_cluster, seed_mutate)
+from .seeds import Seed, diagram_of, exchange_polynomial, initial_seed
 
 
 class NotAcyclic(ValueError):
@@ -286,14 +285,17 @@ def upper_bound_member(
             )
     certificates: dict[int, list] = {}
     for j in range(seed.n):
+        # the coefficient of x_j^(-m), m >= 1, as terms with x_j's exponent 0;
+        # one direction at a time, so that a failing direction returns early
+        negative: dict[int, dict] = {}
+        for e, c in y.terms.items():
+            if e[j] < 0:
+                negative.setdefault(-e[j], {})[e[:j] + (0,) + e[j + 1 :]] = c
         P = exchange_polynomial(seed, j)
         certs = []
-        for power, coeff in y.expand_in(j):
-            if power >= 0:
-                continue
-            m = -power
+        for m in sorted(negative, reverse=True):
             try:
-                q = coeff.divide_exact(P ** m)
+                q = LaurentPoly(y.ctx, negative[m]).divide_exact(P ** m)
             except NotDivisible:
                 return Membership(
                     False,
@@ -303,14 +305,3 @@ def upper_bound_member(
             certs.append((m, q))
         certificates[j] = certs
     return Membership(True, "member of all adjacent Laurent rings", certificates)
-
-
-def membership_from_adjacent(y: LaurentPoly, seed: Seed, k: int) -> Membership:
-    """Membership tested from the k-mutated seed (same element, new cluster)."""
-    try:
-        moved = rewrite_in_adjacent_cluster(y, seed, k)
-    except NotDivisible:
-        return Membership(False, f"not Laurent in the {k + 1}-adjacent cluster", {})
-    mutated = seed_mutate(seed, k)
-    fresh = initial_seed(mutated.matrix)
-    return upper_bound_member(moved, fresh)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import prod
 from operator import mul, sub
 from typing import Mapping, NamedTuple, Sequence
@@ -147,9 +148,11 @@ class LaurentPoly:
     """Immutable Laurent polynomial; ``terms`` maps exponent tuples to ints.
 
     A coefficient that is not an int raises TypeError and a zero one is
-    dropped, so the zero polynomial has an empty term dict.  Instances are
-    hashable and compare by exact term equality.  A kernel result holds its
-    packed terms and exponent box, and builds ``terms`` on first read.
+    dropped, so the zero polynomial has an empty term dict.  An exponent
+    vector of the wrong length raises ValueError, and one with an entry
+    that is not an int TypeError.  Instances are hashable and compare by
+    exact term equality.  A kernel result holds its packed terms and
+    exponent box, and builds ``terms`` on first read.
     """
 
     __slots__ = ("ctx", "_terms", "_key", "_packed", "_bounds")
@@ -158,6 +161,12 @@ class LaurentPoly:
         for c in terms.values():
             if type(c) is not int:
                 raise TypeError(f"coefficient {c!r} is not an int")
+        if set(map(len, terms)) - {ctx.nvars}:
+            e = next(e for e in terms if len(e) != ctx.nvars)
+            raise ValueError(f"exponent {e!r} needs {ctx.nvars} entries")
+        if set(map(type, chain.from_iterable(terms))) - {int}:
+            e = next(e for e in terms if any(type(x) is not int for x in e))
+            raise TypeError(f"exponent {e!r} has a non-int entry")
         self.ctx = ctx
         self._terms = {e: c for e, c in terms.items() if c}
         self._key = self._packed = self._bounds = None
@@ -271,7 +280,7 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash((self.ctx.names, self.key()))
 
-    # -- division and expansion -------------------------------------------
+    # -- division ---------------------------------------------------------
 
     def divide_exact(self, den: "LaurentPoly") -> "LaurentPoly":
         """Return q with q*den == self, or raise NotDivisible.
@@ -335,20 +344,6 @@ class LaurentPoly:
         # exact: q * den == self, so the box of self is q's box plus den's
         box = list(map(sub, nlow, dlow)), list(map(sub, nhigh, dhigh))
         return _packed_result(self.ctx, width, quot, box)
-
-    def expand_in(self, j: int) -> list[tuple[int, "LaurentPoly"]]:
-        """Write self as sum_p coeff_p * x_j^p with coefficients free of x_j.
-
-        Returns (power, coefficient) pairs with strictly increasing powers.
-        """
-        buckets: dict[int, dict[tuple[int, ...], int]] = {}
-        for e, c in self.terms.items():
-            p = e[j]
-            reduced = e[:j] + (0,) + e[j + 1 :]
-            buckets.setdefault(p, {})[reduced] = c
-        return [
-            (p, LaurentPoly(self.ctx, buckets[p])) for p in sorted(buckets)
-        ]
 
     # -- evaluation --------------------------------------------------------
 

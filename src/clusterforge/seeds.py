@@ -314,22 +314,3 @@ def seed_mutate(seed: Seed, k: int) -> Seed:
         new_expr if j == k else seed.exprs[j] for j in range(seed.n)
     )
     return Seed(new_matrix, seed.ctx, exprs, seed.history + (k,), seed.general)
-
-
-def rewrite_in_adjacent_cluster(y: LaurentPoly, seed: Seed, k: int) -> LaurentPoly:
-    """Rewrite y (Laurent in seed's cluster) as Laurent in the k-mutated cluster.
-
-    Substitutes x_k = P_k / x'_k; the variable slot k of the result means
-    x'_k.  Negative x_k powers require the divisibility of their
-    coefficients by the matching power of P_k, and NotDivisible signals
-    that y does not lie in the adjacent Laurent ring.
-    """
-    P = exchange_polynomial(seed, k)
-    out = y.ctx.zero()
-    for power, coeff in y.expand_in(k):
-        zk = y.ctx.monomial({k: -power})
-        if power >= 0:
-            out = out + coeff * (P ** power) * zk
-        else:
-            out = out + coeff.divide_exact(P ** (-power)) * zk
-    return out

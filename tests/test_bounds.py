@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -12,7 +13,6 @@ from clusterforge.bounds import (
     generator_value,
     is_standard,
     leading_exponent,
-    membership_from_adjacent,
     sorted_acyclic_seed,
     standard_monomial_to_laurent,
     straighten,
@@ -29,6 +29,7 @@ from clusterforge.seeds import (
 )
 
 from conftest import SL3_PRINCIPAL
+from test_upper_bound_oracle import membership_from_adjacent
 
 
 def markov_y(seed):
@@ -282,6 +283,49 @@ def test_membership_json(markov_seed):
     data = res.to_json()
     assert data["member"] is True
     assert data["certificates"]["1"][0]["power"] == 1
+
+
+def test_certificates_reassemble_the_negative_part(sl3_seed, markov_seed):
+    """For a member, sum_m q_m * P_j^m * x_j^(-m) over direction j's
+    certificates is the part of y with a negative power of x_j, for every j,
+    and the powers m come largest first."""
+    rng = random.Random(37)
+    s, members = sl3_seed, [(markov_y(markov_seed), markov_seed)]
+    for _ in range(8):  # the product of each cluster along a mutation walk
+        s = seed_mutate(s, rng.randrange(4))
+        members.append((prod(s.exprs, start=sl3_seed.ctx.one()), sl3_seed))
+    powers = set()
+    for y, seed in members:
+        res = upper_bound_member(y, seed)
+        assert res.member and sorted(res.certificates) == list(range(seed.n))
+        ctx = seed.ctx
+        for j, certs in res.certificates.items():
+            P = exchange_polynomial(seed, j)
+            total = ctx.zero()
+            for m, q in certs:
+                total = total + q * P ** m * ctx.monomial({j: -m})
+            negative = {e: c for e, c in y.terms.items() if e[j] < 0}
+            assert total == LaurentPoly(ctx, negative)
+            assert [m for m, _ in certs] == sorted({-e[j] for e in negative}, reverse=True)
+            powers.update(m for m, _ in certs)
+    assert powers == {1, 2, 3}
+
+
+def test_a_non_member_failing_in_direction_1_divides_once(sl3_seed, monkeypatch):
+    calls = []
+    divide_exact = LaurentPoly.divide_exact
+
+    def counting_divide(self, den):
+        calls.append(den)
+        return divide_exact(self, den)
+
+    monkeypatch.setattr(LaurentPoly, "divide_exact", counting_divide)
+    ctx = sl3_seed.ctx
+    # every direction has a negative power, and direction 1 fails at m = 2
+    y = ctx.monomial({0: -2, 1: -1}) + ctx.monomial({0: -1, 2: -1}) + ctx.monomial({3: -1})
+    res = upper_bound_member(y, sl3_seed)
+    assert res == (False, "direction 1: coefficient of power -2 not divisible", {})
+    assert calls == [exchange_polynomial(sl3_seed, 0) ** 2]
 
 
 def test_generator_value_term_by_term(sl3_seed):

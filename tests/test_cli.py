@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from clusterforge.seeds import ExchangeMatrix
 
 from conftest import MARKOV, SL3_ROWS, SL3_LABELS
 from test_graphs import cell_seed, principal_coefficient_seed
+from test_upper_bound_oracle import a3_open_cell_elements
 
 
 def run(capsys, *argv):
@@ -148,6 +150,23 @@ def test_upper_member_short_exponent_exits_2(capsys):
     code = main(["upper-member", "--seed", seed_json(), "--num", json.dumps(short)])
     assert code == 2
     assert "entries" in capsys.readouterr().err
+
+
+def test_upper_member_stdout_on_a3_open_cell_elements(capsys):
+    """The oracle's 60 seeded A3 open-cell elements, 29 of them non-members:
+    the stdout of upper-member, certificates and reasons included, hashes to
+    the digest recorded when membership expanded y in every power of each
+    variable."""
+    seed, elements = a3_open_cell_elements()
+    matrix = json.dumps(seed.matrix.to_json())
+    digest, codes = hashlib.sha256(), []
+    for y in elements:
+        codes.append(main(["upper-member", "--seed", matrix, "--num", json.dumps(y.to_json())]))
+        digest.update(capsys.readouterr().out.encode())
+    assert (codes.count(0), codes.count(1)) == (31, 29)
+    assert digest.hexdigest() == (
+        "14d459ef758397fff0c525036d975662d9a58b1cfe7bf16398c5f6fa4cbe28d2"
+    )
 
 
 def _a1xa1_poly(*terms, names=("x1", "x2")):

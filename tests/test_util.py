@@ -12,8 +12,6 @@ SRC = ROOT / "src" / "clusterforge"
 # coprimality results the CLI does not show yet.
 TESTS_ONLY = {
     "is_standard",
-    "membership_from_adjacent",
-    "rewrite_in_adjacent_cluster",
     "is_coprime",
     "_proportional_odd_ratio",
     "valuate",
@@ -101,24 +99,62 @@ def _names(node) -> set:
     return out
 
 
-def test_every_definition_is_reached():
-    """Each top-level function and class in src/ is reached by name from
-    cli.main, from the names bench/*.py uses or from the imports of
-    tests/test_acceptance.py, through the names each reached top-level
-    definition or assignment mentions; TESTS_ONLY lists the exceptions."""
+def _bound_names(target) -> list:
+    """The names an assignment target binds: a plain name, or the names
+    inside a tuple or list target, starred ones included."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound_names(elt)]
+    return []
+
+
+def _unreached(trees, roots) -> list:
+    """The top-level functions and classes of trees not reached by name from
+    roots, through the names each reached top-level definition or
+    assignment mentions."""
     uses, defs = {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
+    for tree in trees:
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.add(node.name)
                 bound = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+                bound = [name for t in targets for name in _bound_names(t)]
             else:
                 continue
             for name in bound:
                 uses.setdefault(name, set()).update(_names(node))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += uses.get(name, ())
+    return sorted(defs - reached)
+
+
+def test_reachability_follows_tuple_and_list_targets():
+    # f and g are reached only through the tuple assignment that binds a
+    tree = ast.parse(
+        "def f(x): return x\n"
+        "def g(x): return x\n"
+        "def h(): return 0\n"
+        "a, [b, *c] = f(1), [g(2)]\n"
+        "def main(): return a\n"
+    )
+    assert _unreached([tree], {"main"}) == ["h"]
+
+
+def test_every_definition_is_reached():
+    """Each top-level function and class in src/ is reached by name from
+    cli.main, from the names bench/*.py uses or from the imports of
+    tests/test_acceptance.py, through the names each reached top-level
+    definition or assignment mentions; TESTS_ONLY lists the exceptions."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     roots = {"main"}
     for path in sorted((ROOT / "bench").glob("*.py")):
         roots |= _names(ast.parse(path.read_text(), str(path)))
@@ -126,13 +162,7 @@ def test_every_definition_is_reached():
     for node in ast.walk(ast.parse(acceptance.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("clusterforge"):
             roots |= {alias.name for alias in node.names}
-    reached, todo = set(), list(roots)
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo += uses.get(name, ())
-    assert sorted(defs - reached - TESTS_ONLY) == []
+    assert sorted(set(_unreached(trees, roots)) - TESTS_ONLY) == []
 
 
 def test_every_module_level_import_is_read():
