@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 from math import prod
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import acyclic_order, is_acyclic, relabel_matrix
+from .graphs import acyclic_order, relabel_matrix
 from .laurent import Context, LaurentPoly, NotDivisible
 from .seeds import Seed, diagram_of, exchange_polynomial, initial_seed
 
@@ -42,6 +43,12 @@ def generator_context(seed: Seed) -> Context:
     return Context(tuple(names))
 
 
+def _check_generator_exponents(p: LaurentPoly, n: int) -> None:
+    """Refuse a negative exponent on any x_j or x'_j; frozen ones are free."""
+    if any(x < 0 for e in p.terms for x in e[: 2 * n]):
+        raise ValueError("generator polynomials have nonnegative exponents")
+
+
 def generator_value(p: LaurentPoly, seed: Seed) -> LaurentPoly:
     """Evaluate a generator polynomial in the seed's ambient field.
 
@@ -49,8 +56,7 @@ def generator_value(p: LaurentPoly, seed: Seed) -> LaurentPoly:
     initial extended cluster.
     """
     n, ctx = seed.n, seed.ctx
-    if any(x < 0 for e in p.terms for x in e[: 2 * n]):
-        raise ValueError("generator polynomials have nonnegative exponents")
+    _check_generator_exponents(p, n)
     xs = [ctx.var(i) for i in range(seed.m)]
     primed = [exchange_polynomial(seed, j) * ctx.monomial({j: -1}) for j in range(n)]
     return p.compose(xs[:n] + primed + xs[n:])
@@ -59,40 +65,32 @@ def generator_value(p: LaurentPoly, seed: Seed) -> LaurentPoly:
 def straighten(p: LaurentPoly, seed: Seed) -> LaurentPoly:
     """Rewrite away every x_j * x'_j product; the value is preserved.
 
-    The output is a combination of standard monomials in the generator
-    context.  Each rewrite multiplies by an exchange polynomial, which is
-    prime-free of primed symbols, so the primed degree drops by one and
-    the loop terminates.
+    Rounds over one term table: a standard term goes to the output, any
+    other is replaced, for its least j with x_j x'_j, by the terms of
+    (term / x_j x'_j) * P_j.  P_j has no primed symbol, so each round lowers
+    the primed degree by one.  The rewrites commute, so the output is the
+    unique standard form.  A negative x_j or x'_j exponent is a ValueError.
     """
-    n = seed.n
-    gctx = p.ctx
+    n, gctx = seed.n, p.ctx
+    _check_generator_exponents(p, n)
     # the ambient variables inside the generator context: x block, then frozen
     ambient = [gctx.var(i if i < n else n + i) for i in range(seed.m)]
     P = [exchange_polynomial(seed, j).compose(ambient) for j in range(n)]
-    work = p
-    while True:
-        hit = None
-        for e, c in work.terms.items():
-            j = next(
-                (j for j in range(n) if e[j] > 0 and e[n + j] > 0), None
-            )
-            if j is not None:
-                hit = (e, c, j)
-                break
-        if hit is None:
-            return work
-        e, c, j = hit
-        reduced = list(e)
-        reduced[j] -= 1
-        reduced[n + j] -= 1
-        rest = LaurentPoly(gctx, {tuple(reduced): c})
-        work = work - LaurentPoly(gctx, {e: c}) + rest * P[j]
-
-
-def is_standard(p: LaurentPoly, n: int) -> bool:
-    return all(
-        not (e[j] > 0 and e[n + j] > 0) for e in p.terms for j in range(n)
-    )
+    rewrite = [(P[j] * gctx.monomial({j: -1, n + j: -1})).terms for j in range(n)]
+    out: dict[tuple, int] = {}
+    pending = p.terms
+    while pending:
+        nxt: dict[tuple, int] = {}
+        for e, c in pending.items():
+            j = next((j for j in range(n) if e[j] > 0 and e[n + j] > 0), None)
+            if j is None:
+                out[e] = out.get(e, 0) + c
+                continue
+            for f, d in rewrite[j].items():
+                g = tuple(map(add, e, f))
+                nxt[g] = nxt.get(g, 0) + c * d
+        pending = {e: c for e, c in nxt.items() if c}
+    return LaurentPoly(gctx, out)
 
 
 # -- standard monomials and leading exponents -----------------------------------
@@ -185,13 +183,20 @@ def cycle_dependency(seed: Seed, cycle: Sequence[int]) -> dict:
     return {"cycle": tuple(cycle), "pieces": pieces}
 
 
-def _find_oriented_three_cycle(seed: Seed) -> tuple | None:
-    """The lexicographically first oriented 3-cycle (i, j, k) of Gamma(B)."""
+def shortest_oriented_cycle(seed: Seed) -> tuple | None:
+    """A shortest oriented cycle (j0, ..., j_{l-1}) of Gamma(B), or None;
+    a shortest cycle has no chord."""
     E = diagram_of(seed.matrix.entries).keys()
-    return next(
-        ((i, j, k) for i, j in sorted(E) for k in range(seed.n) if {(j, k), (k, i)} <= E),
-        None,
-    )
+    paths = [(j,) for j in range(seed.n)]
+    seen = {(j, j) for j in range(seed.n)}  # (start, end) of each path
+    for path in paths:  # breadth first: the list grows while it is read
+        if (path[-1], path[0]) in E:
+            return path
+        for v in range(seed.n):
+            if (path[-1], v) in E and (path[0], v) not in seen:
+                seen.add((path[0], v))
+                paths.append(path + (v,))
+    return None
 
 
 def check_independence(seed: Seed, box: int) -> bool:
@@ -199,23 +204,21 @@ def check_independence(seed: Seed, box: int) -> bool:
 
     For an acyclic seed this certifies independence of the finite family
     by pairwise-distinct leading exponents.  For a seed with an oriented
-    3-cycle the cycle dependency is exhibited (and verified exactly), so
-    the family is dependent and the answer is False.
+    cycle the dependency along a shortest one is exhibited (and verified
+    exactly), so the family is dependent and the answer is False.
     """
-    if is_acyclic(seed.matrix):
-        sorted_seed = sorted_acyclic_seed(seed)
-        seen = set()
-        for exps in itertools.product(range(-box, box + 1), repeat=seed.n):
-            lead = leading_exponent(exps, sorted_seed)
-            if lead in seen:
-                return False
-            seen.add(lead)
-        return True
-    cyc = _find_oriented_three_cycle(seed)
-    if cyc is None:
-        raise NotAcyclic("cyclic seed without an oriented 3-cycle in range")
-    cycle_dependency(seed, cyc)  # raises if the dependency fails to verify
-    return False
+    cycle = shortest_oriented_cycle(seed)
+    if cycle is not None:
+        cycle_dependency(seed, cycle)  # raises if the dependency fails to verify
+        return False
+    sorted_seed = sorted_acyclic_seed(seed)
+    seen = set()
+    for exps in itertools.product(range(-box, box + 1), repeat=seed.n):
+        lead = leading_exponent(exps, sorted_seed)
+        if lead in seen:
+            return False
+        seen.add(lead)
+    return True
 
 
 # -- the subset identity ---------------------------------------------------------

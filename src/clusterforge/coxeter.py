@@ -171,23 +171,6 @@ def is_reduced(word: Sequence[int], cartan: CartanData) -> bool:
     return length(cartan, word_product(cartan, word)) == len(word)
 
 
-def longest_element(cartan: CartanData) -> tuple[tuple, tuple[int, ...]]:
-    """Greedy ascent: append any letter that increases length until stuck.
-    Returns the matrix of w_0 and the reduced word found."""
-    w = word_product(cartan, ())
-    word: list[int] = []
-    while len(word) < len(cartan.positive_roots):
-        for i in range(cartan.rank):
-            cand = mat_mul(w, cartan.simple_reflection_matrix(i))
-            if length(cartan, cand) == len(word) + 1:
-                w = cand
-                word.append(i + 1)
-                break
-        else:
-            raise AssertionError("ascent stalled below the longest element")
-    return w, tuple(word)
-
-
 def coxeter_number(cartan: CartanData) -> int:
     """The order h of a Coxeter element, as 2|Phi+| / r: an irreducible
     root system of rank r has |Phi| = r h roots (Bourbaki, *Lie groups and
@@ -242,3 +225,10 @@ def bipartite_longest_word(cartan: CartanData) -> tuple[int, ...]:
     if len(word) != len(cartan.positive_roots) or not is_reduced(word, cartan):
         raise AssertionError("bipartite word failed verification")
     return tuple(word)
+
+
+def longest_element(cartan: CartanData) -> tuple[tuple, tuple[int, ...]]:
+    """The matrix of w_0 and its bipartite reduced word; w_0 is unique, so
+    any reduced word with |Phi+| letters gives it."""
+    word = bipartite_longest_word(cartan)
+    return word_product(cartan, word), word

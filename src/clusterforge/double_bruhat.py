@@ -22,7 +22,7 @@ from .util import int_det, parallel_map
 
 
 class InvalidWord(ValueError):
-    """The negative or positive subword is not reduced."""
+    """A letter is not an int in +-[1, r], or a subword is not reduced."""
 
 
 class SubsetFormOnlyTypeA(TypeError):
@@ -65,9 +65,9 @@ class IndexedWord(NamedTuple):
 
 def indexed_word(cartan: CartanData, word: Sequence[int]) -> IndexedWord:
     """Validate the two subwords and attach position bookkeeping."""
-    w = tuple(int(x) for x in word)
-    if any(x == 0 or abs(x) > cartan.rank for x in w):
-        raise InvalidWord("letters must lie in +-[1, r]")
+    w = tuple(word)  # a letter is an int, never converted to one
+    if any(type(x) is not int or x == 0 or abs(x) > cartan.rank for x in w):
+        raise InvalidWord(f"letters must be ints in +-[1, r], got {w!r}")
     neg = [-x for x in w if x < 0]
     pos = [x for x in w if x > 0]
     if not is_reduced(neg, cartan):

@@ -33,7 +33,7 @@ from math import prod
 from operator import mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .util import check_keys, decimal_int
+from .util import check_keys, decimal_int, exact_rationals
 
 
 class ContextMismatch(ValueError):
@@ -390,10 +390,7 @@ class LaurentPoly:
         """
         if len(values) < self.ctx.nvars:
             raise IndexError(f"{len(values)} values for {self.ctx.nvars} variables")
-        for x in values:
-            if type(x) not in (int, Fraction):
-                raise TypeError(f"value {x!r} is not an int or a Fraction")
-        xs = [Fraction(x) for x in values]
+        xs = exact_rationals(values)
         return sum(
             (c * prod(x**p for x, p in zip(xs, e) if p) for e, c in self.terms.items()),
             Fraction(0),

@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly
 from .seeds import ExchangeMatrix, Seed, exchange_polynomial, matrix_mutate, skew_symmetrizer
+from .util import exact_rationals
 
 
 class NotCyclicEverywhere(ValueError):
@@ -38,7 +39,7 @@ class Valuation(NamedTuple):
     def on_cluster(seed: Seed, values: Sequence) -> "Valuation":
         if len(values) != seed.n:
             raise ValueError("one weight per cluster variable")
-        w = [Fraction(x) for x in values] + [Fraction(0)] * (seed.m - seed.n)
+        w = exact_rationals(values) + [Fraction(0)] * (seed.m - seed.n)
         return Valuation(tuple(w))
 
 
@@ -217,7 +218,7 @@ def delta_witness(
         raise ValueError("delta recursion requires a skew-symmetrizable matrix")
     pairs = [_others(j) for j in range(3)]
     weights: dict = {}  # (entries, j) -> (p, r) of a checked edge
-    deltas = {"": tuple(_exact(Fraction(x)) for x in delta0)}
+    deltas = {"": tuple(map(_exact, exact_rationals(delta0)))}
     lowest = {0: min(deltas[""])}  # radius -> least delta value there
     for addr, M, children in _mutation_tree(P0, radius + 1):
         P = M.entries

@@ -1,6 +1,6 @@
 """The small exact core shared by the modules: decimal integer parsing,
-JSON key checks, symmetrizers, fraction-free elimination, integer
-determinants and matrix products, all over Z or Q."""
+exact values, JSON key checks, symmetrizers, fraction-free elimination,
+integer determinants and matrix products, all over Z or Q."""
 
 from __future__ import annotations
 
@@ -15,6 +15,14 @@ def decimal_int(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"{text!r} is not a decimal integer")
     return int(text)
+
+
+def exact_rationals(values: Sequence) -> list[Fraction]:
+    """values as Fractions; anything but an int or a Fraction raises TypeError."""
+    for x in values:
+        if type(x) not in (int, Fraction):
+            raise TypeError(f"value {x!r} is not an int or a Fraction")
+    return [Fraction(x) for x in values]
 
 
 def check_keys(data, required: tuple, what: str, optional: tuple = ()) -> None:

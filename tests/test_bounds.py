@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from math import prod
 
@@ -11,8 +13,8 @@ from clusterforge.bounds import (
     diffcomb_check,
     generator_context,
     generator_value,
-    is_standard,
     leading_exponent,
+    shortest_oriented_cycle,
     sorted_acyclic_seed,
     standard_monomial_to_laurent,
     straighten,
@@ -28,8 +30,13 @@ from clusterforge.seeds import (
     seed_mutate,
 )
 
-from conftest import SL3_PRINCIPAL
+from conftest import MARKOV, SL3_PRINCIPAL
 from test_upper_bound_oracle import membership_from_adjacent
+
+
+def is_standard(p, n):
+    """No term of p carries a product x_j * x'_j."""
+    return all(not (e[j] > 0 and e[n + j] > 0) for e in p.terms for j in range(n))
 
 
 def markov_y(seed):
@@ -79,6 +86,89 @@ def test_straighten_preserves_value_randomized(markov_seed):
         assert generator_value(out, markov_seed) == generator_value(p, markov_seed)
 
 
+FOUR_CYCLE = [[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]]
+CHORDED_FOUR_CYCLE = [[0, 1, 0, -1], [-1, 0, 1, 1], [0, -1, 0, 1], [1, -1, -1, 0]]
+STRAIGHTEN_MATRICES = (
+    MARKOV,
+    [[0, 1], [-1, 0]],  # A2
+    [[0, 1], [-2, 0]],  # B2
+    [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],  # A3
+    [[0, 1], [-3, 0]],  # G2
+    [[0, 2], [-2, 0]],  # Kronecker
+    FOUR_CYCLE,
+)
+
+
+def straighten_inputs(rng_seed):
+    """42 generator polynomials over the matrices above in turn: one to three
+    terms, x and x' exponents in 0..2, frozen exponents in -1..2."""
+    rng = random.Random(rng_seed)
+    seeds = [general_seed(B) for B in STRAIGHTEN_MATRICES]
+    for t in range(42):
+        seed = seeds[t % len(seeds)]
+        n = seed.n
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [rng.randint(0, 2) for _ in range(2 * n)]
+            e += [rng.randint(-1, 2) for _ in range(seed.m - n)]
+            terms[tuple(e)] = rng.randint(-3, 3)
+        yield LaurentPoly(generator_context(seed), terms), seed
+
+
+# sha256 of the JSON list of straighten(p).to_json() over straighten_inputs,
+# recorded from the rewrite-one-term-and-rescan straightening
+STRAIGHTEN_DIGESTS = {
+    0: "6b03694e672fbac7f3b95164b50e09cd30df570bbff03b53649564db63b961d1",
+    1: "0fa6d8269d5ebc783f81116a2e3a1f49ec22b711ead30a04bb392ac5961f7bab",
+    2: "74e034f042b688e70444f99732ec00ec0a2e42f095f05e7baee4a318123e7939",
+    3: "e61d5f3f0ad88e45f7ff4d551b421b53484d306bde49ddc2f358df0aa7f5d476",
+    4: "15e7ef1bb3bb1d7efb5301a9b90af0b7ec9417079e2368fda67641a7cd1edc13",
+    5: "3eb0d5eafc137af6a27e2a3a111788f091ba806736b50b201fc0b8325701a2aa",
+    6: "bb0b7eb733c6eac839271c838d74dcb646b7d9f147825faa0156ddd74b1ad1de",
+}
+
+
+@pytest.mark.parametrize("rng_seed", sorted(STRAIGHTEN_DIGESTS))
+def test_straighten_digest(rng_seed):
+    outs = [straighten(p, seed).to_json() for p, seed in straighten_inputs(rng_seed)]
+    assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == (
+        STRAIGHTEN_DIGESTS[rng_seed]
+    )
+
+
+def test_straighten_is_standard_and_keeps_the_value():
+    for p, seed in straighten_inputs(7):
+        out = straighten(p, seed)
+        assert is_standard(out, seed.n)
+        assert generator_value(out, seed) == generator_value(p, seed)
+
+
+def test_straighten_markov_power_has_no_primes_left(markov_seed):
+    # (x1 x2 x3 x1' x2' x3')^k = (P_1 P_2 P_3)^k: each round strips one prime
+    gctx = generator_context(markov_seed)
+    n = markov_seed.n
+    P = [exchange_polynomial(markov_seed, j) for j in range(n)]
+    for k in (1, 3):
+        out = straighten(gctx.monomial({j: k for j in range(2 * n)}), markov_seed)
+        assert all(e[n : 2 * n] == (0,) * n for e in out.terms)
+        assert generator_value(out, markov_seed) == (P[0] * P[1] * P[2]) ** k
+
+
+@pytest.mark.parametrize("slot", [0, 4, 5])  # x_1, x'_2 and x'_3 of Markov
+def test_straighten_rejects_negative_exponents(markov_seed, slot):
+    gctx = generator_context(markov_seed)
+    p = gctx.monomial({slot: -1, 3: 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        straighten(p, markov_seed)
+
+
+def test_straighten_leaves_frozen_exponents_free(markov_seed):
+    gctx = generator_context(markov_seed)
+    # x1 x1' / p1+ = (p1+ x3^2 + p1- x2^2) / p1+
+    out = straighten(gctx.monomial({0: 1, 3: 1, 6: -1}), markov_seed)
+    assert out == gctx.monomial({2: 2}) + gctx.monomial({1: 2, 6: -1, 9: 1})
+
+
 def test_cycle_dependency_markov(markov_seed):
     dep = cycle_dependency(markov_seed, (0, 1, 2))
     ctx = markov_seed.ctx
@@ -96,9 +186,7 @@ def test_cycle_dependency_markov(markov_seed):
 
 def test_cycle_dependency_oriented_four_cycle():
     # 0 -> 1 -> 2 -> 3 -> 0
-    seed = general_seed(
-        [[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]]
-    )
+    seed = general_seed(FOUR_CYCLE)
     ctx = seed.ctx
     i = ctx.index
 
@@ -115,6 +203,45 @@ def test_cycle_dependency_oriented_four_cycle():
         p("p1-", "p2-", "p3-", "p4-") - p("p2+", "p4+", "p1-", "p3-")
         - p("p1+", "p3+", "p2-", "p4-") + p("p1+", "p2+", "p3+", "p4+")
     )
+
+
+def _pieces_are_standard(dep):
+    """Each piece is a coefficient times the primes that survive, and the
+    coefficient carries no x_j whose x'_j survives."""
+    return all(
+        e[j] == 0 for kept, coeff in dep["pieces"].items() for e in coeff.terms for j in kept
+    )
+
+
+@pytest.mark.parametrize(
+    "B, cycle",
+    [
+        (MARKOV, (0, 1, 2)),
+        (FOUR_CYCLE, (0, 1, 2, 3)),
+        # the same 4-cycle reversed: 0 -> 3 -> 2 -> 1 -> 0
+        ([[-x for x in row] for row in FOUR_CYCLE], (0, 3, 2, 1)),
+        # the 4-cycle with the chord 1 -> 3 has the 3-cycle 0 -> 1 -> 3 -> 0
+        (CHORDED_FOUR_CYCLE, (0, 1, 3)),
+        # an oriented 5-cycle
+        ([[0, 1, 0, 0, -1], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1],
+          [1, 0, 0, -1, 0]], (0, 1, 2, 3, 4)),
+        ([[0, 1], [-1, 0]], None),
+        (SL3_PRINCIPAL, (0, 2, 1)),
+    ],
+)
+def test_shortest_oriented_cycle(B, cycle):
+    seed = general_seed(B)
+    assert shortest_oriented_cycle(seed) == cycle
+    if cycle is not None:
+        assert _pieces_are_standard(cycle_dependency(seed, cycle))
+
+
+def test_check_independence_any_oriented_cycle():
+    # no oriented 3-cycle: the dependency runs along the 4-cycle
+    assert check_independence(general_seed(FOUR_CYCLE), 1) is False
+    # along a cycle with a chord some piece is not standard, hence the shortest
+    chorded = cycle_dependency(general_seed(CHORDED_FOUR_CYCLE), (0, 1, 2, 3))
+    assert not _pieces_are_standard(chorded)
 
 
 def test_check_independence_acyclic_box_one():

@@ -287,6 +287,18 @@ def test_straighten_cli(capsys):
     assert all(all(t["exp"][3:6] == [0, 0, 0] for t in data["terms"]) for _ in [0])
 
 
+@pytest.mark.parametrize("slot", [0, 2])  # x1 and x1'
+def test_straighten_cli_refuses_negative_generator_exponents(capsys, slot):
+    exp = [0, 0, 1, 0, 0, 0, 0, 0]
+    exp[slot] = -1
+    poly = {"vars": ["x1", "x2", "x1'", "x2'", "p1+", "p2+", "p1-", "p2-"],
+            "terms": [{"exp": exp, "coef": "1"}]}
+    code = main(["straighten", "--matrix", "[[0,1],[-1,0]]", "--poly", json.dumps(poly)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: generator polynomials have nonnegative exponents\n"
+
+
 def test_tropical_propagation(capsys):
     markov_seed = json.dumps({"n": 3, "m": 3, "labels": ["x1", "x2", "x3"],
                               "btilde": [list(r) for r in MARKOV]})

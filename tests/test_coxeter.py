@@ -51,6 +51,26 @@ def test_longest_element():
         assert is_reduced(word, A)
 
 
+LONGEST_ELEMENT_TYPES = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"B{r}" for r in range(2, 9)]
+    + [f"C{r}" for r in range(2, 9)]
+    + [f"D{r}" for r in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", LONGEST_ELEMENT_TYPES)
+def test_longest_element_is_the_bipartite_word(name):
+    A = cartan_data(name)
+    word = bipartite_longest_word(A)
+    w0 = word_product(A, word)
+    assert longest_element(A) == (w0, word)
+    # w0 sends every positive root to a negative one, and it is an involution
+    assert length(A, w0) == len(A.positive_roots)
+    assert mat_mul(w0, w0) == word_product(A, ())
+
+
 def test_longest_element_a4_length_ten():
     A = cartan_data("A4")
     assert length(A, longest_element(A)[0]) == 10

@@ -157,6 +157,15 @@ def test_invalid_word_rejected():
         indexed_word(A2, (3,))
 
 
+@pytest.mark.parametrize(
+    "word", [(1.7, 2.2, -1.9), (1.0, 2, 1), (True, 2), ("2", 1), (Fraction(1), 2)]
+)
+def test_indexed_word_refuses_letters_that_are_not_ints(word):
+    # no letter is converted: int(1.7) would read the float as the letter 1
+    with pytest.raises(InvalidWord, match="ints"):
+        indexed_word(A2, word)
+
+
 def test_construction_crosscheck_exhaustive_a2():
     w0, _ = longest_element(A2)
     words = all_reduced_words(A2, w0)

@@ -220,6 +220,16 @@ def test_delta_witness_needs_a_triple(delta0):
         delta_witness(ExchangeMatrix.make(MARKOV), radius=1, delta0=delta0)
 
 
+@pytest.mark.parametrize("bad", [0.1, True, "1", None])
+def test_weights_are_ints_or_fractions(markov_seed, bad):
+    # a float is refused, not stored as its binary expansion
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Valuation.on_cluster(markov_seed, (0, bad, 1))
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        delta_witness(ExchangeMatrix.make(MARKOV), radius=1, delta0=(0, bad, 1))
+    assert Valuation.on_cluster(markov_seed, (0, Fraction(1, 10), 1)).weights[1] == Fraction(1, 10)
+
+
 # -- the one tree walk and degree map against separately kept references ------
 
 
@@ -463,7 +473,7 @@ def test_mutation_tree_walk_matches_reference_delta_witness():
     # Markov's edge ratios are all integers and the weight-9 cycle's are not,
     # so the recursion runs in ints and in Fractions from each kind of start
     for P in (MARKOV, [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]):
-        for delta0 in ((0, 0, 1), (0, 1 / 2, 1), (0, Fraction("0.5"), 1)):
+        for delta0 in ((0, 0, 1), (0, Fraction(1, 2), 1)):
             cases.append((ExchangeMatrix.make(P), 5, delta0))
     # symmetrizers (1, 2, 3), (1, 1, 3) and (2, 3, 6), beyond random_rank3's 1s
     # and 2s: three distinct radicands, and products of radicands that reduce

@@ -8,10 +8,9 @@ from clusterforge.util import mat_mul, symmetrizer
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "clusterforge"
 
-# Top-level definitions that only tests reach: the lower bound and
-# coprimality results the CLI does not show yet.
+# Top-level definitions that only tests reach: the coprimality and
+# valuation results the CLI does not show yet.
 TESTS_ONLY = {
-    "is_standard",
     "is_coprime",
     "_proportional_odd_ratio",
     "valuate",
