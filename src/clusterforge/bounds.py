@@ -205,11 +205,22 @@ def check_independence(seed: Seed, box: int) -> bool:
     For an acyclic seed this certifies independence of the finite family
     by pairwise-distinct leading exponents.  For a seed with an oriented
     cycle the dependency along a shortest one is exhibited (and verified
-    exactly), so the family is dependent and the answer is False.
+    exactly).  Its standard monomials are the product of the primes along
+    the cycle, with entries -1, and each term x^e of a piece times the
+    primes it keeps, with entries -1 there and e_j elsewhere, as a
+    shortest cycle's pieces are standard.  The answer is False when all of
+    them lie in the box, which takes entries of size up to the largest
+    e_j and 1; otherwise the dependency says nothing about this family,
+    and ValueError names the least box that holds it.
     """
     cycle = shortest_oriented_cycle(seed)
     if cycle is not None:
-        cycle_dependency(seed, cycle)  # raises if the dependency fails to verify
+        # raises if the dependency fails to verify
+        pieces = cycle_dependency(seed, cycle)["pieces"]
+        least = max([1] + [x for p in pieces.values() for e in p.terms for x in e[:seed.n]])
+        if least > box:
+            raise ValueError(
+                f"the cycle dependency needs box {least}, so box {box} decides nothing")
         return False
     sorted_seed = sorted_acyclic_seed(seed)
     seen = set()

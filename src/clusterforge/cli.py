@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import bounds, coxeter, double_bruhat, graphs, seeds, tropical
 from .laurent import LaurentPoly
@@ -271,7 +272,10 @@ def _cmd_roots(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command line parser, built once per process: parse_args keeps
+    no state in it, so every call reads defaults as a first call does."""
     parser = _Parser(prog="clusterforge")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .coxeter import CartanData, is_reduced
 from .graphs import gvector_seeds
-from .seeds import ExchangeMatrix, Seed, initial_seed
+from .seeds import ExchangeMatrix, Seed, initial_seed, rank
 from .util import int_det, parallel_map
 
 
@@ -343,12 +343,20 @@ def sample_cell(
 
 def _cell_setup(cartan: CartanData, word: Sequence[int]) -> tuple[Seed, tuple, tuple]:
     """The seed of a double word, with the word position and the minor of
-    each ambient variable, both in the seed's order."""
+    each ambient variable, both in the seed's order.
+
+    B-tilde(i) has full rank n (BFZ III), which makes every seed of its
+    class coprime; a matrix of lower rank is an ArithmeticError, a
+    cross-check on build_btilde that correct code cannot trigger."""
     iw = indexed_word(cartan, word)
     bt = build_btilde(iw, cartan)
+    seed = seed_from_btilde(bt)
+    r = rank(seed.matrix)
+    if r != seed.n:
+        raise ArithmeticError(f"B-tilde of the word has rank {r}, not n = {seed.n}")
     positions = _seed_order(bt)
     specs = tuple(minor_spec(iw, cartan, k) for k in positions)
-    return seed_from_btilde(bt), positions, specs
+    return seed, positions, specs
 
 
 def _monomials(column: Sequence[int], index: Sequence[int]) -> tuple:

@@ -85,25 +85,32 @@ def _refine_colors(nbrs: list[dict], colors: list[int]) -> list[int]:
     nbrs[v] maps each neighbour u of v to a code (out weight * top + in
     weight) * span, where top exceeds every weight and span every colour,
     so that code + colour orders like the triple (out weight, in weight,
-    colour).  A vertex's signature is its colour and the sorted code +
-    colour of its neighbours.  Each round recolours every vertex by the
-    rank of its signature, which refines the colouring and keeps the order
-    of the colours, until the number of cells stops growing.  A uniform
-    colouring adds one colour to every code, so its round sorts the codes alone.
+    colour).  A vertex's signature is the flat tuple of its colour and the
+    sorted code + colour of its neighbours.  Each round recolours every
+    vertex by the rank of its signature among the distinct ones, which
+    refines the colouring and keeps the order of the colours, until the
+    number of cells stops growing.  A round ranks by one sort of the
+    vertices by signature and one pass that counts where the signature
+    changes.  A uniform colouring adds one colour to every code, so its
+    round sorts the codes alone.
     """
     n = len(nbrs)
     cells = len(set(colors))
     while True:
         get = colors.__getitem__
         sigs = [
-            (colors[v], tuple(sorted(map(add, nv.values(), map(get, nv)))))
+            (colors[v], *sorted(map(add, nv.values(), map(get, nv))))
             for v, nv in enumerate(nbrs)
-        ] if cells > 1 else [tuple(sorted(nv.values())) for nv in nbrs]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) in (cells, n):
+        ] if cells > 1 else [(0, *sorted(nv.values())) for nv in nbrs]
+        colors = [0] * n
+        rank, last = -1, None
+        for v in sorted(range(n), key=sigs.__getitem__):
+            if sigs[v] != last:
+                rank, last = rank + 1, sigs[v]
+            colors[v] = rank
+        if rank + 1 in (cells, n):
             return colors
-        cells = len(rank)
+        cells = rank + 1
 
 
 def _twin_classes(weights: dict, colors: list[int]) -> list[int]:
@@ -330,15 +337,24 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
     top = max(weights.values(), default=0)
     if top >= 4:
         return Classification("infinite", None, top, 0, 1)
+    backwards = range(n - 1, -1, -1)
+
+    def inverse(f: Sequence[int]) -> list[int]:
+        """The inverse of the permutation f of [0, n), in one pass."""
+        g = [0] * n
+        for v, x in enumerate(f):
+            g[x] = v
+        return g
+
     leaf: list = []
     ids = {canonical_key(weights, n, leaf): 0}
-    rows, pos, targets = [P], [sorted(range(n), key=leaf.__getitem__)], [[None] * n]
+    rows, pos, targets = [P], [inverse(leaf)], [[None] * n]
     maps: dict = {}  # each vertex map once: most are the identity
 
     def record(c: int, k: int, y: int, f: tuple) -> None:
         """f maps mu_k(rows[c]) onto rows[y]; its inverse is the way back."""
         f = maps.setdefault(f, f)
-        back = tuple(sorted(range(n), key=f.__getitem__))
+        back = tuple(inverse(f))
         targets[c][k] = (y, f)
         targets[y][f[k]] = (c, maps.setdefault(back, back))
 
@@ -350,7 +366,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
             if here[k] is not None:
                 continue
             # directions after k first: ways back, to classes already expanded
-            for j in reversed(range(n)):
+            for j in backwards:
                 step = here[j]
                 if step is None or M[j][k]:
                     continue
@@ -362,7 +378,7 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
                 step = targets[y][phi[chi[j]]]
                 if step is not None:
                     z, psi = step
-                    record(c, k, z, tuple(psi[phi[x]] for x in chi))
+                    record(c, k, z, tuple([psi[phi[x]] for x in chi]))
                     break
             else:
                 M2 = mutate_rows(M, k)
@@ -377,10 +393,11 @@ def classify_finite_type(B: ExchangeMatrix, node_cap: int = 100_000) -> Classifi
                         return Classification("inconclusive", None, None, None, len(rows))
                     y = ids[key] = len(rows)
                     rows.append(M2)
-                    pos.append(sorted(range(n), key=leaf.__getitem__))
+                    pos.append(inverse(leaf))
                     targets.append([None] * n)
                     queue.append((y, depth + 1))
-                record(c, k, y, tuple(map(pos[y].__getitem__, leaf)))
+                p = pos[y]
+                record(c, k, y, tuple([p[x] for x in leaf]))
     for X in rows:
         if is_acyclic(ExchangeMatrix.make(X)):
             name = dynkin_name(diagram_of(X), n)

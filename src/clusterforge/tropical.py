@@ -18,7 +18,6 @@ a ratio of two matrix entries, and the recursion needs no square roots.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly
@@ -97,29 +96,34 @@ class TreeAssignment(NamedTuple):
 def _mutation_tree(P0: tuple, depth: int):
     """Walk the mutation tree of the 3x3 matrix P0 breadth first, to depth.
 
-    Yields (addr, M, children) for each vertex of radius below depth, with
-    children the list of (j, child_addr, matrix_mutate(M, j)) over every
-    direction but the one that led to addr.  The children are made before
-    the caller checks M, which changes no error: mutating an acyclic
-    sign-skew-symmetric 3x3 matrix keeps it sign-skew-symmetric, so only a
-    cyclic M can make matrix_mutate raise.  A mutation and its
-    sign-skew-symmetry check are a function of the pair (M, j), so
-    matrix_mutate runs once per distinct pair, and every edge is still
-    checked: Markov's tree, with two matrices, mutates 6 times.  The cache
-    keeps each distinct matrix, so a tree without repeats holds them all.
+    Yields (addr, P, children) for each vertex of radius below depth, with
+    P the vertex's entries and children the list of (j, child_addr, P2),
+    P2 the entries of matrix_mutate at j, over every direction but the one
+    that led to addr.  The children are made before the caller checks P,
+    which changes no error: mutating an acyclic sign-skew-symmetric 3x3
+    matrix keeps it sign-skew-symmetric, so only a cyclic P can make
+    matrix_mutate raise.  A mutation and its sign-skew-symmetry check are
+    a function of the pair (entries, j), so matrix_mutate runs once per
+    distinct pair, which keys its cache, and every edge is still checked:
+    Markov's tree, with two matrices, mutates 6 times.  The cache keeps
+    each distinct matrix, so a tree without repeats holds them all.
     """
-    mutate = cache(matrix_mutate)
-    layer = [("", ExchangeMatrix.make([list(r) for r in P0]))]
+    root = ExchangeMatrix.make(P0)
+    mutated: dict = {}  # (entries, j) -> entries of matrix_mutate at j
+    layer = [("", root.entries)]
     for _ in range(depth):
         nxt = []
-        for addr, M in layer:
-            children = [
-                (j, addr + str(j + 1), mutate(M, j))
-                for j in range(3)
-                if addr[-1:] != str(j + 1)
-            ]
-            yield addr, M, children
-            nxt += [(child, C) for _, child, C in children]
+        for addr, P in layer:
+            children = []
+            for j, digit in enumerate("123"):
+                if addr[-1:] == digit:
+                    continue
+                P2 = mutated.get((P, j))
+                if P2 is None:
+                    P2 = mutated[P, j] = matrix_mutate(root._replace(entries=P), j).entries
+                children.append((j, addr + digit, P2))
+            yield addr, P, children
+            nxt += [(child, P2) for _, child, P2 in children]
         layer = nxt
 
 
@@ -134,8 +138,7 @@ def propagate_valuation(seed: Seed, v0: Valuation, depth: int) -> TreeAssignment
     if not _is_cyclic3(P0):
         raise NotCyclicEverywhere("the initial matrix is not cyclic")
     values = {"": tuple(v0.weights[:3])}
-    for addr, M, children in _mutation_tree(P0, depth):
-        P = M.principal()
+    for addr, P, children in _mutation_tree(P0, depth):
         if not _is_cyclic3(P):
             raise NotCyclicEverywhere(f"acyclic matrix at address {addr!r}")
         nu = values[addr]
@@ -205,8 +208,12 @@ def delta_witness(
     entries.  The root recursion s_i s_k = s_j + s_j' is checked at every
     edge as the entry identity |b_ij b_jk| = |b_ik(M)| + |b_ik(M2)|.
     The cyclicity and recursion checks and the pair (p, r) are functions
-    of the edge's (entries, j), so they run once per distinct pair and
-    still check every edge; only the deltas run once per edge.
+    of the edge's (entries, j), so one edge table runs them once per
+    distinct pair and still checks every edge; only the deltas run once
+    per edge, each child's triple a copy of its parent's with entry j
+    replaced.  So the children of a vertex hold all its values, and the
+    least value of each radius is the least of the radius below and of
+    the new entries made at it.
     Integral values are ints, equal to and printed as the same Fractions.
     """
     if len(delta0) != 3:
@@ -216,41 +223,41 @@ def delta_witness(
         raise NotCyclicEverywhere("the initial matrix is not cyclic")
     if skew_symmetrizer(B) is None:
         raise ValueError("delta recursion requires a skew-symmetrizable matrix")
-    pairs = [_others(j) for j in range(3)]
-    weights: dict = {}  # (entries, j) -> (p, r) of a checked edge
-    deltas = {"": tuple(map(_exact, exact_rationals(delta0)))}
-    lowest = {0: min(deltas[""])}  # radius -> least delta value there
-    for addr, M, children in _mutation_tree(P0, radius + 1):
-        P = M.entries
+    edges: dict = {}  # (entries, j) -> (p, r, i, k) of a checked edge
+    deltas = {"": list(map(_exact, exact_rationals(delta0)))}
+    sequence = [min(deltas[""])]  # radius -> least delta value there
+    for addr, P, children in _mutation_tree(P0, radius + 1):
         dl = deltas[addr]
-        for j, child, M2 in children:
-            i, k = pairs[j]
-            if (P, j) not in weights:
-                P2 = M2.entries
+        if len(sequence) == len(addr) + 1:  # the first vertex of its radius
+            sequence.append(sequence[-1])
+        for j, child, P2 in children:
+            edge = edges.get((P, j))
+            if edge is None:
                 if not _is_cyclic3(P2):
                     raise NotCyclicEverywhere(f"acyclic matrix at address {child!r}")
+                i, k = _others(j)
                 old, new = abs(P[i][k]), abs(P2[i][k])
                 if abs(P[i][j] * P[j][k]) != old + new:
                     raise AssertionError("square-root recursion mismatch")
                 r = Fraction(old, new)
-                weights[P, j] = (_exact(1 + r), _exact(r))
-            p, r = weights[P, j]
-            new_j = p * min(dl[i], dl[k]) - r * dl[j]
-            deltas[child] = tuple(new_j if t == j else dl[t] for t in range(3))
-            lowest[len(child)] = min(lowest.get(len(child), new_j), *deltas[child])
+                edge = edges[P, j] = (_exact(1 + r), _exact(r), i, k)
+            p, r, i, k = edge
+            t = dl.copy()
+            t[j] = new_j = p * min(dl[i], dl[k]) - r * dl[j]
+            deltas[child] = t
+            if new_j < sequence[-1]:
+                sequence[-1] = new_j
 
-    sequence = list(lowest.values())
     strict = all(a > b for a, b in zip(sequence, sequence[1:]))
     shift = sequence[radius]
-    shifted = {a: tuple(x - shift for x in t) for a, t in deltas.items()}
-    negative_at = next(
-        (
-            (a, idx + 1)
-            for a, t in sorted(shifted.items()) if len(a) == radius + 1
-            for idx, x in enumerate(t) if x < 0
-        ),
-        None,
-    )
+    shifted = deltas  # each triple is replaced in place, so one table is alive
+    for a, t in shifted.items():
+        shifted[a] = tuple([x - shift for x in t])
+    # the least address of the outer radius with a negative value, if any
+    outer = min((a for a, t in shifted.items() if len(a) == radius + 1 and min(t) < 0),
+                default=None)
+    negative_at = None if outer is None else (
+        outer, next(idx + 1 for idx, x in enumerate(shifted[outer]) if x < 0))
     ok_inside = all(
         x >= 0 for a, t in shifted.items() if len(a) <= radius for x in t
     )

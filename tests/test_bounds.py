@@ -485,3 +485,19 @@ def test_generator_value_rejects_negative_exponents(sl3_seed, slot):
     gctx = generator_context(sl3_seed)
     with pytest.raises(ValueError, match="nonnegative"):
         generator_value(gctx.monomial({slot: -1}), sl3_seed)
+
+
+WEIGHT_9_CYCLE = [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]
+
+
+@pytest.mark.parametrize(
+    "B, box, least",
+    [(MARKOV, 0, 1), (WEIGHT_9_CYCLE, 1, 2), (FOUR_CYCLE, 0, 1)],
+    ids=["markov-box-0", "weights-3-box-1", "four-cycle-box-0"],
+)
+def test_check_independence_refuses_a_box_without_the_dependency(B, box, least):
+    # Markov's box-0 family is {1}, which is independent; every piece of the
+    # weights-3 cycle's dependency carries an x exponent 2
+    with pytest.raises(ValueError, match=f"needs box {least}, so box {box} decides nothing"):
+        check_independence(general_seed(B), box)
+    assert check_independence(general_seed(B), least) is False

@@ -883,3 +883,32 @@ def test_principal_part_off_sign_skew_symmetry_exits_2(capsys, command, matrix,
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith(f"error: SignSkewSymmetryLost: {fault}")
+
+
+def _fresh_cli(argv):
+    """Exit code, stdout and stderr of argv run by a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from clusterforge.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-c", code, src, *argv],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # one process: a call that succeeds, a usage error and a call that reads
+    # defaults (verify-cell's --samples and --rng-seed) answer as first calls
+    usage_error = ["verify-cell", "--type", "A2", "--word", "1 2 1 -1 -2 -1", "--samples", "0"]
+    defaults = ["verify-cell", "--type", "A2", "--word", "1 2 1 -1 -2 -1"]
+    assert main(["classify", "--matrix", json.dumps(MARKOV)]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(usage_error)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == _fresh_cli(usage_error)
+    assert exc.value.code == 64
+    code = main(defaults)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == _fresh_cli(defaults)
+    assert code == 0 and json.loads(out)["samples"] == 100

@@ -1252,3 +1252,24 @@ CELL_NUMERICS_CALLS = [
 def test_cell_numerics_stdout_unchanged(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_cell_of_lower_rank_exits_2(capsys, monkeypatch):
+    # B-tilde(i) has full rank n; with the frozen rows of the A3 Coxeter cell
+    # zeroed, the rank drops from 3 to 0 and no cell command runs on it
+    word = (-1, -2, -3, 1, 2, 3)
+    bt = build_btilde(indexed_word(A3, word), A3)
+
+    def frozen_rows_zeroed(iw, cartan):
+        b = build_btilde(iw, cartan)
+        rows = tuple(row if k in b.col_labels else (0,) * len(row)
+                     for k, row in zip(b.row_labels, b.rows))
+        return b._replace(rows=rows)
+
+    monkeypatch.setattr(double_bruhat, "build_btilde", frozen_rows_zeroed)
+    cut = seed_from_btilde(frozen_rows_zeroed(indexed_word(A3, word), A3))
+    assert (rank(seed_from_btilde(bt).matrix), rank(cut.matrix), cut.n) == (3, 0, 3)
+    code = main(["verify-cell", "--type", "A3", "--word", "-1 -2 -3 1 2 3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: ArithmeticError: B-tilde of the word has rank 0, not n = 3\n"
