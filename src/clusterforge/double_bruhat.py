@@ -261,13 +261,35 @@ def evaluate_minor(spec: tuple, g: Sequence[Sequence[Fraction | int]]) -> Fracti
 
 def integer_minors(specs: Sequence[tuple], h: Sequence[Sequence[int]]) -> Iterator[int]:
     """The minor of the integer matrix h at each spec (rows, cols), in order
-    and lazily: ``util.int_det`` of its submatrix, a closed form up to
-    3 x 3 and Bareiss from 4 x 4 up."""
+    and lazily.  A 1 x 1 minor is the entry itself and a 2 x 2 minor is
+    ad - bc, both read straight off the rows of h; a larger one is
+    ``util.int_det`` of its submatrix (a closed form at 3 x 3, Bareiss from
+    4 x 4 up)."""
     for rows, cols in specs:
-        yield int_det([[h[i - 1][j - 1] for j in cols] for i in rows])
+        k = len(rows)
+        if k == 1:
+            yield h[rows[0] - 1][cols[0] - 1]
+        elif k == 2:
+            top, bottom = h[rows[0] - 1], h[rows[1] - 1]
+            a, b = cols[0] - 1, cols[1] - 1
+            yield top[a] * bottom[b] - top[b] * bottom[a]
+        else:
+            yield int_det([[h[i - 1][j - 1] for j in cols] for i in rows])
 
 
 # -- sampling -------------------------------------------------------------------
+
+
+def _draw(getrandbits: Callable[[int], int], b: int) -> int:
+    """``rng.randint(1, b)`` for b >= 1, given ``rng.getrandbits``: the
+    same calls of b's bit length, redrawn while r >= b, as ``randint`` ->
+    ``randrange`` -> ``_randbelow`` make them, without those three Python
+    frames.  So the value and the state of rng afterwards are randint's."""
+    k = b.bit_length()
+    r = getrandbits(k)
+    while r >= b:
+        r = getrandbits(k)
+    return 1 + r
 
 
 def sample_totally_positive(
@@ -290,19 +312,23 @@ def sample_totally_positive(
     col_src over b den, which is the new den.  At the end every column is
     scaled to den and the columns are transposed to the rows of h.  den is
     handed back as it is, not reduced: it may be a multiple of the least
-    common denominator of g.
+    common denominator of g.  Each entry of the diagonal is drawn as
+    numerator then denominator, each letter's t as a then b, and every
+    draw is ``rng.randint(1, b)``'s, made by ``_draw``: the samples and the
+    state of rng afterwards are those of the same draws through randint.
     """
     if cartan.family != "A":
         raise SubsetFormOnlyTypeA("total positivity sampling is type A only")
     size = cartan.rank + 1
-    diag = [(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(size - 1)]
+    bits = rng.getrandbits
+    diag = [(_draw(bits, 3), _draw(bits, 2)) for _ in range(size - 1)]
     # the last entry makes the product 1
     diag.append((prod(d for _, d in diag), prod(n for n, _ in diag)))
     cols = [[n if i == j else 0 for i in range(size)] for j, (n, _) in enumerate(diag)]
     at = [d for _, d in diag]
     den = lcm(*at)
     for letter in word:
-        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _draw(bits, 4), _draw(bits, 4)
         i = abs(letter)
         dst, src = (i, i - 1) if letter > 0 else (i - 1, i)
         fd, fs = b * (den // at[dst]), a * (den // at[src])
@@ -325,10 +351,9 @@ def sample_cell(
     the cell (Fomin-Zelevinsky, Double Bruhat cells and total positivity,
     Thm 1.2).  ``util.int_det(h)`` must be den^size, else
     ``ArithmeticError``, also under ``python -O``.  The minors come from
-    ``integer_minors``, closed forms up to 3 x 3 and Bareiss from 4 x 4 up.
-    The minor of g at a k x k spec is the returned minor over den^k; the
-    family minors of the word are positive on such a point, which the cell
-    checks verify rather than assume.
+    ``integer_minors``.  The minor of g at a k x k spec is the returned
+    minor over den^k; the family minors of the word are positive on such a
+    point, which the cell checks verify rather than assume.
     """
     h, den = sample_totally_positive(cartan, word, rng)
     d = int_det(h)
@@ -496,8 +521,8 @@ def verify_cell_identities(
 
 def _minor(rows: Sequence[int], cols: Sequence[int]) -> tuple:
     """The closed form (k, f) of the k x k minor on the 1-based rows and
-    cols: f is ``util.int_det`` of that submatrix of h, as in
-    ``integer_minors``."""
+    cols: f is ``util.int_det`` of that submatrix of h, equal to the
+    minor ``integer_minors`` gives."""
     rows, cols = [i - 1 for i in rows], [j - 1 for j in cols]
     return len(rows), lambda h: int_det([[h[i][j] for j in cols] for i in rows])
 

@@ -1181,6 +1181,16 @@ def reference_sample_totally_positive(cartan, word, rng):
     return g
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, "draws"])
+def test_draw_matches_randint(seed):
+    # the sampler's draws are randint's, value and stream alike; b = 1 still
+    # consumes one bit, and the sampler itself uses b = 2, 3 and 4
+    rng, ref = random.Random(seed), random.Random(seed)
+    for b in list(range(1, 10)) * 50:
+        assert double_bruhat._draw(rng.getrandbits, b) == ref.randint(1, b)
+        assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_samplers_match_full_matrix_products(r):
     cartan = cartan_data(f"A{r}")
